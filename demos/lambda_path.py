@@ -27,6 +27,7 @@ def main():
         head = " ".join(f"{v:+.4f}" for v in w)
         print(f"{lam:7.2f}  {np.abs(w).sum():10.6f}  {nonzero:7d}  [{head}]")
 
+    # on the simplex ||w||_1 = 1, so lambda does not change the program
     print("\nsame path on the probability simplex (weights sum to one):")
     print(f"{'lambda':>7}  {'||w||_1':>10}  {'nonzero':>7}")
     for lam in (0.0, 0.2, 0.8):

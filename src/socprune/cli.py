@@ -44,34 +44,39 @@ DEFAULT_LAMBDA = 0.5
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for anything stochastic (default 0)")
-    common.add_argument("--alpha", type=float, default=None,
-                        help="accuracy/diversity trade-off in [0,1]; for cv/run "
-                             "this narrows the grid to a single value")
-    common.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="sparsity weight >= 0; for cv/run this narrows the "
-                             "grid to a single value")
-    thresh = common.add_mutually_exclusive_group()
+    # Flag groups; each subcommand takes exactly the groups it reads.
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--alpha", type=float, default=None,
+                      help="accuracy/diversity trade-off in [0,1]; for cv/run "
+                           "this narrows the grid to a single value")
+    cell.add_argument("--lambda", dest="lam", type=float, default=None,
+                      help="sparsity weight >= 0; for cv/run this narrows the "
+                           "grid to a single value.  With --simplex the "
+                           "weights sum to 1, so lambda does not change the "
+                           "program")
+    cell.add_argument("--simplex", action="store_true",
+                      help="constrain weights to the probability simplex")
+    select = argparse.ArgumentParser(add_help=False)
+    thresh = select.add_mutually_exclusive_group()
     thresh.add_argument("--threshold", type=float, default=None,
                         help="fixed pruning threshold h >= 0 on |w_i|")
     thresh.add_argument("--auto-threshold", action="store_true",
                         help="pick h on the validation split (default)")
-    common.add_argument("--vote", choices=(VOTE_MAJORITY, VOTE_WEIGHTED),
+    select.add_argument("--vote", choices=(VOTE_MAJORITY, VOTE_WEIGHTED),
                         default=VOTE_MAJORITY,
                         help="aggregation rule for ensemble predictions")
-    common.add_argument("--simplex", action="store_true",
-                        help="constrain weights to the probability simplex")
-    common.add_argument("--tol", type=float, default=None,
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=None,
                         help="solver stopping tolerance (gap and residuals)")
-    common.add_argument("--max-iters", type=int, default=None,
+    solver.add_argument("--max-iters", type=int, default=None,
                         help="solver iteration cap")
-    common.add_argument("--out", default=None,
-                        help="output path (default: print to stdout)")
-    common.add_argument("--format", choices=dataio.REPORT_FORMATS,
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help="output path (default: print to stdout)")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=dataio.REPORT_FORMATS,
                         default=dataio.FORMAT_JSON,
-                        help="report format for prune/run")
+                        help="report format")
 
     parser = argparse.ArgumentParser(
         prog="socprune",
@@ -79,8 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[out],
                        help="write a synthetic prediction dataset")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed of the generator (default 0)")
     p.add_argument("--models", type=int, default=10)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--classes", type=int, default=4)
@@ -94,32 +101,31 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="confidence of the generated probability rows")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[cell, solver, out],
                        help="solve one (alpha, lambda) cell and print weights")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("cv", parents=[common],
+    p = sub.add_parser("cv", parents=[cell, select, solver, out],
                        help="grid-search (alpha, lambda) on the validation split")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("prune", parents=[common],
+    p = sub.add_parser("prune", parents=[cell, select, solver, out, report],
                        help="fit one cell, threshold, vote, report")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("run", parents=[common],
-                       help="full pipeline: cv, refit, threshold, vote, report")
+    p = sub.add_parser("run", parents=[cell, select, solver, out, report],
+                       help="full pipeline: cv, threshold, vote, report")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="validate a dataset directory")
+    p = sub.add_parser("check", help="validate a dataset directory")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[solver, out],
                        help="solve a cone-program file (solver debugging)")
     p.add_argument("program", help="cone program text file")
     p.add_argument("--verbose", action="store_true",
@@ -149,7 +155,6 @@ def _threshold_of(args):
 def _prune_config(args, single_cell: bool = False) -> PruneConfig:
     kwargs = dict(
         threshold=_threshold_of(args),
-        seed=args.seed,
         simplex_mode=args.simplex,
         vote_mode=args.vote,
         solver=_solver_settings(args),
@@ -227,17 +232,7 @@ def cmd_cv(args) -> int:
         "format_version": 1,
         "best_alpha": best_alpha,
         "best_lambda": best_lambda,
-        "cells": [
-            {
-                "alpha": c.alpha,
-                "lam": c.lam,
-                "threshold": c.threshold,
-                "accuracy": c.accuracy,
-                "num_pruned": c.num_pruned,
-                "status": c.status,
-            }
-            for c in cells
-        ],
+        "cells": dataio.cells_to_json(cells),
     })
     return EXIT_OK
 

@@ -5,20 +5,21 @@ of the variables into nonnegative-orthant, quadratic (second-order), and
 rotated quadratic cones, plus free variables.  The main builder turns a
 QuadraticSurrogate into the sparse L1-regularized pruning program: the
 quadratic objective term becomes a single epigraph cone through its
-Cholesky factor, and each weight gets a 2-dimensional absolute-value cone
-feeding a budget variable.
+Cholesky factor, and each free-sign weight gets a 2-dimensional
+absolute-value cone whose head carries the L1 penalty.  Simplex-mode
+weights go straight into the nonnegative orthant.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .core import atomic_write_text, format_exact
 from .errors import (
     DomainError,
     MalformedProgram,
@@ -206,18 +207,6 @@ def cholesky_lower(Q, ridge: float = 0.0) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from None
 
 
-def epigraph_vector(root, x, t: float) -> np.ndarray:
-    """Cone vector (1 + t, 2 R x, 1 - t) for the epigraph of x' (R'R) x.
-
-    ``root`` is any matrix R with R.T @ R equal to the quadratic-form
-    matrix; membership in the quadratic cone is equivalent to
-    t >= x' (R'R) x, since (1+t)^2 - (1-t)^2 = 4t.
-    """
-    root = np.asarray(root, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return np.concatenate(([1.0 + t], 2.0 * (root @ x), [1.0 - t]))
-
-
 class ProgramBuilder:
     """Incremental ConeProgram assembly: variables, triplet equalities, cones."""
 
@@ -283,14 +272,14 @@ class ProgramBuilder:
 
 @dataclass(frozen=True)
 class VariableMap:
-    """Where the pruning program's named quantities live in the variable array."""
+    """Where the pruning program's named quantities live in the variable array.
+
+    ``u_abs_indices`` is empty in simplex mode, which has no L1 variables.
+    """
 
     x_indices: tuple
     t_index: int
     u_abs_indices: tuple
-    u_index: int
-    cone_aux_indices: tuple
-    simplex_slack_indices: tuple | None = None
 
 
 def build_pruning_socp(
@@ -302,10 +291,15 @@ def build_pruning_socp(
     """Sparse pruning program for a quadratic surrogate at trade-off alpha.
 
     Minimizes ``alpha*t + (alpha*lin_accuracy + (1-alpha)*lin_diversity) @ x
-    + lam*u`` subject to: t >= x' (quad + ridge*I) x (epigraph cone through
-    the Cholesky factor), |x_i| <= u_abs_i (2-dim cones), sum(u_abs) = u,
-    and t, u >= 0.  With ``simplex=True`` adds x >= 0 (via orthant slacks)
-    and sum(x) = 1.  Returns (program, variable map).
+    + lam*sum(u_abs)`` subject to t >= x' (quad + ridge*I) x (one epigraph
+    cone through the Cholesky factor), |x_i| <= u_abs_i (2-dim cones) and
+    t >= 0.
+
+    With ``simplex=True`` the weights lie on the probability simplex
+    instead: x >= 0 and sum(x) = 1.  There ||x||_1 = 1, so the L1 term is
+    the constant lam; the program drops it and has no u_abs variables, and
+    lam (still validated) does not change the program.  Returns
+    (program, variable map).
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
@@ -318,14 +312,12 @@ def build_pruning_socp(
     builder = ProgramBuilder()
     x = builder.add_variables(m)
     t = builder.add_variable()
-    u_abs = builder.add_variables(m)
-    u = builder.add_variable()
+    u_abs = builder.add_variables(0 if simplex else m)
     aux = builder.add_variables(m + 2)
 
     for i in range(m):
         builder.set_objective(x[i], c_all[i])
     builder.set_objective(t, alpha)
-    builder.set_objective(u, lam)
 
     # aux = (1 + t, 2 R x, 1 - t)
     builder.add_equality([aux[0], t], [1.0, -1.0], 1.0)
@@ -334,31 +326,22 @@ def build_pruning_socp(
         vals = [1.0] + [-2.0 * root[r, k] for k in range(r, m)]
         builder.add_equality(cols, vals, 0.0)
     builder.add_equality([aux[m + 1], t], [1.0, 1.0], 1.0)
-    builder.add_equality(list(u_abs) + [u], [1.0] * m + [-1.0], 0.0)
-
     builder.add_cone(QUADRATIC, aux)
-    for i in range(m):
-        builder.add_cone(QUADRATIC, [u_abs[i], x[i]])
-    orthant = [t, u]
 
-    slack_indices = None
     if simplex:
-        slacks = builder.add_variables(m)
+        builder.add_equality(x, [1.0] * m, 1.0)
+        builder.add_cone(NONNEG_ORTHANT, [t, *x])
+    else:
         for i in range(m):
-            builder.add_equality([slacks[i], x[i]], [1.0, -1.0], 0.0)
-        builder.add_equality(list(x), [1.0] * m, 1.0)
-        orthant = orthant + list(slacks)
-        slack_indices = tuple(int(i) for i in slacks)
-    builder.add_cone(NONNEG_ORTHANT, orthant)
+            builder.set_objective(u_abs[i], lam)
+            builder.add_cone(QUADRATIC, [u_abs[i], x[i]])
+        builder.add_cone(NONNEG_ORTHANT, [t])
 
     program = builder.build()
     var_map = VariableMap(
         x_indices=tuple(int(i) for i in x),
         t_index=int(t),
         u_abs_indices=tuple(int(i) for i in u_abs),
-        u_index=int(u),
-        cone_aux_indices=tuple(int(i) for i in aux),
-        simplex_slack_indices=slack_indices,
     )
     return program, var_map
 
@@ -438,91 +421,6 @@ def qp_to_socp(Q, a, beta: float, A=None, b=None) -> QpConeForm:
     )
 
 
-@dataclass(eq=False)
-class QuadConstraintFragment:
-    """Cone + affine rows encoding x' B'B x + a'x + beta <= 0.
-
-    ``entries`` are (row, col, value) triplets over the caller's variable
-    numbering; rows 0..k+1 define the auxiliary variables:
-    row 0:      u0 + (a/2)'x            = (1 - beta)/2
-    rows 1..k:  ubar_r - (B x)_r        = 0
-    row k+1:    ubar_k - (a/2)'x        = (beta + 1)/2
-    with cone membership ||ubar|| <= u0.
-    """
-
-    cone: Cone
-    entries: tuple
-    rhs: tuple
-    aux_indices: tuple
-    _B: np.ndarray
-    _a: np.ndarray
-    _beta: float
-
-    def evaluate(self, x):
-        """Auxiliary values (u0, ubar) implied by the affine rows at x."""
-        x = np.asarray(x, dtype=np.float64)
-        s = float(self._a @ x) + self._beta
-        u0 = 0.5 * (1.0 - s)
-        ubar = np.concatenate((self._B @ x, [0.5 * (s + 1.0)]))
-        return u0, ubar
-
-
-def quad_constraint_to_cone(B, a, beta: float, x_indices=None, aux_start=None) -> QuadConstraintFragment:
-    """Cone encoding of the convex quadratic constraint x'B'Bx + a'x + beta <= 0.
-
-    With s = a'x + beta, membership of (u0, ubar) = ((1-s)/2, (Bx, (s+1)/2))
-    in the quadratic cone is equivalent to the constraint, since
-    u0^2 - ||ubar||^2 = -s - ||Bx||^2.  Returns the affine rows that define
-    the k+2 auxiliary variables and the cone over them.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    k, n = B.shape
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (n,):
-        raise ShapeMismatch(f"linear term has shape {a.shape}, expected ({n},)")
-    if x_indices is None:
-        x_indices = tuple(range(n))
-    x_indices = tuple(int(i) for i in x_indices)
-    if len(x_indices) != n:
-        raise ShapeMismatch("x_indices length does not match B's column count")
-    if aux_start is None:
-        aux_start = max(x_indices) + 1
-    aux = tuple(range(int(aux_start), int(aux_start) + k + 2))
-
-    entries = []
-    rhs = []
-    entries.append((0, aux[0], 1.0))
-    for j, xi in enumerate(x_indices):
-        if a[j] != 0.0:
-            entries.append((0, xi, 0.5 * a[j]))
-    rhs.append(0.5 * (1.0 - beta))
-    for r in range(k):
-        entries.append((1 + r, aux[1 + r], 1.0))
-        for j, xi in enumerate(x_indices):
-            if B[r, j] != 0.0:
-                entries.append((1 + r, xi, -B[r, j]))
-        rhs.append(0.0)
-    entries.append((k + 1, aux[k + 1], 1.0))
-    for j, xi in enumerate(x_indices):
-        if a[j] != 0.0:
-            entries.append((k + 1, xi, -0.5 * a[j]))
-    rhs.append(0.5 * (beta + 1.0))
-
-    return QuadConstraintFragment(
-        cone=Cone(kind=QUADRATIC, var_indices=aux),
-        entries=tuple(entries),
-        rhs=tuple(rhs),
-        aux_indices=aux,
-        _B=B,
-        _a=a,
-        _beta=float(beta),
-    )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def serialize_cone_program(p: ConeProgram) -> str:
     """Versioned newline-delimited text form; round-trips to 1e-12."""
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
@@ -531,14 +429,14 @@ def serialize_cone_program(p: ConeProgram) -> str:
     nz = np.nonzero(p.objective)[0]
     lines.append(f"objective {len(nz)}")
     for i in nz:
-        lines.append(f"{i} {_fmt(p.objective[i])}")
+        lines.append(f"{i} {format_exact(p.objective[i])}")
     coo = p.eq_A.tocoo()
     lines.append(f"eq_entries {coo.nnz}")
     for r, c, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{r} {c} {_fmt(v)}")
+        lines.append(f"{r} {c} {format_exact(v)}")
     lines.append(f"eq_rhs {p.num_eqs}")
     for v in p.eq_b:
-        lines.append(_fmt(v))
+        lines.append(format_exact(v))
     lines.append(f"cones {len(p.cones)}")
     for cone in p.cones:
         lines.append(" ".join([cone.kind, str(cone.dim)] + [str(i) for i in cone.var_indices]))
@@ -678,19 +576,8 @@ def parse_cone_program(text: str) -> ConeProgram:
 
 
 def write_cone_program(p: ConeProgram, path):
-    """Atomic write of the text form (temp file + rename)."""
-    path = os.fspath(path)
-    text = serialize_cone_program(p)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".tmp-cone-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Atomic write of the text form (temp file + rename); IoError on OS failure."""
+    atomic_write_text(path, serialize_cone_program(p))
 
 
 def read_cone_program(path) -> ConeProgram:

@@ -1,4 +1,5 @@
-"""Shared domain types, validation, and the deterministic RNG contract.
+"""Shared domain types, validation, the deterministic RNG contract, and the
+text-file helpers that both the cone-program and the dataset formats use.
 
 All types here are immutable after construction (backing arrays are marked
 read-only) and safe to share across concurrent workers.
@@ -6,11 +7,14 @@ read-only) and safe to share across concurrent workers.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    IoError,
     OutOfRange,
     RowNotNormalized,
     ShapeMismatch,
@@ -189,3 +193,26 @@ def seeded_rng(seed: int) -> np.random.Generator:
     golden file.
     """
     return np.random.Generator(np.random.Philox(seed))
+
+
+def format_exact(x: float) -> str:
+    """17 significant digits: enough for exact float64 round-trips."""
+    return format(float(x), ".17g")
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path via temp file + rename; IoError on OS failure."""
+    path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-io-")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+        tmp = None
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)

@@ -22,11 +22,18 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
-from .core import LabelVector, PredictionTensor, SplitSpec, validate_tensor
+from .core import (
+    LabelVector,
+    PredictionTensor,
+    SplitSpec,
+    atomic_write_text,
+    format_exact,
+    validate_tensor,
+)
 from .errors import DomainError, IoError, ParseError, ShapeMismatch, VersionMismatch
 from .pipeline import CellDiagnostic, PruneReport
 
@@ -52,29 +59,6 @@ SUMMARY_COLUMNS = (
     "models_pruned",
     "threshold",
 )
-
-
-def _fmt(x: float) -> str:
-    # 17 significant digits: enough for exact float64 round-trips.
-    return format(float(x), ".17g")
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via temp file + rename; IoError on OS failure."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-io-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        tmp = None
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _read_text(path) -> str:
@@ -225,7 +209,7 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
     rows = [_predictions_header(t.num_classes)]
     for i in range(t.num_models):
         for n in range(t.num_samples):
-            probs = ",".join(_fmt(v) for v in t.probs[i, n])
+            probs = ",".join(format_exact(v) for v in t.probs[i, n])
             rows.append(f"{i},{n},{probs}")
     atomic_write_text(os.path.join(path, PREDICTIONS_NAME), "\n".join(rows) + "\n")
 
@@ -325,6 +309,11 @@ def read_predictions(path):
     return t, y, splits
 
 
+def cells_to_json(cells) -> list:
+    """Grid cells as the JSON objects that reports and ``socprune cv`` print."""
+    return [asdict(c) for c in cells]
+
+
 def _report_to_dict(report: PruneReport) -> dict:
     return {
         "kind": _REPORT_KIND,
@@ -338,17 +327,7 @@ def _report_to_dict(report: PruneReport) -> dict:
         "pruned_accuracy": report.pruned_accuracy,
         "num_models_full": report.num_models_full,
         "num_models_pruned": report.num_models_pruned,
-        "cells": [
-            {
-                "alpha": c.alpha,
-                "lam": c.lam,
-                "threshold": c.threshold,
-                "accuracy": c.accuracy,
-                "num_pruned": c.num_pruned,
-                "status": c.status,
-            }
-            for c in report.cells
-        ],
+        "cells": cells_to_json(report.cells),
     }
 
 
@@ -361,11 +340,11 @@ def render_report(report: PruneReport, format: str = FORMAT_JSON) -> str:
                           allow_nan=False) + "\n"
     if format == FORMAT_CSV:
         values = (
-            _fmt(report.full_accuracy),
-            _fmt(report.pruned_accuracy),
+            format_exact(report.full_accuracy),
+            format_exact(report.pruned_accuracy),
             str(report.num_models_full),
             str(report.num_models_pruned),
-            _fmt(report.threshold_used),
+            format_exact(report.threshold_used),
         )
         return ",".join(SUMMARY_COLUMNS) + "\n" + ",".join(values) + "\n"
     raise DomainError(f"unknown report format {format!r} (use {REPORT_FORMATS})")

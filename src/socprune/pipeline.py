@@ -89,7 +89,6 @@ class PruneConfig:
     lambda_grid: tuple = _DEFAULT_LAMBDA_GRID
     threshold: float | str = _AUTO
     anchor: object = "uniform"
-    seed: int = 0
     simplex_mode: bool = False
     vote_mode: str = VOTE_MAJORITY
     ridge: float | None = None
@@ -235,8 +234,7 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
     return tensor, LabelVector(labels=labels, num_classes=num_c), splits
 
 
-def _fit_from_surrogate(surrogate, alpha, lam, simplex, settings):
-    program, vmap = build_pruning_socp(surrogate, alpha, lam, simplex=simplex)
+def _solve_weights(program, vmap, settings):
     sol = solve(program, settings)
     if sol.status != STATUS_OPTIMAL:
         raise FitFailed(sol.status)
@@ -250,7 +248,8 @@ def fit_weights(t, y, alpha, lam, anchor=None, ridge=None, *,
     Raises FitFailed when the solver does not reach status optimal.
     """
     surrogate = build_surrogate(t, y, anchor=anchor, ridge=ridge)
-    return _fit_from_surrogate(surrogate, alpha, lam, simplex, settings)
+    program, vmap = build_pruning_socp(surrogate, alpha, lam, simplex=simplex)
+    return _solve_weights(program, vmap, settings)
 
 
 def prune_by_threshold(w, h):
@@ -334,45 +333,56 @@ def auto_threshold(w, t, y, valid_split, candidates=None, *,
 
 
 def _run_grid(surrogate, t, y, splits, config):
-    """Shared grid search; returns (best_alpha, best_lambda, cells)."""
+    """Shared grid search; returns (best_alpha, best_lambda, cells, w, h).
+
+    ``w`` and ``h`` are the winning cell's weights and threshold.  Cells
+    that build the same program share one solve, threshold and vote: the
+    constraints depend only on the surrogate and the mode, so the program
+    is keyed by its objective.  In simplex mode the objective does not
+    depend on lambda, so each alpha is solved once.
+    """
     tv = t.subset(splits.valid_indices)
     yv = y.subset(splits.valid_indices)
+
+    def evaluate(program, vmap):
+        # (w, h, kept, accuracy, status); failed cells carry w=None and -1.0
+        try:
+            w = _solve_weights(program, vmap, config.solver)
+        except FitFailed as exc:
+            return None, -1.0, 0, -1.0, f"failed: {exc.status}"
+        if config.threshold == _AUTO:
+            h = auto_threshold(w, t, y, splits.valid_indices,
+                               vote_mode=config.vote_mode)
+        else:
+            h = float(config.threshold)
+        members = prune_by_threshold(w, h)
+        acc = accuracy(vote(tv, members, mode=config.vote_mode, weights=w), yv)
+        return w, h, len(members), acc, "ok"
+
+    outcomes = {}
     cells = []
     best_key = None
-    best_cell = None
+    best = None
     for ai, alpha in enumerate(config.alpha_grid):
         for li, lam in enumerate(config.lambda_grid):
-            try:
-                w = _fit_from_surrogate(
-                    surrogate, alpha, lam, config.simplex_mode, config.solver
-                )
-            except FitFailed as exc:
-                cells.append(CellDiagnostic(
-                    alpha=alpha, lam=lam, threshold=-1.0,
-                    accuracy=-1.0, num_pruned=0,
-                    status=f"failed: {exc.status}",
-                ))
-                continue
-            if config.threshold == _AUTO:
-                h = auto_threshold(w, t, y, splits.valid_indices,
-                                   vote_mode=config.vote_mode)
-            else:
-                h = float(config.threshold)
-            members = prune_by_threshold(w, h)
-            acc = accuracy(
-                vote(tv, members, mode=config.vote_mode, weights=w), yv
+            program, vmap = build_pruning_socp(
+                surrogate, alpha, lam, simplex=config.simplex_mode
             )
+            key = program.objective.tobytes()
+            if key not in outcomes:
+                outcomes[key] = evaluate(program, vmap)
+            w, h, kept, acc, status = outcomes[key]
             cells.append(CellDiagnostic(
                 alpha=alpha, lam=lam, threshold=h, accuracy=acc,
-                num_pruned=len(members), status="ok",
+                num_pruned=kept, status=status,
             ))
-            key = (-acc, len(members), li, ai)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_cell = (alpha, lam)
-    if best_cell is None:
+            rank = (-acc, kept, li, ai)
+            if w is not None and (best_key is None or rank < best_key):
+                best_key = rank
+                best = (alpha, lam, w, h)
+    if best is None:
         raise AllCellsFailed("every grid cell failed to fit")
-    return best_cell[0], best_cell[1], tuple(cells)
+    return best[0], best[1], tuple(cells), best[2], best[3]
 
 
 def cross_validate(t, y, splits, config: PruneConfig):
@@ -388,7 +398,7 @@ def cross_validate(t, y, splits, config: PruneConfig):
         t.subset(splits.train_indices), y.subset(splits.train_indices),
         anchor=anchor, ridge=config.ridge,
     )
-    return _run_grid(surrogate, t, y, splits, config)
+    return _run_grid(surrogate, t, y, splits, config)[:3]
 
 
 def _is_uniform_anchor(anchor) -> bool:
@@ -447,10 +457,12 @@ def brute_force_subset_oracle(t, y, alpha, max_m: int = _ORACLE_LIMIT):
 
 
 def run_pipeline(source, config: PruneConfig | None = None) -> PruneReport:
-    """Full pruning run: tune, fit, threshold, vote, report.
+    """Full pruning run: tune, threshold, vote, report.
 
     ``source`` is either a SyntheticSpec or a (tensor, labels, splits)
-    triple.  Accuracies in the report come from the test split only.
+    triple.  The report carries the winning grid cell's weights and
+    threshold as the grid computed them; nothing is refit.  Accuracies in
+    the report come from the test split only.
     """
     if config is None:
         config = PruneConfig()
@@ -465,15 +477,7 @@ def run_pipeline(source, config: PruneConfig | None = None) -> PruneReport:
         t.subset(splits.train_indices), y.subset(splits.train_indices),
         anchor=anchor, ridge=config.ridge,
     )
-    best_alpha, best_lambda, cells = _run_grid(surrogate, t, y, splits, config)
-    w = _fit_from_surrogate(
-        surrogate, best_alpha, best_lambda, config.simplex_mode, config.solver
-    )
-    if config.threshold == _AUTO:
-        h = auto_threshold(w, t, y, splits.valid_indices,
-                           vote_mode=config.vote_mode)
-    else:
-        h = float(config.threshold)
+    best_alpha, best_lambda, cells, w, h = _run_grid(surrogate, t, y, splits, config)
     selected = prune_by_threshold(w, h)
 
     tt = t.subset(splits.test_indices)

@@ -1,5 +1,6 @@
 """Cone-program model, the pruning-program builder, and the QP transforms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from socprune.conic import (
     cone_margin,
     parse_cone_program,
     qp_to_socp,
-    quad_constraint_to_cone,
     read_cone_program,
     serialize_cone_program,
     write_cone_program,
@@ -29,7 +29,33 @@ from socprune.errors import (
     VersionMismatch,
 )
 from socprune.loss import QuadraticSurrogate
-from socprune.solver import STATUS_OPTIMAL, solve
+from socprune.solver import STATUS_OPTIMAL, SolverSettings, solve
+
+TIGHT = SolverSettings(tol_gap=1e-11, tol_primal=1e-11, tol_dual=1e-11,
+                       max_iters=200)
+
+
+def simplex_qp_oracle(q, c):
+    """Exact argmin of x'qx + c'x over the probability simplex.
+
+    Enumerates supports S; on S the equality-constrained KKT system
+    [2 q_SS, 1; 1', 0] [x_S; nu] = [-c_S; 1] gives the candidate, which is
+    optimal when x_S >= 0 and every gradient entry off S is >= -nu.
+    """
+    m = len(c)
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            idx = list(support)
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * q[np.ix_(idx, idx)]
+            kkt[:size, size] = kkt[size, :size] = 1.0
+            sol = np.linalg.solve(kkt, np.concatenate((-c[idx], [1.0])))
+            x = np.zeros(m)
+            x[idx] = sol[:size]
+            grad = 2.0 * q @ x + c
+            if x.min() >= -1e-12 and (grad + sol[size]).min() >= -1e-12:
+                return x
+    raise AssertionError("no support satisfies the KKT conditions")
 
 
 def random_surrogate(rng, m, scale=1.0):
@@ -78,12 +104,65 @@ class TestBuildPruningSocp:
         s = random_surrogate(rng, 2)
         program, vmap = build_pruning_socp(s, alpha=0.5, lam=0.3)
         m = 2
-        # x(2) + t + u_abs(2) + u + cone auxiliaries (m + 2)
-        assert program.num_vars == 2 * m + 2 + (m + 2)
+        # x(2) + t + u_abs(2) + cone auxiliaries (m + 2); m + 2 aux rows
+        assert program.num_vars == 3 * m + 3
+        assert program.num_eqs == m + 2
         quads = [c for c in program.cones if c.kind == QUADRATIC]
         assert len(quads) == m + 1
         assert sorted(c.dim for c in quads) == [2, 2, m + 2]
         assert len(vmap.x_indices) == m
+        assert len(vmap.u_abs_indices) == m
+
+    def test_simplex_structure(self, rng):
+        m = 5
+        program, vmap = build_pruning_socp(random_surrogate(rng, m), 0.5, 0.3,
+                                           simplex=True)
+        assert program.num_vars == 2 * m + 3
+        assert program.num_eqs == m + 3
+        assert all(c.dim != 2 for c in program.cones)
+        assert vmap.u_abs_indices == ()
+        orthant = next(c for c in program.cones if c.kind == NONNEG_ORTHANT)
+        assert set(orthant.var_indices) == {vmap.t_index, *vmap.x_indices}
+
+    def test_simplex_program_independent_of_lambda(self, rng):
+        s = random_surrogate(rng, 4)
+        a, _ = build_pruning_socp(s, alpha=0.3, lam=0.1, simplex=True)
+        b, _ = build_pruning_socp(s, alpha=0.3, lam=0.9, simplex=True)
+        assert np.array_equal(a.objective, b.objective)
+        assert (a.eq_A != b.eq_A).nnz == 0
+        assert np.array_equal(a.eq_b, b.eq_b)
+        assert a.cones == b.cones
+
+    def test_free_mode_zero_at_lambda_max(self):
+        # lasso optimality: w = 0 once lambda >= ||c(alpha)||_inf.  At exactly
+        # lambda_max the objective is flat to second order along the binding
+        # coordinate, so the solver's tolerance shows (~1e-4); test just above.
+        for seed in range(4):
+            s = random_surrogate(np.random.default_rng(seed), 5)
+            alpha = 0.2 + 0.2 * seed
+            lam_max = float(np.abs(s.combined_linear(alpha)).max())
+            for lam in (1.001 * lam_max, 2.0 * lam_max):
+                program, vmap = build_pruning_socp(s, alpha, lam)
+                sol = solve(program)
+                assert sol.status == STATUS_OPTIMAL
+                assert np.abs(sol.x[list(vmap.x_indices)]).max() <= 1e-8
+            program, vmap = build_pruning_socp(s, alpha, 0.5 * lam_max)
+            sol = solve(program)
+            assert sol.status == STATUS_OPTIMAL
+            assert np.abs(sol.x[list(vmap.x_indices)]).max() > 1e-3
+
+    def test_simplex_weights_match_exact_oracle(self):
+        rng = np.random.default_rng(2024)
+        for k in range(30):
+            m = 2 + k % 5
+            s = random_surrogate(rng, m)
+            alpha = float(rng.uniform(0.2, 1.0))
+            program, vmap = build_pruning_socp(s, alpha, 0.5, simplex=True)
+            sol = solve(program, TIGHT)
+            assert sol.status == STATUS_OPTIMAL
+            q_eff = alpha * (s.quad + s.ridge * np.eye(m))
+            expected = simplex_qp_oracle(q_eff, s.combined_linear(alpha))
+            assert np.abs(sol.x[list(vmap.x_indices)] - expected).max() <= 1e-6
 
     def test_zero_point_boundary(self, rng):
         # cone vector at x=0, t=0 is (1, 0...0, 1): exactly on the boundary
@@ -129,8 +208,8 @@ class TestBuildPruningSocp:
             assert sol.status == STATUS_OPTIMAL
             x = sol.x[list(vmap.x_indices)]
             t = sol.x[vmap.t_index]
-            u = sol.x[vmap.u_index]
-            assert abs(u - np.abs(x).sum()) < 1e-7
+            u_abs = sol.x[list(vmap.u_abs_indices)]
+            assert np.abs(u_abs - np.abs(x)).max() < 1e-7
             q_eff = s.quad + s.ridge * np.eye(3)
             assert abs(t - x @ q_eff @ x) < 1e-6
 
@@ -183,35 +262,6 @@ class TestQpToSocp:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             qp_to_socp(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2), 0.0)
-
-
-class TestQuadConstraintToCone:
-    def test_unit_ball_interior(self):
-        frag = quad_constraint_to_cone(np.eye(2), np.zeros(2), -1.0)
-        u0, ubar = frag.evaluate(np.zeros(2))
-        assert abs(u0 - 1.0) < 1e-15
-        assert np.linalg.norm(ubar) < u0
-
-    def test_unit_ball_boundary(self):
-        frag = quad_constraint_to_cone(np.eye(2), np.zeros(2), -1.0)
-        u0, ubar = frag.evaluate(np.array([1.0, 0.0]))
-        assert abs(np.linalg.norm(ubar) - u0) < 1e-12
-
-    def test_unit_ball_violated(self):
-        frag = quad_constraint_to_cone(np.eye(2), np.zeros(2), -1.0)
-        u0, ubar = frag.evaluate(np.array([2.0, 0.0]))
-        assert np.linalg.norm(ubar) > u0
-
-    def test_matches_quadratic_sign(self, rng):
-        b_mat = rng.normal(size=(2, 3))
-        a = rng.normal(size=3)
-        beta = -0.5
-        frag = quad_constraint_to_cone(b_mat, a, beta)
-        for _ in range(50):
-            x = rng.normal(size=3)
-            lhs = x @ b_mat.T @ b_mat @ x + a @ x + beta
-            u0, ubar = frag.evaluate(x)
-            assert (lhs <= 0) == (np.linalg.norm(ubar) <= u0 + 1e-12)
 
 
 class TestSerialization:

@@ -366,6 +366,20 @@ class TestCli:
             cli.main(["run", str(tmp_path), "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "DATA", "--seed", "3"],
+        ["gen", "--simplex", "--out", "DATA"],
+        ["check", "DATA", "--alpha", "0.3"],
+        ["fit", "DATA", "--vote", "weighted"],
+        ["cv", "DATA", "--format", "csv-summary"],
+        ["solve", "PROGRAM", "--lambda", "0.1"],
+    ])
+    def test_flags_a_subcommand_ignores_rejected(self, tmp_path, argv):
+        argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -31,7 +31,8 @@ from socprune.pipeline import (
     run_pipeline,
     vote,
 )
-from socprune.solver import SolverSettings
+from socprune import pipeline
+from socprune.solver import SolverSettings, solve
 
 from conftest import random_instance
 
@@ -343,6 +344,22 @@ class TestRunPipeline:
         assert 0.0 <= report.pruned_accuracy <= 1.0
         assert len(report.cells) == 25
         assert sorted(report.selected) == list(report.selected)
+
+    @pytest.mark.parametrize("simplex, solves", [(True, 5), (False, 25)])
+    def test_grid_solves_each_distinct_program_once(self, monkeypatch,
+                                                    simplex, solves):
+        # simplex mode drops lambda from the program, so the default 5x5
+        # grid has one program per alpha; the winner is not refit
+        calls = []
+
+        def counting_solve(program, settings=None):
+            calls.append(program)
+            return solve(program, settings)
+
+        monkeypatch.setattr(pipeline, "solve", counting_solve)
+        report = run_pipeline(small_spec(), PruneConfig(simplex_mode=simplex))
+        assert len(calls) == solves
+        assert len(report.cells) == 25
 
     def test_selected_size_mostly_shrinks_with_lambda(self):
         # soft property: reported, not asserted (the hard assertable form is
