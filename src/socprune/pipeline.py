@@ -117,7 +117,9 @@ class CellDiagnostic:
     """Outcome of one (alpha, lambda) grid cell on the validation split.
 
     Failed cells carry -1.0 for threshold and accuracy (keeps reports
-    JSON-clean and equality-comparable, unlike NaN).
+    JSON-clean and equality-comparable, unlike NaN).  ``num_pruned`` is the
+    number of members the cell *kept* (the pruned ensemble's size), not the
+    number removed; the name is part of the report format.
     """
 
     alpha: float

@@ -3,18 +3,20 @@
 Handles nonnegative-orthant, quadratic, and rotated quadratic cones plus
 free variables.  The algorithm is a Nesterov-Todd scaled Mehrotra
 predictor-corrector: at each iteration the scaled complementarity system is
-reduced to a quasi-definite KKT solve (dense LDL' with static
-regularization and iterative refinement), and a single step length is
-taken along the combined primal-dual direction.  Rotated cones are mapped
-to standard quadratic cones up front by the involutive orthogonal
-transform (x1, x2, rest) -> ((x1+x2)/sqrt2, (x1-x2)/sqrt2, rest).  A
-terminal active-set polish sharpens the returned point when it can verify
-an improvement.
+reduced to a quasi-definite KKT solve (dense LU of the statically
+regularized matrix, refined in float64 against the unregularized matrix),
+and a single step length is taken along the combined primal-dual
+direction.  Rotated cones are mapped to standard quadratic cones up front
+by the involutive orthogonal transform
+(x1, x2, rest) -> ((x1+x2)/sqrt2, (x1-x2)/sqrt2, rest).  A terminal
+active-set polish sharpens the returned point when it can verify an
+improvement.
 """
 
 from __future__ import annotations
 
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +39,25 @@ from .errors import DomainError, MalformedProgram, ShapeMismatch
 _STALL_WINDOW = 10
 _STALL_PROGRESS = 1e-3
 _CERT_TOL = 1e-6
+# fraction of the boundary step taken each iteration
+_STEP_FRACTION = 0.99
+# static KKT regularization: -delta on the H block, +delta on the zero block
+_REGULARIZATION = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Termination tolerances and step-control knobs."""
+    """Termination tolerances, iteration limit and progress trace.
+
+    The step fraction (0.99) and the static KKT regularization (1e-9) are
+    module constants; each KKT solve is a dense LU of the regularized
+    matrix with float64 refinement against the unregularized matrix.
+    """
 
     tol_gap: float = 1e-8
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
     max_iters: int = 100
-    step_fraction: float = 0.99
-    regularization: float = 1e-9
     verbose: bool = False
 
     def __post_init__(self):
@@ -56,10 +65,6 @@ class SolverSettings:
             raise DomainError("tolerances must be positive")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise DomainError("step_fraction must lie in (0, 1)")
-        if self.regularization < 0:
-            raise DomainError("regularization must be nonnegative")
 
 
 def _inf_norm(v) -> float:
@@ -226,58 +231,47 @@ def _max_step(z: np.ndarray, dz: np.ndarray, structure: _Structure) -> float:
 
 
 class _KktSolver:
-    """Dense LDL' of the regularized KKT matrix with iterative refinement."""
+    """Dense LU of the regularized KKT matrix, refined in float64.
 
-    def __init__(self, H: np.ndarray, A: np.ndarray, regularization: float):
+    K = [[-H, A'], [A, 0]] is factored once as K + diag(-delta, +delta);
+    each solve refines against the unregularized K, so the result solves K
+    and the regularization only keeps the pivots away from zero.
+    """
+
+    def __init__(self, H: np.ndarray, A: np.ndarray):
         n = H.shape[0]
         m = A.shape[0]
         self.n = n
-        self.m = m
         K = np.zeros((n + m, n + m))
         K[:n, :n] = -H
         K[:n, n:] = A.T
         K[n:, :n] = A
-        self.K_exact = K
-        # residuals for iterative refinement are accumulated in extended
-        # precision; the factorization itself stays in double
-        self.K_long = K.astype(np.longdouble)
+        self.K = K
         K_reg = K.copy()
-        K_reg[np.arange(n), np.arange(n)] -= regularization
-        K_reg[np.arange(n, n + m), np.arange(n, n + m)] += regularization
-        lu, d, perm = scipy.linalg.ldl(K_reg)
-        self.lower = lu[perm]
-        self.perm = perm
-        nm = n + m
-        ab = np.zeros((3, nm))
-        ab[1] = np.diag(d)
-        if nm > 1:
-            ab[0, 1:] = np.diag(d, 1)
-            ab[2, :-1] = np.diag(d, -1)
-        self.bands = ab
-
-    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        u = rhs[self.perm]
-        v = scipy.linalg.solve_triangular(self.lower, u, lower=True, unit_diagonal=True)
-        w = scipy.linalg.solve_banded((1, 1), self.bands, v)
-        t = scipy.linalg.solve_triangular(self.lower.T, w, lower=False, unit_diagonal=True)
-        out = np.empty_like(t)
-        out[self.perm] = t
-        return out
+        K_reg[np.arange(n), np.arange(n)] -= _REGULARIZATION
+        K_reg[np.arange(n, n + m), np.arange(n, n + m)] += _REGULARIZATION
+        # lu_factor only warns on an exactly zero pivot; the caller handles
+        # a singular KKT matrix through LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                self.lu = scipy.linalg.lu_factor(K_reg)
+            except scipy.linalg.LinAlgWarning as exc:
+                raise scipy.linalg.LinAlgError(str(exc)) from exc
 
     def solve(self, rhs_x: np.ndarray, rhs_y: np.ndarray):
         rhs = np.concatenate((rhs_x, rhs_y))
-        z = self._solve_factored(rhs)
+        z = scipy.linalg.lu_solve(self.lu, rhs)
         # refine against the unregularized matrix; extra passes matter once
         # the barrier parameter drops below the first pass's solve error
-        rhs_long = rhs.astype(np.longdouble)
         best_norm = np.inf
         for _ in range(3):
-            residual = (rhs_long - self.K_long @ z.astype(np.longdouble)).astype(np.float64)
+            residual = rhs - self.K @ z
             norm = _inf_norm(residual)
             if not np.isfinite(norm) or norm >= 0.5 * best_norm:
                 break
             best_norm = norm
-            z = z + self._solve_factored(residual)
+            z = z + scipy.linalg.lu_solve(self.lu, residual)
         return z[: self.n], z[self.n :]
 
 
@@ -579,7 +573,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
             for sc in soc_scales:
                 H[np.ix_(sc.idx, sc.idx)] = sc.hessian()
 
-            kkt = _KktSolver(H, A, settings.regularization)
+            kkt = _KktSolver(H, A)
         except (FloatingPointError, scipy.linalg.LinAlgError, ZeroDivisionError):
             status = STATUS_NUMERICAL
             iterations = k
@@ -616,7 +610,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         dx, dy = kkt.solve(r_d - winv_g, r_p)
         ds = winv_g - H @ dx
         alpha_max = min(_max_step(x, dx, structure), _max_step(s, ds, structure))
-        step = min(1.0, settings.step_fraction * alpha_max)
+        step = min(1.0, _STEP_FRACTION * alpha_max)
 
         x = x + step * dx
         y = y + step * dy
@@ -652,7 +646,7 @@ def _solve_equality_only(program, structure, A, b, c, keep_rows, b_full, setting
     """All-free program: one regularized KKT solve decides the status."""
     n = program.num_vars
     m = A.shape[0]
-    kkt = _KktSolver(np.zeros((n, n)), A, max(settings.regularization, 1e-12))
+    kkt = _KktSolver(np.zeros((n, n)), A)
     _, y = kkt.solve(c, b)
     # optimality for a linear objective over equalities: A'y = c and Ax = b;
     # take the least-squares primal point and the KKT dual estimate

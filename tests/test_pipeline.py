@@ -15,7 +15,7 @@ from socprune.errors import (
     ShapeMismatch,
     TooLarge,
 )
-from socprune.loss import exact_loss
+from socprune.loss import build_surrogate, exact_loss
 from socprune.pipeline import (
     VOTE_MAJORITY,
     VOTE_WEIGHTED,
@@ -362,22 +362,33 @@ class TestRunPipeline:
         assert len(report.cells) == 25
 
     def test_selected_size_mostly_shrinks_with_lambda(self):
-        # soft property: reported, not asserted (the hard assertable form is
-        # the L1 path monotonicity at the solver level)
-        shrinking = 0
+        # free mode, where lambda enters the program, at fractions of
+        # lambda_max = ||c(alpha)||_inf (w = 0 at and above it): the support
+        # of w must not grow with lambda.  The auto-threshold kept count is
+        # reported only: a threshold of 0 keeps members of weight exactly 0.
+        alpha = 0.4
         trials = 10
+        kept_shrinking = 0
         for seed in range(trials):
             t, y, splits = generate_synthetic_ensemble(small_spec(
                 num_models=6, num_samples=200, seed=seed))
-            sizes = []
-            for lam in (0.1, 0.5, 0.9):
-                config = PruneConfig(alpha_grid=(0.4,), lambda_grid=(lam,),
-                                     threshold="auto", simplex_mode=True)
+            surrogate = build_surrogate(t.subset(splits.train_indices),
+                                        y.subset(splits.train_indices))
+            lam_max = float(np.abs(surrogate.combined_linear(alpha)).max())
+            supports = []
+            kept = []
+            for frac in (0.1, 0.5, 0.9):
+                config = PruneConfig(alpha_grid=(alpha,),
+                                     lambda_grid=(frac * lam_max,),
+                                     threshold="auto")
                 report = run_pipeline((t, y, splits), config)
-                sizes.append(report.num_models_pruned)
-            if all(b <= a for a, b in zip(sizes, sizes[1:])):
-                shrinking += 1
-        print(f"selected-size monotone in lambda on {shrinking}/{trials} seeds")
+                supports.append(int(np.count_nonzero(np.abs(report.weights) > 1e-8)))
+                kept.append(report.num_models_pruned)
+            assert all(b <= a for a, b in zip(supports, supports[1:])), (seed, supports)
+            if all(b <= a for a, b in zip(kept, kept[1:])):
+                kept_shrinking += 1
+        print(f"auto-threshold kept count monotone in lambda on "
+              f"{kept_shrinking}/{trials} seeds")
 
 
 class TestBruteForceOracle:

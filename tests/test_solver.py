@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from socprune.conic import (
     NONNEG_ORTHANT,
@@ -14,11 +15,14 @@ from socprune.conic import (
 from socprune.errors import MalformedProgram, ShapeMismatch
 from socprune.loss import QuadraticSurrogate
 from socprune.solver import (
+    _REGULARIZATION,
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERS,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     SolverSettings,
+    _KktSolver,
+    _SocScale,
     kkt_residuals,
     solve,
 )
@@ -128,6 +132,52 @@ class TestStatuses:
     def test_malformed_input(self):
         with pytest.raises(MalformedProgram):
             solve("not a program")
+
+
+def random_kkt_blocks(rng):
+    """(H, A) shaped like an interior-point iteration's KKT system.
+
+    H is a positive diagonal spanning eight decades with its leading block
+    replaced by the Nesterov-Todd Hessian of one quadratic cone whose
+    iterates lie near the cone boundary; A is a random m x n matrix, m < n.
+    """
+    n = int(rng.integers(4, 40))
+    m = int(rng.integers(1, n))
+    k = int(rng.integers(3, min(n, 8) + 1))
+    H = np.diag(10.0 ** rng.uniform(-4, 4, size=n))
+    idx = np.arange(k)
+    x = rng.normal(size=k)
+    x[0] = np.linalg.norm(x[1:]) * (1.0 + 10.0 ** rng.uniform(-6, 0))
+    s = rng.normal(size=k)
+    s[0] = np.linalg.norm(s[1:]) * (1.0 + 10.0 ** rng.uniform(-6, 0))
+    H[np.ix_(idx, idx)] = _SocScale(idx, x, s).hessian()
+    return H, rng.normal(size=(m, n))
+
+
+class TestKktSolver:
+    def test_refined_solve_matches_unregularized_matrix(self):
+        # a single solve with the regularized factors is off by about 1e-5
+        # relative on these systems, so this fails if refinement is dropped
+        # or refines against the regularized matrix
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(100):
+            H, A = random_kkt_blocks(rng)
+            n, m = H.shape[0], A.shape[0]
+            rhs_x, rhs_y = rng.normal(size=n), rng.normal(size=m)
+            K = np.block([[-H, A.T], [A, np.zeros((m, m))]])
+            expected = np.linalg.solve(K, np.concatenate((rhs_x, rhs_y)))
+            dx, dy = _KktSolver(H, A).solve(rhs_x, rhs_y)
+            err = np.abs(np.concatenate((dx, dy)) - expected).max()
+            worst = max(worst, err / np.abs(expected).max())
+        assert worst <= 1e-10
+
+    def test_zero_pivot_raises_linalg_error(self):
+        # -H - delta vanishes, so the regularized matrix has a zero pivot;
+        # solve() maps LinAlgError to status numerical
+        H = -_REGULARIZATION * np.eye(2)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            _KktSolver(H, np.zeros((1, 2)))
 
 
 class TestKktResiduals:
