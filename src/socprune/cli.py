@@ -114,12 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", parents=[cell, select, solver, out, report],
                        help="fit one cell, threshold, vote, report")
     p.add_argument("data", help="dataset directory")
-    p.set_defaults(func=cmd_prune)
+    p.set_defaults(func=cmd_run, single_cell=True)
 
     p = sub.add_parser("run", parents=[cell, select, solver, out, report],
                        help="full pipeline: cv, threshold, vote, report")
     p.add_argument("data", help="dataset directory")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, single_cell=False)
 
     p = sub.add_parser("check", help="validate a dataset directory")
     p.add_argument("data", help="dataset directory")
@@ -140,7 +140,7 @@ def _solver_settings(args, verbose: bool = False) -> SolverSettings | None:
         return None
     kwargs = {}
     if args.tol is not None:
-        kwargs.update(tol_gap=args.tol, tol_primal=args.tol, tol_dual=args.tol)
+        kwargs["tol"] = args.tol
     if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
     if verbose:
@@ -152,6 +152,13 @@ def _threshold_of(args):
     return args.threshold if args.threshold is not None else "auto"
 
 
+def _cell(args):
+    """(alpha, lambda) of a single-cell subcommand, defaulting to the midpoints."""
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+    lam = DEFAULT_LAMBDA if args.lam is None else args.lam
+    return alpha, lam
+
+
 def _prune_config(args, single_cell: bool = False) -> PruneConfig:
     kwargs = dict(
         threshold=_threshold_of(args),
@@ -160,8 +167,7 @@ def _prune_config(args, single_cell: bool = False) -> PruneConfig:
         solver=_solver_settings(args),
     )
     if single_cell:
-        alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-        lam = DEFAULT_LAMBDA if args.lam is None else args.lam
+        alpha, lam = _cell(args)
         kwargs.update(alpha_grid=(alpha,), lambda_grid=(lam,))
     else:
         if args.alpha is not None:
@@ -206,8 +212,7 @@ def cmd_gen(args) -> int:
 
 def cmd_fit(args) -> int:
     t, y, splits = dataio.read_predictions(args.data)
-    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-    lam = DEFAULT_LAMBDA if args.lam is None else args.lam
+    alpha, lam = _cell(args)
     w = fit_weights(
         t.subset(splits.train_indices), y.subset(splits.train_indices),
         alpha, lam, simplex=args.simplex, settings=_solver_settings(args),
@@ -237,16 +242,10 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
-def cmd_prune(args) -> int:
-    t, y, splits = dataio.read_predictions(args.data)
-    report = run_pipeline((t, y, splits), _prune_config(args, single_cell=True))
-    _emit(args, dataio.render_report(report, args.format))
-    return EXIT_OK
-
-
 def cmd_run(args) -> int:
+    """``run`` searches the grid; ``prune`` (single_cell) solves one cell."""
     t, y, splits = dataio.read_predictions(args.data)
-    report = run_pipeline((t, y, splits), _prune_config(args))
+    report = run_pipeline((t, y, splits), _prune_config(args, args.single_cell))
     _emit(args, dataio.render_report(report, args.format))
     return EXIT_OK
 

@@ -12,14 +12,13 @@ weights go straight into the nonnegative orthant.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .core import atomic_write_text, format_exact
+from .core import atomic_write_text, format_exact, read_text
 from .errors import (
     DomainError,
     MalformedProgram,
@@ -581,5 +580,5 @@ def write_cone_program(p: ConeProgram, path):
 
 
 def read_cone_program(path) -> ConeProgram:
-    with open(os.fspath(path), "r") as fh:
-        return parse_cone_program(fh.read())
+    """Parse a program file; IoError if it cannot be read."""
+    return parse_cone_program(read_text(path))

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     IoError,
     OutOfRange,
+    ParseError,
     RowNotNormalized,
     ShapeMismatch,
     ValidationError,
@@ -216,3 +217,15 @@ def atomic_write_text(path, text: str) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def read_text(path) -> str:
+    """Whole text file; IoError on OS failure, ParseError if it cannot be decoded."""
+    path = os.fspath(path)
+    try:
+        with open(path, "r") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode {path} as {exc.encoding}: {exc.reason}") from None

@@ -32,6 +32,7 @@ from .core import (
     SplitSpec,
     atomic_write_text,
     format_exact,
+    read_text,
     validate_tensor,
 )
 from .errors import DomainError, IoError, ParseError, ShapeMismatch, VersionMismatch
@@ -59,14 +60,6 @@ SUMMARY_COLUMNS = (
     "models_pruned",
     "threshold",
 )
-
-
-def _read_text(path) -> str:
-    try:
-        with open(os.fspath(path), "r") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {os.fspath(path)}: {exc}") from exc
 
 
 def _format_ranges(indices) -> str:
@@ -228,14 +221,14 @@ def read_predictions(path):
     back as RowNotNormalized, not as silent garbage).
     """
     path = os.fspath(path)
-    manifest = _parse_manifest(_read_text(os.path.join(path, MANIFEST_NAME)))
+    manifest = _parse_manifest(read_text(os.path.join(path, MANIFEST_NAME)))
     num_models = manifest["num_models"]
     num_samples = manifest["num_samples"]
     num_classes = manifest["num_classes"]
 
     labels = np.full(num_samples, -1, dtype=np.int64)
     seen = np.zeros(num_samples, dtype=bool)
-    lines = _read_text(os.path.join(path, LABELS_NAME)).splitlines()
+    lines = read_text(os.path.join(path, LABELS_NAME)).splitlines()
     if not lines or lines[0] != "sample_id,label":
         raise ParseError("labels header must be 'sample_id,label'", line=1)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -262,7 +255,7 @@ def read_predictions(path):
 
     probs = np.zeros((num_models, num_samples, num_classes))
     filled = np.zeros((num_models, num_samples), dtype=bool)
-    lines = _read_text(os.path.join(path, PREDICTIONS_NAME)).splitlines()
+    lines = read_text(os.path.join(path, PREDICTIONS_NAME)).splitlines()
     header = _predictions_header(num_classes)
     if not lines or lines[0] != header:
         raise ParseError(
@@ -357,7 +350,7 @@ def write_report(report: PruneReport, path, format: str = FORMAT_JSON) -> None:
 
 def read_report(path) -> PruneReport:
     """Inverse of write_report for the json-text format."""
-    text = _read_text(path)
+    text = read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -399,7 +392,7 @@ def read_report(path) -> PruneReport:
 
 def read_summary(path) -> dict:
     """Read back a csv-summary row as a plain dict."""
-    lines = [line for line in _read_text(path).splitlines() if line]
+    lines = [line for line in read_text(path).splitlines() if line]
     if len(lines) != 2:
         raise ParseError(f"summary must be header + one row, got {len(lines)} lines")
     if tuple(lines[0].split(",")) != SUMMARY_COLUMNS:

@@ -6,7 +6,7 @@ deviation of the mixed prediction from the one-hot truth, averaged over
 classes and samples) and a diversity part built from the per-class Jensen
 gap of the scalar entropy function ``-z ln z``.  The accuracy part is an
 exact quadratic form in the weights; the diversity part is concave-induced
-and is linearized at an anchor to obtain the surrogate.
+and is linearized at uniform weights to obtain the surrogate.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class QuadraticSurrogate:
     the diagonal shift applied wherever the matrix is factorized, so that
     ``quad + ridge * I`` is positive definite.  ``lin_accuracy`` is the linear
     part of the accuracy term, ``lin_diversity`` the gradient of the exact
-    diversity term at the linearization anchor, and ``constant`` the
+    diversity term at uniform weights, and ``constant`` the
     weight-independent accuracy offset.
     """
 
@@ -161,18 +161,17 @@ def exact_loss(w, t: PredictionTensor, y: LabelVector, alpha: float) -> LossValu
 def build_surrogate(
     t: PredictionTensor,
     y: LabelVector,
-    anchor=None,
     ridge: float | None = None,
 ) -> QuadraticSurrogate:
-    """Quadratic surrogate of the ensemble loss around ``anchor``.
+    """Quadratic surrogate of the ensemble loss around uniform weights.
 
     The accuracy term is represented exactly:
     ``w @ quad @ w + lin_accuracy @ w + constant`` reproduces the exact
     accuracy term for any ``w`` (with the recorded ``ridge`` excluded).
     The diversity term is replaced by its first-order expansion at the
-    anchor (default: uniform weights); the anchor-value offset is dropped
-    since it does not move the argmin.  The anchor mixture is clamped below
-    at 1e-12 inside the logarithm to tolerate one-hot member rows.
+    uniform weights ``1/M``; the value offset there is dropped since it
+    does not move the argmin.  The uniform mixture is clamped below at
+    1e-12 inside the logarithm to tolerate one-hot member rows.
 
     ``ridge`` defaults to ``1e-8 * trace(quad) / M`` and is recorded for
     the Cholesky factorization performed by the cone-program builder.
@@ -180,15 +179,6 @@ def build_surrogate(
     if y.num_samples != t.num_samples or y.num_classes != t.num_classes:
         raise ShapeMismatch("labels do not match the prediction tensor")
     num_models = t.num_models
-    if anchor is None:
-        anchor = np.full(num_models, 1.0 / num_models)
-    else:
-        anchor = np.asarray(anchor, dtype=np.float64)
-        if anchor.shape != (num_models,):
-            raise ShapeMismatch(f"anchor has shape {anchor.shape}, expected ({num_models},)")
-        if abs(anchor.sum() - 1.0) > 1e-8:
-            raise DomainError(f"anchor must have unit sum, got {anchor.sum()!r}")
-
     probs = t.probs
     scale = 1.0 / (t.num_samples * t.num_classes)
 
@@ -199,8 +189,8 @@ def build_surrogate(
     lin_accuracy = -2.0 * scale * np.einsum("nj,inj->i", one_hot, probs)
     constant = float(np.sum(one_hot**2) * scale)
 
-    anchor_mix = _mixture(anchor, probs)
-    log_mix = np.log(np.clip(anchor_mix, LOG_CLAMP, None))
+    uniform_mix = _mixture(np.full(num_models, 1.0 / num_models), probs)
+    log_mix = np.log(np.clip(uniform_mix, LOG_CLAMP, None))
     lin_diversity = scale * (
         np.einsum("nj,inj->i", log_mix + 1.0, probs)
         + np.sum(entropy_term(probs), axis=(1, 2))
@@ -208,8 +198,6 @@ def build_surrogate(
 
     if ridge is None:
         ridge = 1e-8 * float(np.trace(quad)) / num_models
-    if ridge < 0:
-        raise DomainError("ridge must be nonnegative")
 
     return QuadraticSurrogate(
         quad=quad,

@@ -88,10 +88,8 @@ class PruneConfig:
     alpha_grid: tuple = _DEFAULT_ALPHA_GRID
     lambda_grid: tuple = _DEFAULT_LAMBDA_GRID
     threshold: float | str = _AUTO
-    anchor: object = "uniform"
     simplex_mode: bool = False
     vote_mode: str = VOTE_MAJORITY
-    ridge: float | None = None
     solver: SolverSettings | None = None
 
     def __post_init__(self):
@@ -243,13 +241,12 @@ def _solve_weights(program, vmap, settings):
     return sol.x[np.asarray(vmap.x_indices)]
 
 
-def fit_weights(t, y, alpha, lam, anchor=None, ridge=None, *,
-                simplex=False, settings=None):
+def fit_weights(t, y, alpha, lam, *, simplex=False, settings=None):
     """Solve the pruning program on the given data and return the weights.
 
     Raises FitFailed when the solver does not reach status optimal.
     """
-    surrogate = build_surrogate(t, y, anchor=anchor, ridge=ridge)
+    surrogate = build_surrogate(t, y)
     program, vmap = build_pruning_socp(surrogate, alpha, lam, simplex=simplex)
     return _solve_weights(program, vmap, settings)
 
@@ -334,15 +331,20 @@ def auto_threshold(w, t, y, valid_split, candidates=None, *,
     return best_h
 
 
-def _run_grid(surrogate, t, y, splits, config):
+def _run_grid(t, y, splits, config):
     """Shared grid search; returns (best_alpha, best_lambda, cells, w, h).
 
-    ``w`` and ``h`` are the winning cell's weights and threshold.  Cells
+    Validates the splits and fits the surrogate on the train split; ``w``
+    and ``h`` are the winning cell's weights and threshold.  Cells
     that build the same program share one solve, threshold and vote: the
     constraints depend only on the surrogate and the mode, so the program
     is keyed by its objective.  In simplex mode the objective does not
     depend on lambda, so each alpha is solved once.
     """
+    splits.validate_against(t.num_samples)
+    surrogate = build_surrogate(
+        t.subset(splits.train_indices), y.subset(splits.train_indices)
+    )
     tv = t.subset(splits.valid_indices)
     yv = y.subset(splits.valid_indices)
 
@@ -394,17 +396,7 @@ def cross_validate(t, y, splits, config: PruneConfig):
     ties prefer fewer kept models, then the smaller lambda index, then the
     smaller alpha index.
     """
-    splits.validate_against(t.num_samples)
-    anchor = None if _is_uniform_anchor(config.anchor) else config.anchor
-    surrogate = build_surrogate(
-        t.subset(splits.train_indices), y.subset(splits.train_indices),
-        anchor=anchor, ridge=config.ridge,
-    )
-    return _run_grid(surrogate, t, y, splits, config)[:3]
-
-
-def _is_uniform_anchor(anchor) -> bool:
-    return isinstance(anchor, str) and anchor == "uniform"
+    return _run_grid(t, y, splits, config)[:3]
 
 
 def brute_force_subset_oracle(t, y, alpha, max_m: int = _ORACLE_LIMIT):
@@ -472,14 +464,7 @@ def run_pipeline(source, config: PruneConfig | None = None) -> PruneReport:
         t, y, splits = generate_synthetic_ensemble(source)
     else:
         t, y, splits = source
-    splits.validate_against(t.num_samples)
-
-    anchor = None if _is_uniform_anchor(config.anchor) else config.anchor
-    surrogate = build_surrogate(
-        t.subset(splits.train_indices), y.subset(splits.train_indices),
-        anchor=anchor, ridge=config.ridge,
-    )
-    best_alpha, best_lambda, cells, w, h = _run_grid(surrogate, t, y, splits, config)
+    best_alpha, best_lambda, cells, w, h = _run_grid(t, y, splits, config)
     selected = prune_by_threshold(w, h)
 
     tt = t.subset(splits.test_indices)

@@ -47,22 +47,21 @@ _REGULARIZATION = 1e-9
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Termination tolerances, iteration limit and progress trace.
+    """Termination tolerance, iteration limit and progress trace.
 
+    ``tol`` bounds the relative gap and both relative residuals at once.
     The step fraction (0.99) and the static KKT regularization (1e-9) are
     module constants; each KKT solve is a dense LU of the regularized
     matrix with float64 refinement against the unregularized matrix.
     """
 
-    tol_gap: float = 1e-8
-    tol_primal: float = 1e-8
-    tol_dual: float = 1e-8
+    tol: float = 1e-8
     max_iters: int = 100
     verbose: bool = False
 
     def __post_init__(self):
-        if min(self.tol_gap, self.tol_primal, self.tol_dual) <= 0:
-            raise DomainError("tolerances must be positive")
+        if not self.tol > 0:
+            raise DomainError("tol must be positive")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
 
@@ -110,22 +109,18 @@ class _Structure:
         self.degree = len(self.orth) + len(self.socs)
 
 
-def _rotate_vector(v: np.ndarray, rot_pairs) -> None:
-    """In-place involutive mixing of rotated-cone head pairs."""
+def _rotate(v: np.ndarray, rot_pairs) -> None:
+    """In-place involutive mixing of rotated-cone head pairs along axis 0.
+
+    Rotates entries of a vector, or rows of a matrix (columns of A through
+    the view A.T); both operands are copied before either is written.
+    """
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for i, j in rot_pairs:
-        a, bb = v[i], v[j]
+        a = v[i].copy()
+        bb = v[j].copy()
         v[i] = (a + bb) * inv_sqrt2
         v[j] = (a - bb) * inv_sqrt2
-
-
-def _rotate_columns(A: np.ndarray, rot_pairs) -> None:
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i, j in rot_pairs:
-        a = A[:, i].copy()
-        bb = A[:, j].copy()
-        A[:, i] = (a + bb) * inv_sqrt2
-        A[:, j] = (a - bb) * inv_sqrt2
 
 
 class _SocScale:
@@ -457,14 +452,14 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
 
     structure = _Structure(program)
     c = c_orig.copy()
-    _rotate_columns(A, structure.rot_pairs)
-    _rotate_vector(c, structure.rot_pairs)
+    _rotate(A.T, structure.rot_pairs)
+    _rotate(c, structure.rot_pairs)
 
     def finish(x, y, s, status, iterations):
         x = x.copy()
         s = s.copy()
-        _rotate_vector(x, structure.rot_pairs)
-        _rotate_vector(s, structure.rot_pairs)
+        _rotate(x, structure.rot_pairs)
+        _rotate(s, structure.rot_pairs)
         y_full = np.zeros(b_full.size)
         y_full[keep_rows] = y
         gap, pres, dres = kkt_residuals(
@@ -491,6 +486,21 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
 
     b_scale = 1.0 + _inf_norm(b)
     c_scale = 1.0 + _inf_norm(c)
+
+    def residuals(xv, yv, sv):
+        """(gap, pres, dres, raw) of a working-space point.
+
+        The residuals are relative to the data norms, the dual one taken in
+        the original (unrotated) space; ``raw`` is the sum of the two
+        unscaled residual norms, which the stall test tracks.
+        """
+        p_norm = _inf_norm(b - A @ xv)
+        dual_vec = c - A.T @ yv - sv
+        _rotate(dual_vec, structure.rot_pairs)
+        d_norm = _inf_norm(dual_vec)
+        gap = abs(float(xv @ sv)) / (1.0 + abs(float(c @ xv)))
+        return gap, p_norm / b_scale, d_norm / c_scale, p_norm + d_norm
+
     nu = structure.degree
     merits = []
     ratios = []
@@ -501,22 +511,12 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     best_point = None
 
     for k in range(settings.max_iters + 1):
-        r_p = b - A @ x
-        r_d = c - A.T @ y - s
-        inner = float(x @ s)
-        cx = float(c @ x)
-        # report the dual residual in the original (unrotated) space
-        dual_vec = r_d.copy()
-        _rotate_vector(dual_vec, structure.rot_pairs)
-        pres = _inf_norm(r_p) / b_scale
-        dres = _inf_norm(dual_vec) / c_scale
-        gap = abs(inner) / (1.0 + abs(cx))
+        gap, pres, dres, raw = residuals(x, y, s)
         if settings.verbose:
             sys.stderr.write(
                 f"iter={k} gap={gap:.6e} pres={pres:.6e} dres={dres:.6e} step={step:.4f}\n"
             )
-        merit = max(gap / settings.tol_gap, pres / settings.tol_primal,
-                    dres / settings.tol_dual)
+        merit = max(gap, pres, dres) / settings.tol
         if merit < best_merit:
             best_merit = merit
             best_point = (x.copy(), y.copy(), s.copy(), k)
@@ -528,8 +528,9 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
             iterations = k
             break
 
+        inner = float(x @ s)
         merits.append(merit)
-        ratios.append((_inf_norm(r_p) + _inf_norm(dual_vec)) / max(inner, 1e-300))
+        ratios.append(raw / max(inner, 1e-300))
         if len(merits) > _STALL_WINDOW:
             stalled = merits[-1] > (1.0 - _STALL_PROGRESS) * merits[-1 - _STALL_WINDOW]
             worsening = ratios[-1] > ratios[-1 - _STALL_WINDOW]
@@ -543,6 +544,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
                         status = STATUS_INFEASIBLE
                         iterations = k
                         break
+                cx = float(c @ x)
                 if cx < -1e-10 * (1.0 + _inf_norm(x)):
                     x_hat = x / (-cx)
                     if _inf_norm(A @ x_hat) <= _CERT_TOL * (1.0 + _inf_norm(x_hat)):
@@ -580,6 +582,8 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
             break
 
         # predictor: drive the scaled complementarity to zero
+        r_p = b - A @ x
+        r_d = c - A.T @ y - s
         dx_aff, dy_aff = kkt.solve(r_d + s, r_p)
         ds_aff = -s - H @ dx_aff
         alpha_aff = min(
@@ -619,20 +623,12 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED) or best_point is None:
         return finish(x, y, s, status, iterations)
 
-    def merit_of(xv, yv, sv):
-        dual_vec = c - A.T @ yv - sv
-        _rotate_vector(dual_vec, structure.rot_pairs)
-        pres = _inf_norm(b - A @ xv) / b_scale
-        dres = _inf_norm(dual_vec) / c_scale
-        gap = abs(float(xv @ sv)) / (1.0 + abs(float(c @ xv)))
-        return max(gap / settings.tol_gap, pres / settings.tol_primal,
-                   dres / settings.tol_dual)
-
     # return the best iterate seen; late iterations can degrade numerically
     bx, by, bs, bk = best_point
     polished = _polish(structure, A, b, c, bx, by, bs)
     if polished is not None:
-        pm = merit_of(*polished)
+        gap, pres, dres, _ = residuals(*polished)
+        pm = max(gap, pres, dres) / settings.tol
         if np.isfinite(pm) and pm < best_merit:
             bx, by, bs = polished
             best_merit = pm
@@ -655,14 +651,14 @@ def _solve_equality_only(program, structure, A, b, c, keep_rows, b_full, setting
     dres_vec = c - A.T @ y if m else c
     pres = _inf_norm(pres_vec) / (1.0 + _inf_norm(b))
     dres = _inf_norm(dres_vec) / (1.0 + _inf_norm(c))
-    if pres > settings.tol_primal:
+    if pres > settings.tol:
         y_hat = pres_vec / max(float(b @ pres_vec), 1e-300)
         y_full = np.zeros(b_full.size)
         y_full[keep_rows] = y_hat
         return ConicSolution(x=np.zeros(n), y=y_full, s=np.zeros(n),
                              status=STATUS_INFEASIBLE, iterations=1,
                              gap=0.0, primal_residual=pres, dual_residual=0.0)
-    if dres > settings.tol_dual:
+    if dres > settings.tol:
         # c has a component outside range(A'): moving along -dres_vec is an
         # unbounded descent direction in the null space of A
         return ConicSolution(x=-dres_vec, y=np.zeros(b_full.size), s=np.zeros(n),

@@ -79,8 +79,7 @@ def test_solver_matches_separable_and_dense_closed_forms():
     rng = np.random.default_rng(77)
     # coordinates barely past the threshold are tiny; solve tighter than the
     # 1e-6 comparison so solver tolerance does not dominate the error
-    tight = SolverSettings(tol_gap=1e-11, tol_primal=1e-11, tol_dual=1e-11,
-                           max_iters=200)
+    tight = SolverSettings(tol=1e-11, max_iters=200)
     worst_soft = 0.0
     for k in range(100):
         m = 2 + k % 6

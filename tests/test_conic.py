@@ -23,6 +23,7 @@ from socprune.conic import (
     write_cone_program,
 )
 from socprune.errors import (
+    IoError,
     MalformedProgram,
     NotPositiveDefinite,
     ParseError,
@@ -31,8 +32,7 @@ from socprune.errors import (
 from socprune.loss import QuadraticSurrogate
 from socprune.solver import STATUS_OPTIMAL, SolverSettings, solve
 
-TIGHT = SolverSettings(tol_gap=1e-11, tol_primal=1e-11, tol_dual=1e-11,
-                       max_iters=200)
+TIGHT = SolverSettings(tol=1e-11, max_iters=200)
 
 
 def simplex_qp_oracle(q, c):
@@ -286,6 +286,10 @@ class TestSerialization:
         path = tmp_path / "prog.txt"
         write_cone_program(program, path)
         assert serialize_cone_program(read_cone_program(path)) == serialize_cone_program(program)
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            read_cone_program(tmp_path / "absent.txt")
 
     def test_junk_rejected(self):
         with pytest.raises(ParseError):

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from socprune import cli
-from socprune.conic import NONNEG_ORTHANT, ProgramBuilder, write_cone_program
+from socprune.conic import NONNEG_ORTHANT, QUADRATIC, ProgramBuilder, write_cone_program
 from socprune.core import LabelVector, PredictionTensor, SplitSpec
 from socprune.errors import (
+    DomainError,
     IoError,
     OutOfRange,
     ParseError,
@@ -30,6 +31,7 @@ from socprune.io import (
     write_report,
 )
 from socprune.pipeline import CellDiagnostic, PruneReport
+from socprune.solver import SolverSettings
 
 from conftest import random_instance
 
@@ -328,6 +330,44 @@ class TestCli:
         code, out, _ = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         assert code == 3
         assert json.loads(out)["status"] == "unbounded"
+
+    def test_tol_reaches_the_solver(self, tmp_path, capsys):
+        # min x0 over the cone x0 >= ||(x1, x2)|| with x1 = 1, x2 = 2
+        builder = ProgramBuilder()
+        x = builder.add_variables(3)
+        builder.add_cone(QUADRATIC, x)
+        builder.add_equality([x[1]], [1.0], 1.0)
+        builder.add_equality([x[2]], [1.0], 2.0)
+        builder.set_objective(x[0], 1.0)
+        path = str(tmp_path / "p.sp")
+        write_cone_program(builder.build(), path)
+        code, out, _ = run_cli(["solve", path], capsys)
+        assert code == 0
+        default = json.loads(out)
+        code, out, _ = run_cli(["solve", path, "--tol", "1e-3"], capsys)
+        assert code == 0
+        loose = json.loads(out)
+        assert loose["status"] == "optimal"
+        assert loose["gap"] <= 1e-3
+        assert loose["iterations"] < default["iterations"]
+        with pytest.raises(DomainError):
+            SolverSettings(tol=0.0)
+        code, _, err = run_cli(["solve", path, "--tol", "0"], capsys)
+        assert code == 2 and err.startswith("error:")
+
+    def test_undecodable_labels_exit_2(self, tmp_path, capsys):
+        run_cli(gen_args(tmp_path / "d"), capsys)
+        with open(tmp_path / "d" / "labels.csv", "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        code, _, err = run_cli(["check", str(tmp_path / "d")], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_undecodable_program_exit_2(self, tmp_path, capsys):
+        (tmp_path / "p.sp").write_bytes(b"\xff\xfe not a program\n")
+        code, _, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_missing_dataset_exit_4(self, tmp_path, capsys):
         code, _, err = run_cli(["check", str(tmp_path / "absent")], capsys)

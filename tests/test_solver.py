@@ -294,7 +294,7 @@ class TestSolverQuality:
         from socprune.errors import DomainError
 
         with pytest.raises(DomainError):
-            SolverSettings(tol_gap=0.0)
+            SolverSettings(tol=0.0)
         with pytest.raises(DomainError):
             SolverSettings(max_iters=0)
 
