@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .core import atomic_write_text, format_exact, read_text
+from .core import atomic_write_text, format_exact, parse_float, parse_int, read_text
 from .errors import (
     DomainError,
     MalformedProgram,
@@ -105,7 +105,9 @@ class ConeProgram:
         obj = np.ascontiguousarray(np.asarray(self.objective, dtype=np.float64))
         if obj.shape != (n,):
             raise MalformedProgram(f"objective has shape {obj.shape}, expected ({n},)")
-        A = sp.csr_matrix(self.eq_A, dtype=np.float64)
+        A = sp.csr_matrix(self.eq_A, dtype=np.float64, copy=True)
+        # drop stored 0.0s: the solver's presolve finds empty rows by counting entries
+        A.eliminate_zeros()
         if A.shape[1] != n:
             raise MalformedProgram(
                 f"equality matrix has {A.shape[1]} columns, expected {n}"
@@ -302,8 +304,8 @@ def build_pruning_socp(
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    if lam < 0.0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
     m = surrogate.num_models
     root = cholesky_lower(surrogate.quad, surrogate.ridge).T
     c_all = surrogate.combined_linear(alpha)
@@ -406,11 +408,7 @@ def qp_to_socp(Q, a, beta: float, A=None, b=None) -> QpConeForm:
         builder.add_equality(cols, vals, -v[r])
     for r in range(A.shape[0]):
         nz = np.nonzero(A[r])[0]
-        if nz.size == 0 and b[r] == 0.0:
-            continue
-        builder.add_equality([int(x[k]) for k in nz] if nz.size else [int(x[0])],
-                             [A[r, k] for k in nz] if nz.size else [0.0],
-                             b[r])
+        builder.add_equality(x[nz], A[r, nz], b[r])
     builder.add_cone(QUADRATIC, [head] + list(tail))
     return QpConeForm(
         program=builder.build(),
@@ -447,6 +445,8 @@ def serialize_cone_program(p: ConeProgram) -> str:
 
 
 class _LineReader:
+    """The non-empty lines of a text, each with its 1-based line number."""
+
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0
@@ -459,26 +459,35 @@ class _LineReader:
                 return line, self.pos
         raise ParseError("unexpected end of input", line=len(self.lines))
 
-    def expect_header(self, keyword: str) -> tuple:
+    def count(self, keyword: str) -> int:
+        """The count of a '<keyword> <count>' line; the count must be >= 0."""
         line, lineno = self.next()
         tokens = line.split()
         if tokens[0] != keyword:
             raise ParseError(f"expected {keyword!r}, got {tokens[0]!r}", line=lineno)
-        return tokens, lineno
+        if len(tokens) != 2:
+            raise ParseError(f"expected '{keyword} <count>'", line=lineno)
+        return parse_int(tokens[1], lineno, f"{keyword} count", lo=0)
 
+    def rows(self, keyword: str, width: int | None, expect: int | None = None) -> list:
+        """(tokens, line number) of each line of a '<keyword> <count>' section.
 
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", line=lineno) from None
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"expected a number, got {token!r}", line=lineno) from None
+        Each line must have ``width`` tokens (any number when None); when
+        ``expect`` is given, the header must state that count.
+        """
+        count = self.count(keyword)
+        if expect is not None and count != expect:
+            raise ParseError(f"{keyword} count {count} disagrees with {expect}", line=self.pos)
+        rows = []
+        for _ in range(count):
+            line, lineno = self.next()
+            tokens = line.split()
+            if width is not None and len(tokens) != width:
+                raise ParseError(
+                    f"{keyword} line needs {width} fields, got {len(tokens)}", line=lineno
+                )
+            rows.append((tokens, lineno))
+        return rows
 
 
 def parse_cone_program(text: str) -> ConeProgram:
@@ -488,74 +497,47 @@ def parse_cone_program(text: str) -> ConeProgram:
     tokens = line.split()
     if tokens[0] != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} file", line=lineno)
-    if len(tokens) != 2 or _parse_int(tokens[1], lineno) != FORMAT_VERSION:
+    if len(tokens) != 2 or parse_int(tokens[1], lineno, "format version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"unsupported format version {tokens[1:]}; this reader handles {FORMAT_VERSION}",
             line=lineno,
         )
-    tokens, lineno = reader.expect_header("vars")
-    num_vars = _parse_int(tokens[1], lineno)
-    tokens, lineno = reader.expect_header("eqs")
-    num_eqs = _parse_int(tokens[1], lineno)
+    num_vars = reader.count("vars")
+    num_eqs = reader.count("eqs")
 
-    tokens, lineno = reader.expect_header("objective")
     objective = np.zeros(num_vars)
-    for _ in range(_parse_int(tokens[1], lineno)):
-        line, lineno = reader.next()
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("objective entry needs 'index value'", line=lineno)
-        i = _parse_int(parts[0], lineno)
-        if not 0 <= i < num_vars:
-            raise ParseError(f"objective index {i} out of range", line=lineno)
-        objective[i] = _parse_float(parts[1], lineno)
+    seen = set()
+    for (index, value), lineno in reader.rows("objective", 2):
+        i = parse_int(index, lineno, "objective index", lo=0, hi=num_vars)
+        if i in seen:
+            raise ParseError(f"objective index {i} repeated", line=lineno)
+        seen.add(i)
+        objective[i] = parse_float(value, lineno, "objective coefficient")
 
-    tokens, lineno = reader.expect_header("eq_entries")
     rows, cols, vals = [], [], []
-    for _ in range(_parse_int(tokens[1], lineno)):
-        line, lineno = reader.next()
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError("equality entry needs 'row col value'", line=lineno)
-        r = _parse_int(parts[0], lineno)
-        c = _parse_int(parts[1], lineno)
-        if not 0 <= r < num_eqs:
-            raise ParseError(f"equality row {r} out of range", line=lineno)
-        if not 0 <= c < num_vars:
-            raise ParseError(f"equality column {c} out of range", line=lineno)
-        rows.append(r)
-        cols.append(c)
-        vals.append(_parse_float(parts[2], lineno))
+    for (r, c, v), lineno in reader.rows("eq_entries", 3):
+        rows.append(parse_int(r, lineno, "equality row", lo=0, hi=num_eqs))
+        cols.append(parse_int(c, lineno, "equality column", lo=0, hi=num_vars))
+        vals.append(parse_float(v, lineno, "equality coefficient"))
 
-    tokens, lineno = reader.expect_header("eq_rhs")
-    if _parse_int(tokens[1], lineno) != num_eqs:
-        raise ParseError("eq_rhs count disagrees with eqs header", line=lineno)
-    rhs = np.zeros(num_eqs)
-    for r in range(num_eqs):
-        line, lineno = reader.next()
-        rhs[r] = _parse_float(line.split()[0], lineno)
+    rhs = [parse_float(tokens[0], lineno, "equality rhs")
+           for tokens, lineno in reader.rows("eq_rhs", 1, expect=num_eqs)]
 
-    tokens, lineno = reader.expect_header("cones")
     cones = []
-    for _ in range(_parse_int(tokens[1], lineno)):
-        line, lineno = reader.next()
-        parts = line.split()
-        if len(parts) < 3:
+    for tokens, lineno in reader.rows("cones", None):
+        if len(tokens) < 3:
             raise ParseError("cone line needs 'kind dim indices...'", line=lineno)
-        kind = parts[0]
-        if kind not in CONE_KINDS:
-            raise ParseError(f"unknown cone kind {kind!r}", line=lineno)
-        dim = _parse_int(parts[1], lineno)
-        idx = [_parse_int(tok, lineno) for tok in parts[2:]]
+        dim = parse_int(tokens[1], lineno, "cone dim")
+        idx = [parse_int(tok, lineno, "cone index", lo=0, hi=num_vars) for tok in tokens[2:]]
         if len(idx) != dim:
             raise ParseError(f"cone lists {len(idx)} indices but dim {dim}", line=lineno)
-        cones.append(Cone(kind=kind, var_indices=tuple(idx)))
+        try:
+            cones.append(Cone(kind=tokens[0], var_indices=tuple(idx)))
+        except MalformedProgram as exc:
+            raise ParseError(str(exc), line=lineno) from None
 
-    tokens, lineno = reader.expect_header("free")
-    free = []
-    for _ in range(_parse_int(tokens[1], lineno)):
-        line, lineno = reader.next()
-        free.append(_parse_int(line.split()[0], lineno))
+    free = [parse_int(tokens[0], lineno, "free index", lo=0, hi=num_vars)
+            for tokens, lineno in reader.rows("free", 1)]
 
     line, lineno = reader.next()
     if line != "end":
@@ -566,7 +548,7 @@ def parse_cone_program(text: str) -> ConeProgram:
             num_vars=num_vars,
             objective=objective,
             eq_A=sp.coo_matrix((vals, (rows, cols)), shape=(num_eqs, num_vars)).tocsr(),
-            eq_b=rhs,
+            eq_b=np.asarray(rhs, dtype=np.float64),
             cones=tuple(cones),
             free_vars=tuple(free),
         )

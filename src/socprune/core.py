@@ -8,7 +8,6 @@ read-only) and safe to share across concurrent workers.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,12 +201,18 @@ def format_exact(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via temp file + rename; IoError on OS failure."""
+    """Write text to path via temp file + rename; IoError on OS failure.
+
+    The temp file is created with mode 0o666 less the umask, as ``open()``
+    would create it, so the written file's mode follows the umask.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-io-")
+        name = os.path.join(directory, f".tmp-io-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -229,3 +234,24 @@ def read_text(path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode {path} as {exc.encoding}: {exc.reason}") from None
+
+
+def parse_int(token: str, line: int, what: str, lo: int | None = None,
+              hi: int | None = None) -> int:
+    """Integer text field, optionally bounded to [lo, hi); ParseError names the line."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {token!r}", line=line) from None
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ParseError(f"{what} must be {span}, got {value}", line=line)
+    return value
+
+
+def parse_float(token: str, line: int, what: str) -> float:
+    """Float text field; ParseError names the line."""
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"{what} must be a number, got {token!r}", line=line) from None

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .core import (
     SplitSpec,
     atomic_write_text,
     format_exact,
+    parse_float,
+    parse_int,
     read_text,
     validate_tensor,
 )
@@ -85,23 +88,12 @@ def _parse_ranges(text: str, lineno: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     out = []
     for token in text.split(","):
-        lo, sep, hi = token.partition("-")
-        try:
-            a = int(lo)
-            b = int(hi) if sep else a
-        except ValueError:
-            raise ParseError(f"bad index range {token!r}", line=lineno) from None
-        if a < 0 or b < a:
-            raise ParseError(f"bad index range {token!r}", line=lineno)
+        first, sep, last = token.partition("-")
+        what = f"index range {token!r}"
+        a = parse_int(first, lineno, what, lo=0)
+        b = parse_int(last, lineno, what, lo=a) if sep else a
         out.extend(range(a, b + 1))
     return np.asarray(out, dtype=np.int64)
-
-
-def _parse_int_field(value: str, key: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{key} must be an integer, got {value!r}", line=lineno) from None
 
 
 def _parse_manifest(text: str) -> dict:
@@ -138,8 +130,7 @@ def _parse_manifest(text: str) -> dict:
             raise ParseError(f"manifest is missing {key!r}", line=len(lines))
         return fields[key]
 
-    value, lineno = required("format_version")
-    version = _parse_int_field(value, "format_version", lineno)
+    version = parse_int(*required("format_version"), "format_version")
     if version != DATA_FORMAT_VERSION:
         raise VersionMismatch(
             f"dataset format_version {version} unsupported (expected {DATA_FORMAT_VERSION})"
@@ -147,10 +138,7 @@ def _parse_manifest(text: str) -> dict:
 
     out = {"format_version": version, "provenance": fields.get("provenance", ("", 0))[0]}
     for key in ("num_models", "num_samples", "num_classes"):
-        value, lineno = required(key)
-        out[key] = _parse_int_field(value, key, lineno)
-        if out[key] < 1:
-            raise ParseError(f"{key} must be positive, got {out[key]}", line=lineno)
+        out[key] = parse_int(*required(key), key, lo=1)
     for key in ("train_indices", "valid_indices", "test_indices"):
         value, lineno = required(key)
         out[key] = _parse_ranges(value, lineno)
@@ -212,6 +200,55 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
     atomic_write_text(os.path.join(path, LABELS_NAME), "\n".join(rows) + "\n")
 
 
+def _read_table(path, header: str, bounds: tuple, parse_value, dtype, what: str):
+    """One dataset CSV table as an array shaped (*bounds, width).
+
+    The first ``len(bounds)`` columns are integer keys, the k-th in
+    [0, bounds[k]), and every key tuple must appear on exactly one row.
+    ``parse_value(token, line, name)`` converts the other ``width`` header
+    columns into ``dtype``.  Empty lines are skipped; each ParseError names
+    the line at fault.
+    """
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != header:
+        raise ParseError(f"{what} header must be {header!r}", line=1)
+    names = header.split(",")
+    num_keys = len(bounds)
+    value_names = names[num_keys:]
+    keys = np.empty((len(lines), num_keys), dtype=np.int64)
+    values = np.empty((len(lines), len(value_names)), dtype=dtype)
+    linenos = np.empty(len(lines), dtype=np.int64)
+    count = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise ParseError(
+                f"{what} row has {len(parts)} fields, header has {len(names)}", line=lineno
+            )
+        keys[count] = [parse_int(tok, lineno, name, 0, bound)
+                       for tok, name, bound in zip(parts, names, bounds)]
+        values[count] = [parse_value(tok, lineno, name)
+                         for tok, name in zip(parts[num_keys:], value_names)]
+        linenos[count] = lineno
+        count += 1
+    del lines  # release the text before the reordered copy below
+
+    def key_text(key):
+        return ", ".join(f"{name} {k}" for name, k in zip(names, key))
+
+    flat = np.ravel_multi_index(tuple(keys[:count].T), bounds)
+    counts = np.bincount(flat, minlength=int(np.prod(bounds)))
+    if counts.max() > 1:
+        r = np.flatnonzero(flat == np.argmax(counts > 1))[1]
+        raise ParseError(f"duplicate {what} row for {key_text(keys[r])}", line=int(linenos[r]))
+    if counts.min() == 0:
+        missing = np.unravel_index(int(np.argmin(counts)), bounds)
+        raise ParseError(f"no {what} row for {key_text(missing)}")
+    return values[:count][np.argsort(flat)].reshape(*bounds, -1)
+
+
 def read_predictions(path):
     """Load a dataset directory back into (tensor, labels, splits).
 
@@ -226,73 +263,13 @@ def read_predictions(path):
     num_samples = manifest["num_samples"]
     num_classes = manifest["num_classes"]
 
-    labels = np.full(num_samples, -1, dtype=np.int64)
-    seen = np.zeros(num_samples, dtype=bool)
-    lines = read_text(os.path.join(path, LABELS_NAME)).splitlines()
-    if not lines or lines[0] != "sample_id,label":
-        raise ParseError("labels header must be 'sample_id,label'", line=1)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"labels row needs 2 fields, got {len(parts)}", line=lineno)
-        try:
-            n, lab = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer labels row {line!r}", line=lineno) from None
-        if not 0 <= n < num_samples:
-            raise ParseError(f"sample_id {n} outside [0, {num_samples})", line=lineno)
-        if seen[n]:
-            raise ParseError(f"duplicate label for sample {n}", line=lineno)
-        if not 0 <= lab < num_classes:
-            raise ParseError(f"label {lab} outside [0, {num_classes})", line=lineno)
-        labels[n] = lab
-        seen[n] = True
-    if not seen.all():
-        missing = int(np.argmin(seen))
-        raise ParseError(f"no label for sample {missing}")
+    labels = _read_table(os.path.join(path, LABELS_NAME), "sample_id,label", (num_samples,),
+                         partial(parse_int, lo=0, hi=num_classes), np.int64, "labels")
+    probs = _read_table(os.path.join(path, PREDICTIONS_NAME), _predictions_header(num_classes),
+                        (num_models, num_samples), parse_float, np.float64, "predictions")
 
-    probs = np.zeros((num_models, num_samples, num_classes))
-    filled = np.zeros((num_models, num_samples), dtype=bool)
-    lines = read_text(os.path.join(path, PREDICTIONS_NAME)).splitlines()
-    header = _predictions_header(num_classes)
-    if not lines or lines[0] != header:
-        raise ParseError(
-            f"predictions header does not match manifest num_classes={num_classes}", line=1
-        )
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2 + num_classes:
-            raise ParseError(
-                f"predictions row has {len(parts) - 2} probability columns, "
-                f"manifest claims {num_classes}",
-                line=lineno,
-            )
-        try:
-            i, n = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer model/sample id in {line!r}", line=lineno) from None
-        if not 0 <= i < num_models:
-            raise ParseError(f"model_id {i} outside [0, {num_models})", line=lineno)
-        if not 0 <= n < num_samples:
-            raise ParseError(f"sample_id {n} outside [0, {num_samples})", line=lineno)
-        if filled[i, n]:
-            raise ParseError(f"duplicate row for model {i}, sample {n}", line=lineno)
-        try:
-            probs[i, n] = [float(v) for v in parts[2:]]
-        except ValueError:
-            raise ParseError(f"non-numeric probability in {line!r}", line=lineno) from None
-        filled[i, n] = True
-    if not filled.all():
-        i, n = np.unravel_index(int(np.argmin(filled)), filled.shape)
-        raise ParseError(f"no predictions row for model {int(i)}, sample {int(n)}")
-
-    validate_tensor(probs)
     t = PredictionTensor(probs=probs)
-    y = LabelVector(labels=labels, num_classes=num_classes)
+    y = LabelVector(labels=labels[:, 0], num_classes=num_classes)
     splits = SplitSpec(
         train_indices=manifest["train_indices"],
         valid_indices=manifest["valid_indices"],
@@ -400,13 +377,7 @@ def read_summary(path) -> dict:
     parts = lines[1].split(",")
     if len(parts) != len(SUMMARY_COLUMNS):
         raise ParseError(f"summary row has {len(parts)} fields, expected 5", line=2)
-    try:
-        return {
-            "accuracy_full": float(parts[0]),
-            "accuracy_pruned": float(parts[1]),
-            "models_full": int(parts[2]),
-            "models_pruned": int(parts[3]),
-            "threshold": float(parts[4]),
-        }
-    except ValueError as exc:
-        raise ParseError(f"malformed summary row: {exc}", line=2) from None
+    return {
+        key: (parse_int if key.startswith("models") else parse_float)(value, 2, key)
+        for key, value in zip(SUMMARY_COLUMNS, parts)
+    }

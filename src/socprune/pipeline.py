@@ -77,8 +77,8 @@ class SyntheticSpec:
             )
         if not 0.0 <= self.correlation < 1.0:
             raise InvalidSpec("correlation must lie in [0, 1)")
-        if self.sharpness <= 0:
-            raise InvalidSpec("sharpness must be positive")
+        if not 0 < self.sharpness < np.inf:
+            raise InvalidSpec(f"sharpness must be finite and positive, got {self.sharpness}")
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,14 @@ class PruneConfig:
         object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
         if not self.alpha_grid or not self.lambda_grid:
             raise DomainError("alpha and lambda grids must be non-empty")
-        if min(self.alpha_grid) < 0 or max(self.alpha_grid) > 1:
+        if not all(0 <= a <= 1 for a in self.alpha_grid):
             raise DomainError("alpha grid values must lie in [0, 1]")
-        if min(self.lambda_grid) < 0:
-            raise DomainError("lambda grid values must be nonnegative")
+        if not all(0 <= lam < np.inf for lam in self.lambda_grid):
+            raise DomainError("lambda grid values must be finite and nonnegative")
         if self.threshold != _AUTO:
             h = float(self.threshold)
-            if not h >= 0:
-                raise DomainError("threshold must be nonnegative or 'auto'")
+            if not 0 <= h < np.inf:
+                raise DomainError("threshold must be finite and nonnegative, or 'auto'")
             object.__setattr__(self, "threshold", h)
         if self.vote_mode not in (VOTE_MAJORITY, VOTE_WEIGHTED):
             raise DomainError(f"unknown vote mode {self.vote_mode!r}")

@@ -60,8 +60,8 @@ class SolverSettings:
     verbose: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise DomainError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
 

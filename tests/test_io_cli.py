@@ -85,6 +85,18 @@ class TestDatasetRoundTrip:
         t2, _, _ = read_predictions(tmp_path / "d")
         assert np.array_equal(t2.probs, t.probs)
 
+    def test_empty_lines_and_row_order_ignored(self, tmp_path):
+        def shuffle(text):
+            header, *rows = text.splitlines()
+            rows = rows[::-1]
+            return "\n".join([header, *rows[:2], "", *rows[2:]]) + "\n\n"
+
+        target = corrupted_copy(tmp_path, "predictions.csv", shuffle)
+        rewrite(target / "labels.csv", shuffle)
+        t, y, _ = read_predictions(target)
+        assert np.array_equal(t.probs, TINY_PROBS)
+        assert np.array_equal(y.labels, [1, 0, 1])
+
     def test_write_rejects_inconsistent_shapes(self, tmp_path, rng):
         t, y = random_instance(rng, 2, 10, 3)
         bad_splits = SplitSpec(train_indices=np.arange(8),
@@ -176,6 +188,23 @@ class TestDatasetErrors:
             read_predictions(target)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("filename, old, new, line", [
+        ("predictions.csv", "1,2,0,1", "2,2,0,1", 7),  # model_id out of range
+        ("predictions.csv", "0,1,0.5,0.5", "0,3,0.5,0.5", 3),  # sample_id out of range
+        ("predictions.csv", "1,0,0.125,0.875", "-1,0,0.125,0.875", 5),  # negative id
+        ("predictions.csv", "0,1,0.5,0.5", "0,1.0,0.5,0.5", 3),  # non-integer id
+        ("predictions.csv", "0,2,1,0", "0,2,1,zero", 4),  # non-numeric probability
+        ("labels.csv", "2,1", "1,1", 4),  # duplicate label
+        ("labels.csv", "2,1", "3,1", 4),  # sample_id out of range
+        ("labels.csv", "1,0", "1,zero", 3),  # non-integer label
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, filename, old, new, line):
+        target = corrupted_copy(
+            tmp_path, filename, lambda s: s.replace(f"\n{old}\n", f"\n{new}\n"))
+        with pytest.raises(ParseError) as exc:
+            read_predictions(target)
+        assert exc.value.line == line
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoError):
             read_predictions(tmp_path / "nope")
@@ -242,6 +271,15 @@ class TestReportIO:
             atomic_write_text(tmp_path / "out.txt", "payload")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_file_mode_follows_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "payload")
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -253,6 +291,16 @@ def gen_args(out, seed=0):
     return ["gen", "--models", "6", "--samples", "80", "--classes", "3",
             "--acc-low", "0.45", "--acc-high", "0.8", "--seed", str(seed),
             "--out", str(out)]
+
+
+def program_text(**replace):
+    """A two-variable LP file with the named lines replaced."""
+    lines = dict(vars="vars 2", eqs="eqs 1", objective="objective 1\n0 1",
+                 cone="nonneg_orthant 2 0 1")
+    lines.update(replace)
+    return (f"socprune-cone-program 1\n{lines['vars']}\n{lines['eqs']}\n"
+            f"{lines['objective']}\neq_entries 2\n0 0 1\n0 1 1\neq_rhs 1\n1\n"
+            f"cones 1\n{lines['cone']}\nfree 0\nend\n")
 
 
 class TestCli:
@@ -368,6 +416,47 @@ class TestCli:
         code, _, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("replace, line", [
+        ({}, None),
+        ({"vars": "vars"}, 2),
+        ({"vars": "vars -1"}, 2),
+        ({"eqs": "eqs -2"}, 3),
+        ({"objective": "objective 2\n0 1.0\n0 -1.0"}, 6),  # repeated index
+        ({"cone": "nonneg_orthant 2 0 2"}, 12),
+        ({"cone": "nonneg_orthant 2 -1 1"}, 12),
+    ], ids=["valid", "bare_vars", "negative_vars", "negative_eqs", "repeated_objective",
+            "cone_index_too_large", "negative_cone_index"])
+    def test_malformed_program_exit_2(self, tmp_path, capsys, replace, line):
+        (tmp_path / "p.sp").write_text(program_text(**replace))
+        code, _, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
+        if line is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert err.startswith(f"error: line {line}:")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "DATA", "--simplex", "--lambda", "nan"],
+        ["prune", "DATA", "--simplex", "--lambda", "nan"],
+        ["cv", "DATA", "--simplex", "--lambda", "nan"],
+        ["fit", "DATA", "--simplex", "--lambda", "nan"],
+        ["run", "DATA", "--threshold", "inf"],
+        ["run", "DATA", "--tol", "inf"],
+        ["solve", "PROGRAM", "--tol", "inf"],
+        ["gen", "--sharpness", "nan", "--out", "NEW"],
+        ["gen", "--sharpness", "inf", "--out", "NEW"],
+    ], ids=["run_lambda_nan", "prune_lambda_nan", "cv_lambda_nan", "fit_lambda_nan",
+            "threshold_inf", "run_tol_inf", "solve_tol_inf", "sharpness_nan",
+            "sharpness_inf"])
+    def test_non_finite_setting_exit_2(self, tmp_path, capsys, argv):
+        run_cli(gen_args(tmp_path / "DATA"), capsys)
+        (tmp_path / "PROGRAM").write_text(program_text())
+        argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "probability" not in err
+        assert out == ""
 
     def test_missing_dataset_exit_4(self, tmp_path, capsys):
         code, _, err = run_cli(["check", str(tmp_path / "absent")], capsys)

@@ -15,7 +15,8 @@ from socprune.errors import (
     ShapeMismatch,
     TooLarge,
 )
-from socprune.loss import build_surrogate, exact_loss
+from socprune.conic import build_pruning_socp
+from socprune.loss import QuadraticSurrogate, build_surrogate, exact_loss
 from socprune.pipeline import (
     VOTE_MAJORITY,
     VOTE_WEIGHTED,
@@ -67,6 +68,28 @@ class TestSyntheticSpec:
     def test_sharpness_positive(self):
         with pytest.raises(InvalidSpec):
             small_spec(sharpness=0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+UNIT_SURROGATE = QuadraticSurrogate(quad=np.eye(2), lin_accuracy=np.zeros(2),
+                                    lin_diversity=np.zeros(2), constant=0.0, ridge=0.0)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: PruneConfig(alpha_grid=(0.3, NAN)), DomainError),
+    (lambda: PruneConfig(lambda_grid=(0.1, NAN)), DomainError),
+    (lambda: PruneConfig(lambda_grid=(INF,)), DomainError),
+    (lambda: PruneConfig(threshold=INF), DomainError),
+    (lambda: build_pruning_socp(UNIT_SURROGATE, 0.3, NAN, simplex=True), DomainError),
+    (lambda: build_pruning_socp(UNIT_SURROGATE, 0.3, INF), DomainError),
+    (lambda: SolverSettings(tol=INF), DomainError),
+    (lambda: small_spec(sharpness=NAN), InvalidSpec),
+    (lambda: small_spec(sharpness=INF), InvalidSpec),
+], ids=["alpha_nan", "lambda_nan", "lambda_inf", "threshold_inf", "socp_lambda_nan",
+        "socp_lambda_inf", "tol_inf", "sharpness_nan", "sharpness_inf"])
+def test_non_finite_setting_rejected(make, error):
+    with pytest.raises(error):
+        make()
 
 
 class TestGenerator:

@@ -11,6 +11,7 @@ from socprune.conic import (
     ConicSolution,
     ProgramBuilder,
     build_pruning_socp,
+    qp_to_socp,
 )
 from socprune.errors import MalformedProgram, ShapeMismatch
 from socprune.loss import QuadraticSurrogate
@@ -105,6 +106,16 @@ class TestClosedFormCases:
         assert np.allclose(sol.x[:2], [root_half, root_half], atol=1e-6)
 
 
+def lp_with_stored_zero_row():
+    """min x0 over x0 >= 0 with the row 0.0 * x0 = 1 stored explicitly."""
+    builder = ProgramBuilder()
+    x = builder.add_variable()
+    builder.add_cone(NONNEG_ORTHANT, [x])
+    builder.set_objective(x, 1.0)
+    builder.add_equality([x], [0.0], 1.0)
+    return builder.build()
+
+
 class TestStatuses:
     def test_infeasible(self):
         builder = ProgramBuilder()
@@ -132,6 +143,26 @@ class TestStatuses:
     def test_malformed_input(self):
         with pytest.raises(MalformedProgram):
             solve("not a program")
+
+    @pytest.mark.parametrize("program", [
+        lambda: qp_to_socp(np.eye(2), np.zeros(2), 0.0,
+                           A=[[1.0, 0.0], [0.0, 0.0]], b=[1.0, 2.0]).program,
+        lp_with_stored_zero_row,
+    ], ids=["qp_zero_row", "stored_zero"])
+    def test_zero_row_with_nonzero_rhs_infeasible_in_presolve(self, program):
+        sol = solve(program())
+        assert sol.status == STATUS_INFEASIBLE
+        assert sol.iterations == 0
+
+    def test_zero_row_with_zero_rhs_dropped(self):
+        plain = qp_to_socp(np.eye(2), np.zeros(2), 0.0, A=[[1.0, 1.0]], b=[1.0])
+        padded = qp_to_socp(np.eye(2), np.zeros(2), 0.0,
+                            A=[[1.0, 1.0], [0.0, 0.0]], b=[1.0, 0.0])
+        assert padded.program.num_eqs == plain.program.num_eqs + 1
+        a, b = solve(plain.program), solve(padded.program)
+        assert a.status == b.status == STATUS_OPTIMAL
+        assert np.array_equal(padded.minimizer(b), plain.minimizer(a))
+        assert np.allclose(plain.minimizer(a), [0.5, 0.5], atol=1e-6)
 
 
 def random_kkt_blocks(rng):
