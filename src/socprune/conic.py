@@ -214,9 +214,9 @@ class ProgramBuilder:
     def __init__(self):
         self._num_vars = 0
         self._obj = {}
-        self._entry_rows = []
-        self._entry_cols = []
-        self._entry_vals = []
+        # (rows, cols, vals) arrays per equality row; the empty first triple
+        # keeps the index arrays integer when no row is added
+        self._entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
         self._rhs = []
         self._cones = []
         self._free = []
@@ -235,14 +235,12 @@ class ProgramBuilder:
         self._obj[int(index)] = float(coeff)
 
     def add_equality(self, cols, vals, rhs: float):
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
-        vals = np.atleast_1d(np.asarray(vals, dtype=np.float64))
+        cols = np.array(cols, dtype=np.int64, ndmin=1)
+        vals = np.array(vals, dtype=np.float64, ndmin=1)
         if cols.shape != vals.shape:
             raise ShapeMismatch("equality columns and values differ in length")
         row = len(self._rhs)
-        self._entry_rows.extend([row] * len(cols))
-        self._entry_cols.extend(int(c) for c in cols)
-        self._entry_vals.extend(float(v) for v in vals)
+        self._entries.append((np.full(cols.size, row), cols, vals))
         self._rhs.append(float(rhs))
         return row
 
@@ -257,10 +255,8 @@ class ProgramBuilder:
         objective = np.zeros(n)
         for i, v in self._obj.items():
             objective[i] = v
-        eq_A = sp.coo_matrix(
-            (self._entry_vals, (self._entry_rows, self._entry_cols)),
-            shape=(len(self._rhs), n),
-        ).tocsr()
+        rows, cols, vals = (np.concatenate(part) for part in zip(*self._entries))
+        eq_A = sp.coo_matrix((vals, (rows, cols)), shape=(len(self._rhs), n)).tocsr()
         return ConeProgram(
             num_vars=n,
             objective=objective,
@@ -323,9 +319,7 @@ def build_pruning_socp(
     # aux = (1 + t, 2 R x, 1 - t)
     builder.add_equality([aux[0], t], [1.0, -1.0], 1.0)
     for r in range(m):
-        cols = [aux[1 + r]] + [x[k] for k in range(r, m)]
-        vals = [1.0] + [-2.0 * root[r, k] for k in range(r, m)]
-        builder.add_equality(cols, vals, 0.0)
+        builder.add_equality(np.r_[aux[1 + r], x[r:]], np.r_[1.0, -2.0 * root[r, r:]], 0.0)
     builder.add_equality([aux[m + 1], t], [1.0, 1.0], 1.0)
     builder.add_cone(QUADRATIC, aux)
 
@@ -403,9 +397,7 @@ def qp_to_socp(Q, a, beta: float, A=None, b=None) -> QpConeForm:
     builder.set_objective(head, 1.0)
     # R x - tail = -v, so tail = R x + v and ||tail|| <= head.
     for r in range(n):
-        cols = [int(tail[r])] + [int(x[k]) for k in range(r, n)]
-        vals = [-1.0] + [root[r, k] for k in range(r, n)]
-        builder.add_equality(cols, vals, -v[r])
+        builder.add_equality(np.r_[tail[r], x[r:]], np.r_[-1.0, root[r, r:]], -v[r])
     for r in range(A.shape[0]):
         nz = np.nonzero(A[r])[0]
         builder.add_equality(x[nz], A[r, nz], b[r])
@@ -503,16 +495,15 @@ def parse_cone_program(text: str) -> ConeProgram:
             line=lineno,
         )
     num_vars = reader.count("vars")
+    vars_line = reader.pos
     num_eqs = reader.count("eqs")
 
-    objective = np.zeros(num_vars)
-    seen = set()
+    coeffs = {}
     for (index, value), lineno in reader.rows("objective", 2):
         i = parse_int(index, lineno, "objective index", lo=0, hi=num_vars)
-        if i in seen:
+        if i in coeffs:
             raise ParseError(f"objective index {i} repeated", line=lineno)
-        seen.add(i)
-        objective[i] = parse_float(value, lineno, "objective coefficient")
+        coeffs[i] = parse_float(value, lineno, "objective coefficient")
 
     rows, cols, vals = [], [], []
     for (r, c, v), lineno in reader.rows("eq_entries", 3):
@@ -538,6 +529,17 @@ def parse_cone_program(text: str) -> ConeProgram:
 
     free = [parse_int(tokens[0], lineno, "free index", lo=0, hi=num_vars)
             for tokens, lineno in reader.rows("free", 1)]
+    # every variable lies in one cone or free set, so the file bounds the
+    # count before anything is sized by it
+    listed = len(free) + sum(cone.dim for cone in cones)
+    if num_vars > listed:
+        raise ParseError(
+            f"vars {num_vars} exceeds the {listed} indices the cone and free sections list",
+            line=vars_line,
+        )
+    objective = np.zeros(num_vars)
+    for i, value in coeffs.items():
+        objective[i] = value
 
     line, lineno = reader.next()
     if line != "end":

@@ -83,15 +83,16 @@ def _format_ranges(indices) -> str:
     return ",".join(parts)
 
 
-def _parse_ranges(text: str, lineno: int) -> np.ndarray:
+def _parse_ranges(text: str, lineno: int, num_samples: int) -> np.ndarray:
+    """Sample indices of a split line; each must lie in [0, num_samples)."""
     if text == "none":
         return np.empty(0, dtype=np.int64)
     out = []
     for token in text.split(","):
         first, sep, last = token.partition("-")
         what = f"index range {token!r}"
-        a = parse_int(first, lineno, what, lo=0)
-        b = parse_int(last, lineno, what, lo=a) if sep else a
+        a = parse_int(first, lineno, what, lo=0, hi=num_samples)
+        b = parse_int(last, lineno, what, lo=a, hi=num_samples) if sep else a
         out.extend(range(a, b + 1))
     return np.asarray(out, dtype=np.int64)
 
@@ -141,7 +142,7 @@ def _parse_manifest(text: str) -> dict:
         out[key] = parse_int(*required(key), key, lo=1)
     for key in ("train_indices", "valid_indices", "test_indices"):
         value, lineno = required(key)
-        out[key] = _parse_ranges(value, lineno)
+        out[key] = _parse_ranges(value, lineno, out["num_samples"])
     return out
 
 

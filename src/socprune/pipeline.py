@@ -303,12 +303,13 @@ def accuracy(predicted, y) -> float:
     return float(np.mean(pred == truth))
 
 
-def auto_threshold(w, t, y, valid_split, candidates=None, *,
-                   vote_mode=VOTE_MAJORITY):
-    """Pick the |w| cutoff maximizing voting accuracy on the validation split.
+def auto_threshold(w, tv, yv, candidates=None, *, vote_mode=VOTE_MAJORITY):
+    """Pick the |w| cutoff maximizing voting accuracy on a validation split.
 
-    Default candidates are 20 quantiles of |w|.  Ties break toward the
-    larger threshold, i.e. the smaller ensemble.
+    ``tv`` and ``yv`` are the split's predictions and labels.  Default
+    candidates are 20 quantiles of |w|; each distinct candidate is voted
+    once.  Ties break toward the larger threshold, i.e. the smaller
+    ensemble.  Returns (threshold, its validation accuracy).
     """
     w = np.asarray(w, dtype=np.float64)
     if candidates is None:
@@ -316,10 +317,9 @@ def auto_threshold(w, t, y, valid_split, candidates=None, *,
     candidates = np.unique(np.asarray(candidates, dtype=np.float64))
     if candidates.size == 0:
         raise DomainError("candidate list must be non-empty")
-    if candidates[0] < 0:
-        raise DomainError("thresholds must be nonnegative")
-    tv = t.subset(valid_split)
-    yv = y.subset(valid_split)
+    # np.unique sorts a NaN last
+    if not (candidates[0] >= 0 and candidates[-1] < np.inf):
+        raise DomainError("thresholds must be finite and nonnegative")
     best_h = None
     best_acc = -1.0
     for h in candidates:
@@ -328,7 +328,7 @@ def auto_threshold(w, t, y, valid_split, candidates=None, *,
         if acc >= best_acc:
             best_acc = acc
             best_h = float(h)
-    return best_h
+    return best_h, best_acc
 
 
 def _run_grid(t, y, splits, config):
@@ -336,10 +336,11 @@ def _run_grid(t, y, splits, config):
 
     Validates the splits and fits the surrogate on the train split; ``w``
     and ``h`` are the winning cell's weights and threshold.  Cells
-    that build the same program share one solve, threshold and vote: the
-    constraints depend only on the surrogate and the mode, so the program
-    is keyed by its objective.  In simplex mode the objective does not
-    depend on lambda, so each alpha is solved once.
+    that build the same program share one solve and one threshold search:
+    the constraints depend only on the surrogate and the mode, so the
+    program is keyed by its objective.  In simplex mode the objective does
+    not depend on lambda, so each alpha is solved once.  A fixed threshold
+    is the search's one candidate.
     """
     splits.validate_against(t.num_samples)
     surrogate = build_surrogate(
@@ -347,6 +348,7 @@ def _run_grid(t, y, splits, config):
     )
     tv = t.subset(splits.valid_indices)
     yv = y.subset(splits.valid_indices)
+    candidates = None if config.threshold == _AUTO else [config.threshold]
 
     def evaluate(program, vmap):
         # (w, h, kept, accuracy, status); failed cells carry w=None and -1.0
@@ -354,14 +356,8 @@ def _run_grid(t, y, splits, config):
             w = _solve_weights(program, vmap, config.solver)
         except FitFailed as exc:
             return None, -1.0, 0, -1.0, f"failed: {exc.status}"
-        if config.threshold == _AUTO:
-            h = auto_threshold(w, t, y, splits.valid_indices,
-                               vote_mode=config.vote_mode)
-        else:
-            h = float(config.threshold)
-        members = prune_by_threshold(w, h)
-        acc = accuracy(vote(tv, members, mode=config.vote_mode, weights=w), yv)
-        return w, h, len(members), acc, "ok"
+        h, acc = auto_threshold(w, tv, yv, candidates, vote_mode=config.vote_mode)
+        return w, h, len(prune_by_threshold(w, h)), acc, "ok"
 
     outcomes = {}
     cells = []

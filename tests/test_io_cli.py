@@ -197,6 +197,8 @@ class TestDatasetErrors:
         ("labels.csv", "2,1", "1,1", 4),  # duplicate label
         ("labels.csv", "2,1", "3,1", 4),  # sample_id out of range
         ("labels.csv", "1,0", "1,zero", 3),  # non-integer label
+        ("manifest.txt", "test_indices 2", "test_indices 2,3", 9),  # index == num_samples
+        ("manifest.txt", "valid_indices 1", "valid_indices 0-3", 8),  # range end == num_samples
     ])
     def test_bad_row_names_its_line(self, tmp_path, filename, old, new, line):
         target = corrupted_copy(
@@ -425,8 +427,10 @@ class TestCli:
         ({"objective": "objective 2\n0 1.0\n0 -1.0"}, 6),  # repeated index
         ({"cone": "nonneg_orthant 2 0 2"}, 12),
         ({"cone": "nonneg_orthant 2 -1 1"}, 12),
+        # more variables than the cones list; must fail before sizing arrays by it
+        ({"vars": "vars 1000000000000", "cone": "nonneg_orthant 1 0"}, 2),
     ], ids=["valid", "bare_vars", "negative_vars", "negative_eqs", "repeated_objective",
-            "cone_index_too_large", "negative_cone_index"])
+            "cone_index_too_large", "negative_cone_index", "vars_beyond_cones"])
     def test_malformed_program_exit_2(self, tmp_path, capsys, replace, line):
         (tmp_path / "p.sp").write_text(program_text(**replace))
         code, _, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)

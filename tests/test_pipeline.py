@@ -263,7 +263,7 @@ class TestAutoThreshold:
         t = PredictionTensor(probs=probs)
         y = LabelVector(labels=np.array([0, 1, 0, 1]), num_classes=2)
         w = np.array([0.1, 0.2, 0.3])
-        h = auto_threshold(w, t, y, np.arange(4))
+        h, _ = auto_threshold(w, t, y)
         assert h == pytest.approx(0.3)
 
     def test_picks_accuracy_maximizer(self):
@@ -274,16 +274,22 @@ class TestAutoThreshold:
         t = PredictionTensor(probs=np.stack([good, bad, bad]))
         y = LabelVector(labels=np.array([0, 1, 0, 1]), num_classes=2)
         w = np.array([0.9, 0.5, 0.5])
-        h = auto_threshold(w, t, y, np.arange(4))
+        h, _ = auto_threshold(w, t, y)
         selected = prune_by_threshold(w, h)
         assert selected == [0]
 
     def test_explicit_candidates(self):
         t = PredictionTensor(probs=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
         y = LabelVector(labels=np.array([0]), num_classes=2)
-        h = auto_threshold(np.array([0.8, 0.1]), t, y, np.array([0]),
-                           candidates=[0.0, 0.5])
-        assert h == 0.5
+        h, acc = auto_threshold(np.array([0.8, 0.1]), t, y, candidates=[0.0, 0.5])
+        assert (h, acc) == (0.5, 1.0)
+
+    @pytest.mark.parametrize("candidates", [[np.inf], [0.5, np.inf], [-0.1], [np.nan], []])
+    def test_bad_candidates_rejected(self, candidates):
+        t = PredictionTensor(probs=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
+        y = LabelVector(labels=np.array([0]), num_classes=2)
+        with pytest.raises(DomainError):
+            auto_threshold(np.array([0.8, 0.1]), t, y, candidates=candidates)
 
 
 class TestCrossValidate:
@@ -368,21 +374,65 @@ class TestRunPipeline:
         assert len(report.cells) == 25
         assert sorted(report.selected) == list(report.selected)
 
-    @pytest.mark.parametrize("simplex, solves", [(True, 5), (False, 25)])
-    def test_grid_solves_each_distinct_program_once(self, monkeypatch,
-                                                    simplex, solves):
+    @pytest.mark.parametrize("simplex, threshold, solves", [
+        pytest.param(True, "auto", 5, id="True-5"),
+        pytest.param(False, "auto", 25, id="False-25"),
+        pytest.param(True, 0.2, 5, id="True-5-fixed_threshold"),
+    ])
+    def test_grid_solves_each_distinct_program_once(self, monkeypatch, simplex,
+                                                    threshold, solves):
         # simplex mode drops lambda from the program, so the default 5x5
-        # grid has one program per alpha; the winner is not refit
+        # grid has one program per alpha; each distinct program gets one
+        # threshold search on the one validation split, and the winner is
+        # not refit or voted again
         calls = []
+        subsets = []
+        votes = []
+        searched = []  # distinct candidates of each threshold search
+        real_subset = PredictionTensor.subset
+        real_vote = pipeline.vote
+        real_threshold = pipeline.auto_threshold
 
         def counting_solve(program, settings=None):
             calls.append(program)
             return solve(program, settings)
 
+        def counting_subset(self, indices):
+            subsets.append(len(indices))
+            return real_subset(self, indices)
+
+        def counting_vote(t, *args, **kwargs):
+            votes.append(t)
+            return real_vote(t, *args, **kwargs)
+
+        def counting_threshold(w, tv, yv, candidates=None, **kwargs):
+            grid = (np.quantile(np.abs(w), np.linspace(0.0, 1.0, 20))
+                    if candidates is None else candidates)
+            searched.append(np.unique(grid).size)
+            return real_threshold(w, tv, yv, candidates, **kwargs)
+
         monkeypatch.setattr(pipeline, "solve", counting_solve)
-        report = run_pipeline(small_spec(), PruneConfig(simplex_mode=simplex))
+        monkeypatch.setattr(PredictionTensor, "subset", counting_subset)
+        monkeypatch.setattr(pipeline, "vote", counting_vote)
+        monkeypatch.setattr(pipeline, "auto_threshold", counting_threshold)
+        spec = small_spec()
+        _, _, splits = generate_synthetic_ensemble(spec)
+        report = run_pipeline(spec, PruneConfig(simplex_mode=simplex, threshold=threshold))
         assert len(calls) == solves
         assert len(report.cells) == 25
+        # train, valid, test: one subset each
+        assert subsets == [len(splits.train_indices), len(splits.valid_indices),
+                           len(splits.test_indices)]
+        # one vote per distinct candidate of each distinct program, all on
+        # one validation tensor, then the full and the pruned ensemble on
+        # the test split
+        assert len(searched) == solves
+        assert len(votes) == sum(searched) + 2
+        assert len({id(t) for t in votes[:-2]}) == 1
+        assert votes[-1] is votes[-2] is not votes[0]
+        if threshold != "auto":
+            assert searched == [1] * solves
+            assert {c.threshold for c in report.cells} == {threshold}
 
     def test_selected_size_mostly_shrinks_with_lambda(self):
         # free mode, where lambda enters the program, at fractions of
