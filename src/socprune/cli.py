@@ -179,7 +179,7 @@ def _prune_config(args, single_cell: bool = False) -> PruneConfig:
 
 def _emit(args, text: str) -> None:
     if args.out is not None:
-        dataio.atomic_write_text(args.out, text)
+        dataio.atomic_write_text(args.out, [text])
     else:
         sys.stdout.write(text)
 

@@ -319,7 +319,8 @@ def build_pruning_socp(
     # aux = (1 + t, 2 R x, 1 - t)
     builder.add_equality([aux[0], t], [1.0, -1.0], 1.0)
     for r in range(m):
-        builder.add_equality(np.r_[aux[1 + r], x[r:]], np.r_[1.0, -2.0 * root[r, r:]], 0.0)
+        builder.add_equality(np.concatenate(([aux[1 + r]], x[r:])),
+                             np.concatenate(([1.0], -2.0 * root[r, r:])), 0.0)
     builder.add_equality([aux[m + 1], t], [1.0, 1.0], 1.0)
     builder.add_cone(QUADRATIC, aux)
 
@@ -397,7 +398,8 @@ def qp_to_socp(Q, a, beta: float, A=None, b=None) -> QpConeForm:
     builder.set_objective(head, 1.0)
     # R x - tail = -v, so tail = R x + v and ||tail|| <= head.
     for r in range(n):
-        builder.add_equality(np.r_[tail[r], x[r:]], np.r_[-1.0, root[r, r:]], -v[r])
+        builder.add_equality(np.concatenate(([tail[r]], x[r:])),
+                             np.concatenate(([-1.0], root[r, r:])), -v[r])
     for r in range(A.shape[0]):
         nz = np.nonzero(A[r])[0]
         builder.add_equality(x[nz], A[r, nz], b[r])
@@ -560,7 +562,7 @@ def parse_cone_program(text: str) -> ConeProgram:
 
 def write_cone_program(p: ConeProgram, path):
     """Atomic write of the text form (temp file + rename); IoError on OS failure."""
-    atomic_write_text(path, serialize_cone_program(p))
+    atomic_write_text(path, [serialize_cone_program(p)])
 
 
 def read_cone_program(path) -> ConeProgram:

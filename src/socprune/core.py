@@ -8,6 +8,7 @@ read-only) and safe to share across concurrent workers.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-9
+EXACT_FORMAT = "%.17g"  # 17 significant digits: enough for exact float64 round-trips
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -196,12 +198,12 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def format_exact(x: float) -> str:
-    """17 significant digits: enough for exact float64 round-trips."""
-    return format(float(x), ".17g")
+    """``x`` as text that reads back to the same float64."""
+    return EXACT_FORMAT % float(x)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via temp file + rename; IoError on OS failure.
+def atomic_write_text(path, chunks) -> None:
+    """Write an iterable of strings to path via temp file + rename; IoError on OS failure.
 
     The temp file is created with mode 0o666 less the umask, as ``open()``
     would create it, so the written file's mode follows the umask.
@@ -214,7 +216,7 @@ def atomic_write_text(path, text: str) -> None:
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -224,16 +226,23 @@ def atomic_write_text(path, text: str) -> None:
             os.unlink(tmp)
 
 
-def read_text(path) -> str:
-    """Whole text file; IoError on OS failure, ParseError if it cannot be decoded."""
+@contextmanager
+def open_text(path):
+    """Text file open for reading; IoError on OS failure, ParseError if it cannot be decoded."""
     path = os.fspath(path)
     try:
         with open(path, "r") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot decode {path} as {exc.encoding}: {exc.reason}") from None
+
+
+def read_text(path) -> str:
+    """Whole text file, with the errors of ``open_text``."""
+    with open_text(path) as fh:
+        return fh.read()
 
 
 def parse_int(token: str, line: int, what: str, lo: int | None = None,

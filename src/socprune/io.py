@@ -20,19 +20,24 @@ exactly 1 (like the shipped fixture) round-trip bit-for-bit.
 
 from __future__ import annotations
 
+import array
 import json
+import math
 import os
 from dataclasses import asdict
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from .core import (
+    EXACT_FORMAT,
     LabelVector,
     PredictionTensor,
     SplitSpec,
     atomic_write_text,
     format_exact,
+    open_text,
     parse_float,
     parse_int,
     read_text,
@@ -54,6 +59,7 @@ LABELS_NAME = "labels.csv"
 
 _MANIFEST_MAGIC = "socprune-dataset"
 _REPORT_KIND = "socprune-report"
+_SPLIT_KEYS = ("train_indices", "valid_indices", "test_indices")
 
 # one-row headline summary; the column set is part of the contract.
 SUMMARY_COLUMNS = (
@@ -137,12 +143,10 @@ def _parse_manifest(text: str) -> dict:
             f"dataset format_version {version} unsupported (expected {DATA_FORMAT_VERSION})"
         )
 
-    out = {"format_version": version, "provenance": fields.get("provenance", ("", 0))[0]}
-    for key in ("num_models", "num_samples", "num_classes"):
-        out[key] = parse_int(*required(key), key, lo=1)
-    for key in ("train_indices", "valid_indices", "test_indices"):
-        value, lineno = required(key)
-        out[key] = _parse_ranges(value, lineno, out["num_samples"])
+    out = {key: parse_int(*required(key), key, lo=1)
+           for key in ("num_models", "num_samples", "num_classes")}
+    # (text, line): read_predictions expands them once the labels confirm num_samples
+    out.update((key, required(key)) for key in _SPLIT_KEYS)
     return out
 
 
@@ -181,73 +185,84 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
         f"num_samples {t.num_samples}",
         f"num_classes {t.num_classes}",
         f"provenance {' '.join(str(provenance).split())}",
-        f"train_indices {_format_ranges(splits.train_indices)}",
-        f"valid_indices {_format_ranges(splits.valid_indices)}",
-        f"test_indices {_format_ranges(splits.test_indices)}",
+        *(f"{key} {_format_ranges(getattr(splits, key))}" for key in _SPLIT_KEYS),
         "end",
     ]
-    atomic_write_text(os.path.join(path, MANIFEST_NAME), "\n".join(manifest) + "\n")
+    atomic_write_text(os.path.join(path, MANIFEST_NAME), ["\n".join(manifest) + "\n"])
 
-    rows = [_predictions_header(t.num_classes)]
-    for i in range(t.num_models):
-        for n in range(t.num_samples):
-            probs = ",".join(format_exact(v) for v in t.probs[i, n])
-            rows.append(f"{i},{n},{probs}")
-    atomic_write_text(os.path.join(path, PREDICTIONS_NAME), "\n".join(rows) + "\n")
+    # one model per chunk: tolist() of the whole tensor would hold M*N*C floats
+    row = "%d,%d," + ",".join([EXACT_FORMAT] * t.num_classes) + "\n"
+    blocks = ("".join([row % (i, n, *p) for n, p in enumerate(t.probs[i].tolist())])
+              for i in range(t.num_models))
+    atomic_write_text(os.path.join(path, PREDICTIONS_NAME),
+                      chain([_predictions_header(t.num_classes) + "\n"], blocks))
 
-    rows = ["sample_id,label"]
-    for n in range(t.num_samples):
-        rows.append(f"{n},{int(y.labels[n])}")
-    atomic_write_text(os.path.join(path, LABELS_NAME), "\n".join(rows) + "\n")
+    labels = "".join(["%d,%d\n" % row for row in enumerate(y.labels.tolist())])
+    atomic_write_text(os.path.join(path, LABELS_NAME), ["sample_id,label\n" + labels])
 
 
-def _read_table(path, header: str, bounds: tuple, parse_value, dtype, what: str):
+def _parse_floats(tokens, line, names):
+    """A row's floats, converted in C; a bad token gets parse_float's ParseError."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        return [parse_float(tok, line, name) for tok, name in zip(tokens, names)]
+
+
+def _read_table(path, header, width, bounds, parse_values, dtype, what):
     """One dataset CSV table as an array shaped (*bounds, width).
 
-    The first ``len(bounds)`` columns are integer keys, the k-th in
-    [0, bounds[k]), and every key tuple must appear on exactly one row.
-    ``parse_value(token, line, name)`` converts the other ``width`` header
-    columns into ``dtype``.  Empty lines are skipped; each ParseError names
-    the line at fault.
+    The first line must have ``len(bounds) + width`` fields, then equal
+    ``header()``.  Each row holds ``len(bounds)`` integer keys, the k-th in
+    [0, bounds[k]), one row per key tuple, then ``width`` values that
+    ``parse_values(tokens, line, names)`` converts.  Lines are streamed and
+    buffers grow with the rows read, so no claimed size is allocated before
+    the rows confirm it.  Empty lines are skipped; each ParseError names the
+    line at fault.
     """
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != header:
-        raise ParseError(f"{what} header must be {header!r}", line=1)
-    names = header.split(",")
     num_keys = len(bounds)
-    value_names = names[num_keys:]
-    keys = np.empty((len(lines), num_keys), dtype=np.int64)
-    values = np.empty((len(lines), len(value_names)), dtype=dtype)
-    linenos = np.empty(len(lines), dtype=np.int64)
-    count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(names):
+    values = array.array(np.dtype(dtype).char)
+    rows = {}  # flat key -> None; a dict keeps the rows' file order
+    with open_text(path) as fh:
+        names = next(fh, "").rstrip("\n").split(",")
+        if len(names) != num_keys + width:
             raise ParseError(
-                f"{what} row has {len(parts)} fields, header has {len(names)}", line=lineno
-            )
-        keys[count] = [parse_int(tok, lineno, name, 0, bound)
-                       for tok, name, bound in zip(parts, names, bounds)]
-        values[count] = [parse_value(tok, lineno, name)
-                         for tok, name in zip(parts[num_keys:], value_names)]
-        linenos[count] = lineno
-        count += 1
-    del lines  # release the text before the reordered copy below
+                f"{what} header has {len(names)} fields, not {num_keys + width}", line=1)
+        if ",".join(names) != header():
+            raise ParseError(f"{what} header must be {header()!r}", line=1)
+        key_names, value_names = names[:num_keys], names[num_keys:]
 
-    def key_text(key):
-        return ", ".join(f"{name} {k}" for name, k in zip(names, key))
+        def key_text(flat):
+            key = []
+            for bound in reversed(bounds):
+                flat, k = divmod(flat, bound)
+                key.append(k)
+            return ", ".join(f"{name} {k}" for name, k in zip(key_names, reversed(key)))
 
-    flat = np.ravel_multi_index(tuple(keys[:count].T), bounds)
-    counts = np.bincount(flat, minlength=int(np.prod(bounds)))
-    if counts.max() > 1:
-        r = np.flatnonzero(flat == np.argmax(counts > 1))[1]
-        raise ParseError(f"duplicate {what} row for {key_text(keys[r])}", line=int(linenos[r]))
-    if counts.min() == 0:
-        missing = np.unravel_index(int(np.argmin(counts)), bounds)
-        raise ParseError(f"no {what} row for {key_text(missing)}")
-    return values[:count][np.argsort(flat)].reshape(*bounds, -1)
+        lineno = 1
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split(",")
+            if parts == [""]:
+                continue
+            if len(parts) != len(names):
+                raise ParseError(
+                    f"{what} row has {len(parts)} fields, header has {len(names)}", line=lineno)
+            flat = 0
+            for tok, name, bound in zip(parts, key_names, bounds):
+                flat = flat * bound + parse_int(tok, lineno, name, 0, bound)
+            values.extend(parse_values(parts[num_keys:], lineno, value_names))
+            if flat in rows:
+                raise ParseError(f"duplicate {what} row for {key_text(flat)}", line=lineno)
+            rows[flat] = None
+    total = math.prod(bounds)
+    if len(rows) < total:  # so the search below ends within len(rows) + 1 steps
+        missing = next(k for k in range(total) if k not in rows)
+        raise ParseError(f"no {what} row for {key_text(missing)}", line=lineno)
+    order = np.fromiter(rows, np.int64, total)
+    del rows  # free the key dict before the reordered copy
+    out = np.empty((total, width), dtype=dtype)
+    out[order] = np.frombuffer(values, dtype).reshape(total, width)
+    return out.reshape(*bounds, width)
 
 
 def read_predictions(path):
@@ -264,19 +279,18 @@ def read_predictions(path):
     num_samples = manifest["num_samples"]
     num_classes = manifest["num_classes"]
 
-    labels = _read_table(os.path.join(path, LABELS_NAME), "sample_id,label", (num_samples,),
-                         partial(parse_int, lo=0, hi=num_classes), np.int64, "labels")
-    probs = _read_table(os.path.join(path, PREDICTIONS_NAME), _predictions_header(num_classes),
-                        (num_models, num_samples), parse_float, np.float64, "predictions")
+    def parse_labels(tokens, line, names):
+        return [parse_int(tokens[0], line, names[0], lo=0, hi=num_classes)]
+
+    labels = _read_table(os.path.join(path, LABELS_NAME), lambda: "sample_id,label", 1,
+                         (num_samples,), parse_labels, np.int64, "labels")
+    splits = SplitSpec(**{key: _parse_ranges(*manifest[key], num_samples) for key in _SPLIT_KEYS})
+    probs = _read_table(os.path.join(path, PREDICTIONS_NAME),
+                        partial(_predictions_header, num_classes), num_classes,
+                        (num_models, num_samples), _parse_floats, np.float64, "predictions")
 
     t = PredictionTensor(probs=probs)
     y = LabelVector(labels=labels[:, 0], num_classes=num_classes)
-    splits = SplitSpec(
-        train_indices=manifest["train_indices"],
-        valid_indices=manifest["valid_indices"],
-        test_indices=manifest["test_indices"],
-    )
-    splits.validate_against(num_samples)
     return t, y, splits
 
 
@@ -323,7 +337,7 @@ def render_report(report: PruneReport, format: str = FORMAT_JSON) -> str:
 
 def write_report(report: PruneReport, path, format: str = FORMAT_JSON) -> None:
     """Serialize a report; json-text is lossless, csv-summary is the headline row."""
-    atomic_write_text(path, render_report(report, format))
+    atomic_write_text(path, [render_report(report, format)])
 
 
 def read_report(path) -> PruneReport:

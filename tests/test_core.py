@@ -150,10 +150,8 @@ class TestSeededRng:
         assert type(seeded_rng(7).bit_generator).__name__ == "Philox"
 
     def test_seed42_matches_golden(self):
-        lines = [
-            line for line in open(os.path.join(GOLDEN, "philox_seed42.txt"))
-            if not line.startswith("#")
-        ]
+        with open(os.path.join(GOLDEN, "philox_seed42.txt")) as fh:
+            lines = [line for line in fh if not line.startswith("#")]
         expected_uniform = [float(v) for v in lines[:8]]
         expected_ints = [int(v) for v in lines[8:12]]
         expected_normal = [float(v) for v in lines[12:16]]

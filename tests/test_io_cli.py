@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from socprune import cli
 from socprune.conic import NONNEG_ORTHANT, QUADRATIC, ProgramBuilder, write_cone_program
-from socprune.core import LabelVector, PredictionTensor, SplitSpec
+from socprune.core import LabelVector, PredictionTensor, SplitSpec, format_exact
 from socprune.errors import (
     DomainError,
     IoError,
@@ -42,6 +43,16 @@ TINY_PROBS = np.array([
     [[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]],
     [[0.125, 0.875], [0.75, 0.25], [0.0, 1.0]],
 ])
+
+
+def reference_tables(t, y):
+    """The predictions and labels text, one format_exact call per value."""
+    rows = ["model_id,sample_id," + ",".join(f"p_{j}" for j in range(t.num_classes))]
+    for i in range(t.num_models):
+        for n in range(t.num_samples):
+            rows.append(f"{i},{n}," + ",".join(format_exact(v) for v in t.probs[i, n]))
+    labels = ["sample_id,label"] + [f"{n},{int(k)}" for n, k in enumerate(y.labels)]
+    return "\n".join(rows) + "\n", "\n".join(labels) + "\n"
 
 
 def rewrite(path, transform):
@@ -91,11 +102,58 @@ class TestDatasetRoundTrip:
             rows = rows[::-1]
             return "\n".join([header, *rows[:2], "", *rows[2:]]) + "\n\n"
 
-        target = corrupted_copy(tmp_path, "predictions.csv", shuffle)
-        rewrite(target / "labels.csv", shuffle)
-        t, y, _ = read_predictions(target)
-        assert np.array_equal(t.probs, TINY_PROBS)
-        assert np.array_equal(y.labels, [1, 0, 1])
+        # the golden dataset with LF line ends, and a copy with CRLF ones
+        for newline in ("\n", "\r\n"):
+            target = tmp_path / f"dataset-{len(newline)}"
+            shutil.copytree(GOLDEN, target)
+            for path in target.iterdir():
+                text = path.read_text()
+                if path.suffix == ".csv":
+                    text = shuffle(text)
+                path.write_text(text, newline=newline)
+            assert (b"\r\n" in (target / "labels.csv").read_bytes()) == (newline == "\r\n")
+            t, y, _ = read_predictions(target)
+            assert np.array_equal(t.probs, TINY_PROBS)
+            assert np.array_equal(y.labels, [1, 0, 1])
+
+    def test_writer_matches_per_value_reference(self, tmp_path, rng):
+        special = [0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1]
+        edge = PredictionTensor(probs=np.array([
+            [[0.0, -0.0, 1.0], [5e-324, 0.0, 1.0]],
+            [[1e-05, 0.99999, 0.0], [0.1, 0.9, 0.0]],
+        ]))
+        assert all(np.any(edge.probs == v) for v in special) and np.signbit(edge.probs).any()
+        assert [format_exact(v) for v in special] == [format(v, ".17g") for v in special]
+        edge_labels = LabelVector(labels=np.array([2, 0]), num_classes=3)
+        for k, (t, y) in enumerate([(edge, edge_labels), random_instance(rng, 3, 7, 4)]):
+            splits = SplitSpec(train_indices=np.arange(t.num_samples),
+                               valid_indices=np.array([], dtype=np.int64),
+                               test_indices=np.array([], dtype=np.int64))
+            target = tmp_path / f"d{k}"
+            write_predictions(target, t, y, splits)
+            predictions, labels = reference_tables(t, y)
+            assert (target / "predictions.csv").read_bytes() == predictions.encode()
+            assert (target / "labels.csv").read_bytes() == labels.encode()
+
+    def test_streamed_io_peak_memory(self, tmp_path, rng):
+        t, y = random_instance(rng, 10, 1000, 20)
+        splits = SplitSpec(train_indices=np.arange(600),
+                           valid_indices=np.arange(600, 800),
+                           test_indices=np.arange(800, 1000))
+        tracemalloc.start()
+        try:
+            write_predictions(tmp_path / "d", t, y, splits)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            read_predictions(tmp_path / "d")
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "d" / "predictions.csv").stat().st_size  # about 4.25 MB
+        # neither direction holds the whole text: the writer one model's
+        # rows, the reader one line plus the parsed values
+        assert write_peak < size / 2
+        assert read_peak < size
 
     def test_write_rejects_inconsistent_shapes(self, tmp_path, rng):
         t, y = random_instance(rng, 2, 10, 3)
@@ -199,13 +257,19 @@ class TestDatasetErrors:
         ("labels.csv", "1,0", "1,zero", 3),  # non-integer label
         ("manifest.txt", "test_indices 2", "test_indices 2,3", 9),  # index == num_samples
         ("manifest.txt", "valid_indices 1", "valid_indices 0-3", 8),  # range end == num_samples
+        # shape claims no row confirms: the table's last line, with nothing sized by the claim
+        ("manifest.txt", "num_samples 3", "num_samples 1000000000000", 4),
+        ("manifest.txt", "num_models 2", "num_models 1000000000000", 7),
     ])
-    def test_bad_row_names_its_line(self, tmp_path, filename, old, new, line):
+    def test_bad_row_names_its_line(self, tmp_path, capsys, filename, old, new, line):
         target = corrupted_copy(
             tmp_path, filename, lambda s: s.replace(f"\n{old}\n", f"\n{new}\n"))
         with pytest.raises(ParseError) as exc:
             read_predictions(target)
         assert exc.value.line == line
+        code, _, err = run_cli(["check", str(target)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: line {line}:")
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoError):
@@ -270,14 +334,14 @@ class TestReportIO:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(IoError):
-            atomic_write_text(tmp_path / "out.txt", "payload")
+            atomic_write_text(tmp_path / "out.txt", ["payload"])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_written_file_mode_follows_umask(self, tmp_path, umask, mode):
         previous = os.umask(umask)
         try:
-            atomic_write_text(tmp_path / "out.txt", "payload")
+            atomic_write_text(tmp_path / "out.txt", ["payload"])
         finally:
             os.umask(previous)
         assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
