@@ -104,7 +104,8 @@ def _parse_ranges(text: str, lineno: int, num_samples: int) -> np.ndarray:
 
 
 def _parse_manifest(text: str) -> dict:
-    lines = text.splitlines()
+    # newline-translated text: only "\n" ends a line, and a final one opens no line
+    lines = text.removesuffix("\n").split("\n")
     fields = {}
     saw_magic = False
     saw_end = False
@@ -384,7 +385,7 @@ def read_report(path) -> PruneReport:
 
 def read_summary(path) -> dict:
     """Read back a csv-summary row as a plain dict."""
-    lines = [line for line in read_text(path).splitlines() if line]
+    lines = [line for line in read_text(path).split("\n") if line]
     if len(lines) != 2:
         raise ParseError(f"summary must be header + one row, got {len(lines)} lines")
     if tuple(lines[0].split(",")) != SUMMARY_COLUMNS:

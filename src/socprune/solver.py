@@ -78,7 +78,9 @@ class _Structure:
     halfplanes u+x >= 0, u-x >= 0), so they are rotated into two orthant
     coordinates; this keeps the scaling well conditioned when such a cone
     is active at the optimum.  Rotated cones of dim >= 3 become standard
-    quadratic cones under the same involutive transform.
+    quadratic cones under the same involutive transform.  ``e`` is the
+    identity of the cone product: 1 on orthant coordinates and quadratic-cone
+    heads, 0 elsewhere.
     """
 
     def __init__(self, program: ConeProgram):
@@ -107,6 +109,9 @@ class _Structure:
         self.rot_pairs = rot_pairs
         self.free = np.asarray(sorted(program.free_vars), dtype=np.int64)
         self.degree = len(self.orth) + len(self.socs)
+        self.e = np.zeros(program.num_vars)
+        self.e[self.orth] = 1.0
+        self.e[[int(idx[0]) for idx in socs]] = 1.0
 
 
 def _rotate(v: np.ndarray, rot_pairs) -> None:
@@ -209,12 +214,11 @@ def _smallest_positive_root(a: float, b: float, c: float) -> float:
 def _max_step(z: np.ndarray, dz: np.ndarray, structure: _Structure) -> float:
     """Largest step with z + alpha*dz still in the cone (boundary step)."""
     alpha = np.inf
-    if structure.orth.size:
-        zo = z[structure.orth]
-        dzo = dz[structure.orth]
-        neg = dzo < 0
-        if neg.any():
-            alpha = min(alpha, float(np.min(-zo[neg] / dzo[neg])))
+    zo = z[structure.orth]
+    dzo = dz[structure.orth]
+    neg = dzo < 0
+    if neg.any():
+        alpha = min(alpha, float(np.min(-zo[neg] / dzo[neg])))
     for idx in structure.socs:
         zb = z[idx]
         db = dz[idx]
@@ -270,14 +274,45 @@ class _KktSolver:
         return z[: self.n], z[self.n :]
 
 
-def _scaling_apply(structure, soc_scales, orth_vals, z, func_orth, with_eta):
-    """Shared helper for blockwise W / W^-1 products (orthant part diagonal)."""
-    out = np.zeros_like(z)
-    if structure.orth.size:
-        out[structure.orth] = func_orth(z[structure.orth], orth_vals)
-    for sc in soc_scales:
-        out[sc.idx] = with_eta(sc, z[sc.idx])
-    return out
+class _NtScaling:
+    """Nesterov-Todd scaling W of every cone block at one interior point.
+
+    The orthant part of W is the diagonal sqrt(x/s), each quadratic cone a
+    ``_SocScale``.  ``lam`` = W^-1 x is the scaled point and ``H`` the
+    Hessian block W^-2 of the KKT matrix; free coordinates stay zero.
+    """
+
+    def __init__(self, structure: _Structure, x: np.ndarray, s: np.ndarray):
+        o = structure.orth
+        xo = x[o]
+        so = s[o]
+        if np.any(xo <= 0) or np.any(so <= 0):
+            raise FloatingPointError("orthant iterate not interior")
+        self.orth = o
+        self.orth_w = np.sqrt(xo / so)
+        self.socs = [_SocScale(idx, x[idx], s[idx]) for idx in structure.socs]
+        n = x.size
+        self.lam = np.zeros(n)
+        self.lam[o] = np.sqrt(x[o] * s[o])
+        self.H = np.zeros((n, n))
+        self.H[o, o] = s[o] / x[o]
+        for sc in self.socs:
+            self.lam[sc.idx] = sc.lam
+            self.H[np.ix_(sc.idx, sc.idx)] = sc.hessian()
+
+    def mul_w(self, z: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(z)
+        out[self.orth] = z[self.orth] * self.orth_w
+        for sc in self.socs:
+            out[sc.idx] = sc.mul_w(z[sc.idx])
+        return out
+
+    def mul_winv(self, z: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(z)
+        out[self.orth] = z[self.orth] / self.orth_w
+        for sc in self.socs:
+            out[sc.idx] = sc.mul_winv(z[sc.idx])
+        return out
 
 
 # Path-following alone leaves an O(sqrt(gap)) error in the primal point when a
@@ -400,13 +435,12 @@ def _polish(structure, A, b, c, x, y, s):
         s_pol[idx] = max(th[bi], 0.0) * jx
 
     scale = _POLISH_FEAS_TOL * (1.0 + _inf_norm(xf) + _inf_norm(s_pol))
-    if structure.orth.size:
-        xo = xf[structure.orth]
-        so = s_pol[structure.orth]
-        if xo.min(initial=0.0) < -scale or so.min(initial=0.0) < -scale:
-            return None
-        xf[structure.orth] = np.maximum(xo, 0.0)
-        s_pol[structure.orth] = np.maximum(so, 0.0)
+    xo = xf[structure.orth]
+    so = s_pol[structure.orth]
+    if xo.min(initial=0.0) < -scale or so.min(initial=0.0) < -scale:
+        return None
+    xf[structure.orth] = np.maximum(xo, 0.0)
+    s_pol[structure.orth] = np.maximum(so, 0.0)
     for idx in structure.socs:
         for vec in (xf[idx], s_pol[idx]):
             margin = vec[0] - np.linalg.norm(vec[1:])
@@ -430,7 +464,6 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
 
     n = program.num_vars
     b_full = np.asarray(program.eq_b, dtype=np.float64)
-    c_orig = np.asarray(program.objective, dtype=np.float64)
 
     # presolve: drop all-zero equality rows; a zero row with nonzero rhs is
     # an immediate infeasibility certificate.
@@ -440,48 +473,33 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         if b_full[r] != 0.0:
             y_cert = np.zeros(b_full.size)
             y_cert[r] = np.sign(b_full[r])
-            return ConicSolution(
-                x=np.zeros(n), y=y_cert, s=np.zeros(n),
-                status=STATUS_INFEASIBLE, iterations=0,
-                gap=0.0, primal_residual=np.inf, dual_residual=0.0,
-            )
+            return _solution(program, np.zeros(n), y_cert, np.zeros(n), STATUS_INFEASIBLE, 0)
     keep_rows = np.nonzero(row_nnz > 0)[0]
     A = program.eq_A[keep_rows].toarray()
     b = b_full[keep_rows]
     m = A.shape[0]
 
     structure = _Structure(program)
-    c = c_orig.copy()
+    c = np.array(program.objective, dtype=np.float64)
     _rotate(A.T, structure.rot_pairs)
     _rotate(c, structure.rot_pairs)
 
     def finish(x, y, s, status, iterations):
+        """Map a working-space point back to the program's space and report it."""
         x = x.copy()
         s = s.copy()
         _rotate(x, structure.rot_pairs)
         _rotate(s, structure.rot_pairs)
         y_full = np.zeros(b_full.size)
         y_full[keep_rows] = y
-        gap, pres, dres = kkt_residuals(
-            program,
-            ConicSolution(x=x, y=y_full, s=s, status=status, iterations=iterations,
-                          gap=0.0, primal_residual=0.0, dual_residual=0.0),
-        )
-        return ConicSolution(x=x, y=y_full, s=s, status=status, iterations=iterations,
-                             gap=gap, primal_residual=pres, dual_residual=dres)
+        return _solution(program, x, y_full, s, status, iterations)
 
     if structure.degree == 0:
-        return _solve_equality_only(program, structure, A, b, c, keep_rows, b_full, settings)
+        return finish(*_solve_equality_only(A, b, c, settings.tol), 1)
 
     zeta = 1.0 + max(_inf_norm(b), _inf_norm(c))
-    x = np.zeros(n)
-    s = np.zeros(n)
-    if structure.orth.size:
-        x[structure.orth] = zeta
-        s[structure.orth] = zeta
-    for idx in structure.socs:
-        x[idx[0]] = zeta
-        s[idx[0]] = zeta
+    x = zeta * structure.e
+    s = zeta * structure.e
     y = np.zeros(m)
 
     b_scale = 1.0 + _inf_norm(b)
@@ -554,28 +572,8 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
 
         mu = inner / nu
         try:
-            orth_w = None
-            if structure.orth.size:
-                xo = x[structure.orth]
-                so = s[structure.orth]
-                if np.any(xo <= 0) or np.any(so <= 0):
-                    raise FloatingPointError("orthant iterate not interior")
-                orth_w = np.sqrt(xo / so)
-            soc_scales = [_SocScale(idx, x[idx], s[idx]) for idx in structure.socs]
-
-            lam = np.zeros(n)
-            if structure.orth.size:
-                lam[structure.orth] = np.sqrt(x[structure.orth] * s[structure.orth])
-            for sc in soc_scales:
-                lam[sc.idx] = sc.lam
-
-            H = np.zeros((n, n))
-            if structure.orth.size:
-                H[structure.orth, structure.orth] = s[structure.orth] / x[structure.orth]
-            for sc in soc_scales:
-                H[np.ix_(sc.idx, sc.idx)] = sc.hessian()
-
-            kkt = _KktSolver(H, A)
+            W = _NtScaling(structure, x, s)
+            kkt = _KktSolver(W.H, A)
         except (FloatingPointError, scipy.linalg.LinAlgError, ZeroDivisionError):
             status = STATUS_NUMERICAL
             iterations = k
@@ -585,7 +583,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         r_p = b - A @ x
         r_d = c - A.T @ y - s
         dx_aff, dy_aff = kkt.solve(r_d + s, r_p)
-        ds_aff = -s - H @ dx_aff
+        ds_aff = -s - W.H @ dx_aff
         alpha_aff = min(
             1.0,
             _max_step(x, dx_aff, structure),
@@ -595,24 +593,20 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
         # corrector: recentering plus the Mehrotra cross term in scaled space
-        u = _scaling_apply(structure, soc_scales, orth_w,
-                           dx_aff, lambda z, w: z / w, _SocScale.mul_winv)
-        v = _scaling_apply(structure, soc_scales, orth_w,
-                           ds_aff, lambda z, w: z * w, _SocScale.mul_w)
+        u = W.mul_winv(dx_aff)
+        v = W.mul_w(ds_aff)
+        o = structure.orth
+        lam = W.lam
         g = np.zeros(n)
-        if structure.orth.size:
-            o = structure.orth
-            d_o = sigma * mu - lam[o] * lam[o] - u[o] * v[o]
-            g[o] = d_o / lam[o]
-        for sc in soc_scales:
+        g[o] = (sigma * mu - lam[o] * lam[o] - u[o] * v[o]) / lam[o]
+        for sc in W.socs:
             d_blk = -_jordan(sc.lam, sc.lam) - _jordan(u[sc.idx], v[sc.idx])
             d_blk[0] += sigma * mu
             g[sc.idx] = _arrow_solve(sc.lam, d_blk)
-        winv_g = _scaling_apply(structure, soc_scales, orth_w,
-                                g, lambda z, w: z / w, _SocScale.mul_winv)
+        winv_g = W.mul_winv(g)
 
         dx, dy = kkt.solve(r_d - winv_g, r_p)
-        ds = winv_g - H @ dx
+        ds = winv_g - W.H @ dx
         alpha_max = min(_max_step(x, dx, structure), _max_step(s, ds, structure))
         step = min(1.0, _STEP_FRACTION * alpha_max)
 
@@ -638,39 +632,35 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     return finish(bx, by, bs, status, iterations)
 
 
-def _solve_equality_only(program, structure, A, b, c, keep_rows, b_full, settings):
-    """All-free program: one regularized KKT solve decides the status."""
-    n = program.num_vars
-    m = A.shape[0]
-    kkt = _KktSolver(np.zeros((n, n)), A)
-    _, y = kkt.solve(c, b)
-    # optimality for a linear objective over equalities: A'y = c and Ax = b;
-    # take the least-squares primal point and the KKT dual estimate
-    x_ls, *_ = np.linalg.lstsq(A, b, rcond=None) if m else (np.zeros(n),)
-    pres_vec = b - A @ x_ls if m else np.zeros(0)
-    dres_vec = c - A.T @ y if m else c
-    pres = _inf_norm(pres_vec) / (1.0 + _inf_norm(b))
-    dres = _inf_norm(dres_vec) / (1.0 + _inf_norm(c))
-    if pres > settings.tol:
+def _solve_equality_only(A, b, c, tol):
+    """All-free program: least squares decides the status.
+
+    Optimality for a linear objective over equalities is Ax = b and A'y = c.
+    x and y are the least-squares solutions of the two; an equation they
+    leave unmet yields the certificate.  Returns a working-space
+    (x, y, s, status).
+    """
+    n = c.size
+    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    y, *_ = np.linalg.lstsq(A.T, c, rcond=None)
+    pres_vec = b - A @ x
+    dres_vec = c - A.T @ y
+    if _inf_norm(pres_vec) / (1.0 + _inf_norm(b)) > tol:
+        # b has a component outside range(A): A'y_hat = 0 and b'y_hat = 1
         y_hat = pres_vec / max(float(b @ pres_vec), 1e-300)
-        y_full = np.zeros(b_full.size)
-        y_full[keep_rows] = y_hat
-        return ConicSolution(x=np.zeros(n), y=y_full, s=np.zeros(n),
-                             status=STATUS_INFEASIBLE, iterations=1,
-                             gap=0.0, primal_residual=pres, dual_residual=0.0)
-    if dres > settings.tol:
+        return np.zeros(n), y_hat, np.zeros(n), STATUS_INFEASIBLE
+    if _inf_norm(dres_vec) / (1.0 + _inf_norm(c)) > tol:
         # c has a component outside range(A'): moving along -dres_vec is an
         # unbounded descent direction in the null space of A
-        return ConicSolution(x=-dres_vec, y=np.zeros(b_full.size), s=np.zeros(n),
-                             status=STATUS_UNBOUNDED, iterations=1,
-                             gap=0.0, primal_residual=pres, dual_residual=dres)
-    y_full = np.zeros(b_full.size)
-    y_full[keep_rows] = y
-    sol = ConicSolution(x=x_ls, y=y_full, s=np.zeros(n), status=STATUS_OPTIMAL,
-                        iterations=1, gap=0.0, primal_residual=0.0, dual_residual=0.0)
-    gap, pres2, dres2 = kkt_residuals(program, sol)
-    return ConicSolution(x=x_ls, y=y_full, s=np.zeros(n), status=STATUS_OPTIMAL,
-                         iterations=1, gap=gap, primal_residual=pres2, dual_residual=dres2)
+        return -dres_vec, np.zeros(y.size), np.zeros(n), STATUS_UNBOUNDED
+    return x, y, np.zeros(n), STATUS_OPTIMAL
+
+
+def _solution(program, x, y, s, status, iterations) -> ConicSolution:
+    """The one way a solve returns: the point with its own gap and residuals."""
+    gap, pres, dres = _kkt_stats(program, x, y, s)
+    return ConicSolution(x=x, y=y, s=s, status=status, iterations=iterations,
+                         gap=gap, primal_residual=pres, dual_residual=dres)
 
 
 def kkt_residuals(program: ConeProgram, solution: ConicSolution):
@@ -687,6 +677,10 @@ def kkt_residuals(program: ConeProgram, solution: ConicSolution):
         raise ShapeMismatch("solution primal/dual cone vectors do not match the program")
     if y.shape != (program.num_eqs,):
         raise ShapeMismatch("solution equality duals do not match the program")
+    return _kkt_stats(program, x, y, s)
+
+
+def _kkt_stats(program: ConeProgram, x, y, s):
     A = program.eq_A
     b = program.eq_b
     c = program.objective

@@ -35,6 +35,7 @@ from socprune.pipeline import CellDiagnostic, PruneReport
 from socprune.solver import SolverSettings
 
 from conftest import random_instance
+from test_solver import lp_with_stored_zero_row
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_dataset"
 
@@ -96,13 +97,14 @@ class TestDatasetRoundTrip:
         t2, _, _ = read_predictions(tmp_path / "d")
         assert np.array_equal(t2.probs, t.probs)
 
-    def test_empty_lines_and_row_order_ignored(self, tmp_path):
+    def test_empty_lines_and_row_order_ignored(self, tmp_path, capsys):
         def shuffle(text):
             header, *rows = text.splitlines()
             rows = rows[::-1]
             return "\n".join([header, *rows[:2], "", *rows[2:]]) + "\n\n"
 
-        # the golden dataset with LF line ends, and a copy with CRLF ones
+        # the golden dataset with LF line ends, and a copy with CRLF ones; a
+        # form feed inside the provenance does not end the manifest line
         for newline in ("\n", "\r\n"):
             target = tmp_path / f"dataset-{len(newline)}"
             shutil.copytree(GOLDEN, target)
@@ -110,11 +112,15 @@ class TestDatasetRoundTrip:
                 text = path.read_text()
                 if path.suffix == ".csv":
                     text = shuffle(text)
+                else:
+                    text = text.replace("provenance ", "provenance a\fnum_models 7 ")
                 path.write_text(text, newline=newline)
             assert (b"\r\n" in (target / "labels.csv").read_bytes()) == (newline == "\r\n")
             t, y, _ = read_predictions(target)
             assert np.array_equal(t.probs, TINY_PROBS)
             assert np.array_equal(y.labels, [1, 0, 1])
+            code, _, _ = run_cli(["check", str(target)], capsys)
+            assert code == 0
 
     def test_writer_matches_per_value_reference(self, tmp_path, rng):
         special = [0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1]
@@ -444,6 +450,15 @@ class TestCli:
         code, out, _ = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         assert code == 3
         assert json.loads(out)["status"] == "unbounded"
+
+    def test_solve_presolve_infeasible_emits_finite_json(self, tmp_path, capsys):
+        write_cone_program(lp_with_stored_zero_row(), tmp_path / "p.sp")
+        code, out, _ = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "infeasible"
+        stats = [payload[key] for key in ("gap", "primal_residual", "dual_residual")]
+        assert all(np.isfinite(stats))
 
     def test_tol_reaches_the_solver(self, tmp_path, capsys):
         # min x0 over the cone x0 >= ||(x1, x2)|| with x1 = 1, x2 = 2

@@ -116,21 +116,56 @@ def lp_with_stored_zero_row():
     return builder.build()
 
 
+def qp_with_zero_row():
+    """A QP whose second equality row is all zeros with rhs 2."""
+    return qp_to_socp(np.eye(2), np.zeros(2), 0.0,
+                      A=[[1.0, 0.0], [0.0, 0.0]], b=[1.0, 2.0]).program
+
+
+def infeasible_lp():
+    """x0 = -1 over x0 >= 0."""
+    builder = ProgramBuilder()
+    x = builder.add_variable()
+    builder.add_cone(NONNEG_ORTHANT, [x])
+    builder.add_equality([x], [1.0], -1.0)
+    return builder.build()
+
+
+def unbounded_lp():
+    """min -x0 over x0 >= 0."""
+    builder = ProgramBuilder()
+    x = builder.add_variable()
+    builder.set_objective(x, -1.0)
+    builder.add_cone(NONNEG_ORTHANT, [x])
+    return builder.build()
+
+
+def pruning_program():
+    program, _ = build_pruning_socp(
+        surrogate_from(np.eye(6) + 0.1, np.linspace(-1.0, 1.0, 6)), alpha=0.7, lam=0.2
+    )
+    return program
+
+
+def free_program(objective, rows=(), rhs=()):
+    """min objective'x over free x subject to rows x = rhs."""
+    builder = ProgramBuilder()
+    x = builder.add_variables(len(objective))
+    builder.mark_free(x)
+    for i, coeff in enumerate(objective):
+        builder.set_objective(i, coeff)
+    for row, value in zip(rows, rhs):
+        builder.add_equality(x, row, value)
+    return builder.build()
+
+
 class TestStatuses:
     def test_infeasible(self):
-        builder = ProgramBuilder()
-        x = builder.add_variable()
-        builder.add_cone(NONNEG_ORTHANT, [x])
-        builder.add_equality([x], [1.0], -1.0)
-        sol = solve(builder.build())
+        sol = solve(infeasible_lp())
         assert sol.status == STATUS_INFEASIBLE
 
     def test_unbounded(self):
-        builder = ProgramBuilder()
-        x = builder.add_variable()
-        builder.set_objective(x, -1.0)
-        builder.add_cone(NONNEG_ORTHANT, [x])
-        sol = solve(builder.build())
+        sol = solve(unbounded_lp())
         assert sol.status == STATUS_UNBOUNDED
 
     def test_max_iters(self, rng):
@@ -145,8 +180,7 @@ class TestStatuses:
             solve("not a program")
 
     @pytest.mark.parametrize("program", [
-        lambda: qp_to_socp(np.eye(2), np.zeros(2), 0.0,
-                           A=[[1.0, 0.0], [0.0, 0.0]], b=[1.0, 2.0]).program,
+        qp_with_zero_row,
         lp_with_stored_zero_row,
     ], ids=["qp_zero_row", "stored_zero"])
     def test_zero_row_with_nonzero_rhs_infeasible_in_presolve(self, program):
@@ -163,6 +197,37 @@ class TestStatuses:
         assert a.status == b.status == STATUS_OPTIMAL
         assert np.array_equal(padded.minimizer(b), plain.minimizer(a))
         assert np.allclose(plain.minimizer(a), [0.5, 0.5], atol=1e-6)
+
+    @pytest.mark.parametrize("program, max_iters, status", [
+        (qp_with_zero_row, 100, STATUS_INFEASIBLE),
+        (lp_with_stored_zero_row, 100, STATUS_INFEASIBLE),
+        (infeasible_lp, 100, STATUS_INFEASIBLE),
+        (unbounded_lp, 100, STATUS_UNBOUNDED),
+        (pruning_program, 2, STATUS_MAX_ITERS),
+        (pruning_program, 100, STATUS_OPTIMAL),
+        (lambda: free_program([1.0, 1.0], [[1.0, 1.0]], [1.0]), 100, STATUS_OPTIMAL),
+        (lambda: free_program([0.0], [[1.0], [1.0]], [1.0, 2.0]), 100, STATUS_INFEASIBLE),
+        (lambda: free_program([1.0, 0.0], [[0.0, 1.0]], [1.0]), 100, STATUS_UNBOUNDED),
+        (lambda: free_program([0.0, 0.0]), 100, STATUS_OPTIMAL),
+    ], ids=["presolve_qp_zero_row", "presolve_stored_zero", "ip_infeasible",
+            "ip_unbounded", "max_iters", "optimal", "free_optimal", "free_infeasible",
+            "free_unbounded", "free_no_rows"])
+    def test_every_exit_reports_its_own_residuals(self, program, max_iters, status):
+        program = program()
+        sol = solve(program, SolverSettings(max_iters=max_iters))
+        assert sol.status == status
+        assert (sol.gap, sol.primal_residual, sol.dual_residual) == kkt_residuals(program, sol)
+
+    def test_all_free_optimum_and_certificate(self):
+        sol = solve(free_program([1.0, 1.0], [[1.0, 1.0]], [1.0]))
+        assert sol.status == STATUS_OPTIMAL
+        assert np.allclose(sol.x, [0.5, 0.5], atol=1e-12)
+        assert np.allclose(sol.y, [1.0], atol=1e-12)
+        program = free_program([0.0], [[1.0], [1.0]], [1.0, 2.0])
+        sol = solve(program)
+        assert sol.status == STATUS_INFEASIBLE
+        assert np.allclose(program.eq_A.T @ sol.y, 0.0, atol=1e-12)
+        assert program.eq_b @ sol.y > 0.0
 
 
 def random_kkt_blocks(rng):
