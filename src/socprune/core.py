@@ -202,11 +202,14 @@ def format_exact(x: float) -> str:
     return EXACT_FORMAT % float(x)
 
 
-def atomic_write_text(path, chunks) -> None:
-    """Write an iterable of strings to path via temp file + rename; IoError on OS failure.
+@contextmanager
+def atomic_output(path, mode: str = "w"):
+    """File opened in ``mode`` on a temp file that replaces path when the block ends.
 
-    The temp file is created with mode 0o666 less the umask, as ``open()``
-    would create it, so the written file's mode follows the umask.
+    The temp file sits beside path and is created with mode 0o666 less the
+    umask, as ``open()`` would create it, so the written file's mode follows
+    the umask.  If the block raises, the temp file is removed and path is
+    left as it was; an OSError becomes IoError.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -215,8 +218,8 @@ def atomic_write_text(path, chunks) -> None:
         name = os.path.join(directory, f".tmp-io-{os.urandom(8).hex()}")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -224,6 +227,12 @@ def atomic_write_text(path, chunks) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def atomic_write_text(path, chunks) -> None:
+    """Write an iterable of strings to path via temp file + rename; IoError on OS failure."""
+    with atomic_output(path) as fh:
+        fh.writelines(chunks)
 
 
 @contextmanager

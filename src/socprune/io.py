@@ -16,6 +16,14 @@ Floats are serialized with 17 significant digits, so the file carries the
 exact double.  Loading a dataset re-runs the tensor constructor, whose row
 renormalization can move entries by one ulp; values that already sum to
 exactly 1 (like the shipped fixture) round-trip bit-for-bit.
+
+Dataset reads and writes use every CPU in the process's affinity mask
+(``taskset`` restricts them): the predictions table is parsed or formatted
+by one forked worker process per CPU.  The library forks, which matters to
+a caller that holds threads: the child gets only the forking thread.  On
+one CPU, for a table of one chunk, or where ``fork`` is unavailable, the
+table is converted inline; the inline reader is also the one that reports
+every defect in a table, so errors are the same either way.
 """
 
 from __future__ import annotations
@@ -23,10 +31,14 @@ from __future__ import annotations
 import array
 import json
 import math
+import mmap
 import os
+import shutil
+import tempfile
+from contextlib import ExitStack
 from dataclasses import asdict
 from functools import partial
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -35,6 +47,7 @@ from .core import (
     LabelVector,
     PredictionTensor,
     SplitSpec,
+    atomic_output,
     atomic_write_text,
     format_exact,
     open_text,
@@ -69,6 +82,79 @@ SUMMARY_COLUMNS = (
     "models_pruned",
     "threshold",
 )
+
+# a reader cuts the table's text into chunks of about this many bytes, a
+# writer forks a worker per this many bytes of float64 values at most:
+# small enough that an ingest-sized table spreads over every CPU, large
+# enough that a table of a few rows stays inline
+_CHUNK_BYTES = 4 << 20
+
+
+def _workers(chunks: int) -> int:
+    """Processes for ``chunks`` pieces of work: one per CPU the process may
+    run on, at most one per chunk; 1 means run inline."""
+    if chunks < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return 1
+    import multiprocessing  # not at import time: set-up does not pay for it
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):  # a daemon may not fork workers
+        return 1
+    return min(cpus, chunks)
+
+
+def _fork_map(fn, state, tasks, workers: int) -> list:
+    """``[fn(state, task) for task in tasks]`` on ``workers`` forked processes.
+
+    Forked, so ``state`` (a shared buffer, open files, a tensor) is
+    inherited rather than pickled; only the results come back through a
+    pipe, so they must stay small.  Each worker takes the next task nobody
+    has taken.  No thread is started here: a pool's threads would add
+    their allocator arenas to the reader's peak.  A worker's exception is
+    raised here.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    taken = ctx.Value("q", 0)
+    procs = []
+    try:
+        for _ in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_fork_worker, args=(fn, state, tasks, taken, send))
+            proc.start()
+            procs.append((proc, recv))
+            send.close()  # so a worker that dies is an EOFError, not a hang
+        done = [recv.recv() for _, recv in procs]
+    finally:
+        for proc, recv in procs:
+            recv.close()  # before the join: a worker still sending gets EPIPE
+            proc.join()
+    results = [None] * len(tasks)
+    for error, pairs in done:
+        if error is not None:
+            raise error
+        for k, value in pairs:
+            results[k] = value
+    return results
+
+
+def _fork_worker(fn, state, tasks, taken, send) -> None:
+    pairs = []
+    try:
+        while True:
+            with taken.get_lock():
+                k = taken.value
+                taken.value += 1
+            if k >= len(tasks):
+                break
+            pairs.append((k, fn(state, tasks[k])))
+        send.send((None, pairs))
+    except Exception as exc:  # the parent raises it
+        send.send((exc, None))
 
 
 def _format_ranges(indices) -> str:
@@ -155,6 +241,44 @@ def _predictions_header(num_classes: int) -> str:
     return "model_id,sample_id," + ",".join(f"p_{j}" for j in range(num_classes))
 
 
+def _model_blocks(probs, models):
+    """The predictions rows of each model in ``models``, one string per model.
+
+    One model at a time: tolist() of the whole tensor would hold M*N*C floats.
+    """
+    row = "%d,%d," + ",".join([EXACT_FORMAT] * probs.shape[2]) + "\n"
+    return ("".join([row % (i, n, *p) for n, p in enumerate(probs[i].tolist())])
+            for i in models)
+
+
+def _write_part(probs, task) -> None:
+    """Stream one contiguous range of models into a part file a worker inherited."""
+    models, fd = task
+    with open(fd, "w", closefd=False) as fh:
+        fh.writelines(_model_blocks(probs, models))
+
+
+def _write_rows_parallel(target, header, probs, workers) -> None:
+    """Write the predictions table with each worker formatting a range of models.
+
+    Each worker writes its range to its own unnamed temp file in the
+    dataset directory; the parent copies the header and the parts, in model
+    order, into one temp file that atomically replaces ``target``.  Nothing
+    but the temp file has a name, so a failure leaves no file behind.
+    """
+    num_models = probs.shape[0]
+    bounds = [num_models * k // workers for k in range(workers + 1)]
+    with atomic_output(target, "wb") as out, ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(target)))
+                 for _ in range(workers)]
+        tasks = [(range(a, b), part.fileno()) for (a, b), part in zip(pairwise(bounds), parts)]
+        _fork_map(_write_part, probs, tasks, workers)
+        out.write(header.encode())
+        for part in parts:
+            part.seek(0)
+            shutil.copyfileobj(part, out, 1 << 20)
+
+
 def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSpec,
                       provenance: str = "") -> None:
     """Materialize a dataset directory (manifest + predictions + labels).
@@ -191,12 +315,13 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
     ]
     atomic_write_text(os.path.join(path, MANIFEST_NAME), ["\n".join(manifest) + "\n"])
 
-    # one model per chunk: tolist() of the whole tensor would hold M*N*C floats
-    row = "%d,%d," + ",".join([EXACT_FORMAT] * t.num_classes) + "\n"
-    blocks = ("".join([row % (i, n, *p) for n, p in enumerate(t.probs[i].tolist())])
-              for i in range(t.num_models))
-    atomic_write_text(os.path.join(path, PREDICTIONS_NAME),
-                      chain([_predictions_header(t.num_classes) + "\n"], blocks))
+    target = os.path.join(path, PREDICTIONS_NAME)
+    header = _predictions_header(t.num_classes) + "\n"
+    workers = _workers(min(t.num_models, math.ceil(t.probs.nbytes / _CHUNK_BYTES)))
+    if workers == 1:
+        atomic_write_text(target, chain([header], _model_blocks(t.probs, range(t.num_models))))
+    else:
+        _write_rows_parallel(target, header, t.probs, workers)
 
     labels = "".join(["%d,%d\n" % row for row in enumerate(y.labels.tolist())])
     atomic_write_text(os.path.join(path, LABELS_NAME), ["sample_id,label\n" + labels])
@@ -210,59 +335,143 @@ def _parse_floats(tokens, line, names):
         return [parse_float(tok, line, name) for tok, name in zip(tokens, names)]
 
 
+class _Table:
+    """The layout of one dataset CSV table and the parser of its rows.
+
+    ``names`` are the header's fields: ``len(bounds)`` integer keys, the k-th
+    in [0, bounds[k]), then values that ``parse_values(tokens, line, names)``
+    converts.  A table holds one row per key tuple.
+    """
+
+    def __init__(self, what, names, bounds, parse_values):
+        self.what = what
+        self.names = names
+        self.bounds = bounds
+        self.parse_values = parse_values
+
+    def parse_row(self, line, lineno):
+        """(flat key, values) of one line without its newline; None if it is empty."""
+        parts = line.split(",")
+        if parts == [""]:
+            return None
+        if len(parts) != len(self.names):
+            raise ParseError(f"{self.what} row has {len(parts)} fields, "
+                             f"header has {len(self.names)}", line=lineno)
+        num_keys = len(self.bounds)
+        flat = 0
+        for tok, name, bound in zip(parts, self.names, self.bounds):
+            flat = flat * bound + parse_int(tok, lineno, name, 0, bound)
+        return flat, self.parse_values(parts[num_keys:], lineno, self.names[num_keys:])
+
+    def key_text(self, flat):
+        key = []
+        for bound in reversed(self.bounds):
+            flat, k = divmod(flat, bound)
+            key.append(k)
+        return ", ".join(f"{name} {k}" for name, k in zip(self.names, reversed(key)))
+
+
+def _parse_chunk(state, span):
+    """Keys, as int64 bytes, of the rows in one byte span of a table.
+
+    Each row's values go straight into the shared buffer at the row's key.
+    None at the first defect of any kind; the inline reader then names it.
+    """
+    path, table, out = state
+    start, stop = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    if b"\r" in data:  # the inline reader's universal newlines decide these lines
+        return None
+    keys = array.array("q")
+    try:
+        for line in data.decode("ascii").split("\n"):
+            row = table.parse_row(line, 0)
+            if row is not None:
+                flat, values = row
+                out[flat] = values
+                keys.append(flat)
+    except (ParseError, UnicodeDecodeError):
+        return None
+    return keys.tobytes()
+
+
+def _read_rows_parallel(path, table, out) -> bool:
+    """Parse a table's rows in forked workers, writing each row into ``out``.
+
+    The body is cut into chunks of about ``_CHUNK_BYTES``, each ending just
+    after a newline.  True when the rows' keys are a permutation of
+    range(len(out)).  False, with ``out`` partly written, at any defect, or
+    when the table is to be read inline: one CPU, one chunk, no ``fork``, or
+    a first line that is not the header in ASCII followed by a newline.
+    """
+    with open(path, "rb") as fh:
+        if fh.readline() != (",".join(table.names) + "\n").encode():
+            return False
+        spans = []
+        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        while start < size:
+            fh.seek(min(start + _CHUNK_BYTES, size) - 1)
+            fh.readline()
+            spans.append((start, fh.tell()))
+            start = fh.tell()
+    workers = _workers(len(spans))
+    if workers == 1:
+        return False
+    parts = _fork_map(_parse_chunk, (path, table, out), spans, workers)
+    if None in parts:
+        return False
+    keys = np.frombuffer(b"".join(parts), np.int64)
+    seen = np.zeros(len(out), dtype=bool)
+    seen[keys] = True
+    return keys.size == len(out) and bool(seen.all())
+
+
 def _read_table(path, header, width, bounds, parse_values, dtype, what):
     """One dataset CSV table as an array shaped (*bounds, width).
 
     The first line must have ``len(bounds) + width`` fields, then equal
-    ``header()``.  Each row holds ``len(bounds)`` integer keys, the k-th in
-    [0, bounds[k]), one row per key tuple, then ``width`` values that
-    ``parse_values(tokens, line, names)`` converts.  Lines are streamed and
-    buffers grow with the rows read, so no claimed size is allocated before
-    the rows confirm it.  Empty lines are skipped; each ParseError names the
-    line at fault.
+    ``header()``; the rows are those ``_Table`` describes.  The array is
+    allocated only if the file is large enough to hold every row, at two
+    bytes or more per field (its text and the comma or newline after it),
+    so nothing is sized by a claimed count that the file cannot back.
+    Rows are parsed in parallel when that is possible; any defect sends the
+    table to the inline reader, which streams it line by line.  Empty lines
+    are skipped; each ParseError names the line at fault.
     """
-    num_keys = len(bounds)
-    values = array.array(np.dtype(dtype).char)
-    rows = {}  # flat key -> None; a dict keeps the rows' file order
+    total = math.prod(bounds)
     with open_text(path) as fh:
         names = next(fh, "").rstrip("\n").split(",")
-        if len(names) != num_keys + width:
+        if len(names) != len(bounds) + width:
             raise ParseError(
-                f"{what} header has {len(names)} fields, not {num_keys + width}", line=1)
+                f"{what} header has {len(names)} fields, not {len(bounds) + width}", line=1)
         if ",".join(names) != header():
             raise ParseError(f"{what} header must be {header()!r}", line=1)
-        key_names, value_names = names[:num_keys], names[num_keys:]
-
-        def key_text(flat):
-            key = []
-            for bound in reversed(bounds):
-                flat, k = divmod(flat, bound)
-                key.append(k)
-            return ", ".join(f"{name} {k}" for name, k in zip(key_names, reversed(key)))
-
+        table = _Table(what, names, bounds, parse_values)
+        out = None
+        if total * 2 * len(names) <= os.fstat(fh.fileno()).st_size:
+            nbytes = total * width * np.dtype(dtype).itemsize
+            # shared and anonymous, so forked workers write the rows in place
+            out = np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(total, width)
+            if _read_rows_parallel(path, table, out):
+                return out.reshape(*bounds, width)
+        rows = set()
         lineno = 1
         for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if parts == [""]:
+            row = table.parse_row(line.rstrip("\n"), lineno)
+            if row is None:
                 continue
-            if len(parts) != len(names):
-                raise ParseError(
-                    f"{what} row has {len(parts)} fields, header has {len(names)}", line=lineno)
-            flat = 0
-            for tok, name, bound in zip(parts, key_names, bounds):
-                flat = flat * bound + parse_int(tok, lineno, name, 0, bound)
-            values.extend(parse_values(parts[num_keys:], lineno, value_names))
+            flat, values = row
             if flat in rows:
-                raise ParseError(f"duplicate {what} row for {key_text(flat)}", line=lineno)
-            rows[flat] = None
-    total = math.prod(bounds)
+                raise ParseError(f"duplicate {what} row for {table.key_text(flat)}",
+                                 line=lineno)
+            rows.add(flat)
+            if out is not None:  # None: the file is too small, so a row is missing
+                out[flat] = values
     if len(rows) < total:  # so the search below ends within len(rows) + 1 steps
         missing = next(k for k in range(total) if k not in rows)
-        raise ParseError(f"no {what} row for {key_text(missing)}", line=lineno)
-    order = np.fromiter(rows, np.int64, total)
-    del rows  # free the key dict before the reordered copy
-    out = np.empty((total, width), dtype=dtype)
-    out[order] = np.frombuffer(values, dtype).reshape(total, width)
+        raise ParseError(f"no {what} row for {table.key_text(missing)}", line=lineno)
     return out.reshape(*bounds, width)
 
 

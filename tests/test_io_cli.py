@@ -1,8 +1,11 @@
 """Dataset/report serialization and the socprune command line."""
 
 import json
+import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from socprune import cli
+from socprune import io as dataio
 from socprune.conic import NONNEG_ORTHANT, QUADRATIC, ProgramBuilder, write_cone_program
 from socprune.core import LabelVector, PredictionTensor, SplitSpec, format_exact
 from socprune.errors import (
@@ -46,6 +50,13 @@ TINY_PROBS = np.array([
 ])
 
 
+def splits_of(t):
+    """Every sample in the training split."""
+    return SplitSpec(train_indices=np.arange(t.num_samples),
+                     valid_indices=np.array([], dtype=np.int64),
+                     test_indices=np.array([], dtype=np.int64))
+
+
 def reference_tables(t, y):
     """The predictions and labels text, one format_exact call per value."""
     rows = ["model_id,sample_id," + ",".join(f"p_{j}" for j in range(t.num_classes))]
@@ -54,6 +65,59 @@ def reference_tables(t, y):
             rows.append(f"{i},{n}," + ",".join(format_exact(v) for v in t.probs[i, n]))
     labels = ["sample_id,label"] + [f"{n},{int(k)}" for n, k in enumerate(y.labels)]
     return "\n".join(rows) + "\n", "\n".join(labels) + "\n"
+
+
+def read_error(target):
+    with pytest.raises(ParseError) as exc:
+        read_predictions(target)
+    return type(exc.value), str(exc.value), exc.value.line
+
+
+class Forked:
+    """Dataset I/O cut into chunks of a few bytes, spread over three forked
+    workers whatever the host's CPU count; records whether each parallel
+    read saw every row once."""
+
+    def __init__(self, monkeypatch):
+        self.reads = []
+        self.maps = 0
+        parallel_read, fork_map = dataio._read_rows_parallel, dataio._fork_map
+
+        def read(*args):
+            self.reads.append(parallel_read(*args))
+            return self.reads[-1]
+
+        def spread(*args):
+            self.maps += 1
+            return fork_map(*args)
+
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(dataio, "_read_rows_parallel", read)
+        monkeypatch.setattr(dataio, "_fork_map", spread)
+
+
+def probs_bytes(path):
+    return read_predictions(path)[0].probs.tobytes()
+
+
+# how far a fresh interpreter's peak RSS rises above its RSS while it reads
+# the dataset in argv[1]; a first read of the golden dataset through the
+# forked path pays the one-time costs (importing multiprocessing) before.
+# VmHWM, not ru_maxrss: the latter starts at the RSS of the forking parent.
+READ_PEAK_SCRIPT = """
+import sys
+from socprune import io
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
+chunk, io._CHUNK_BYTES = io._CHUNK_BYTES, 4
+io.read_predictions(sys.argv[2])
+io._CHUNK_BYTES = chunk
+before = status("VmRSS:")
+io.read_predictions(sys.argv[1])
+print(status("VmHWM:") - before)
+"""
 
 
 def rewrite(path, transform):
@@ -132,14 +196,20 @@ class TestDatasetRoundTrip:
         assert [format_exact(v) for v in special] == [format(v, ".17g") for v in special]
         edge_labels = LabelVector(labels=np.array([2, 0]), num_classes=3)
         for k, (t, y) in enumerate([(edge, edge_labels), random_instance(rng, 3, 7, 4)]):
-            splits = SplitSpec(train_indices=np.arange(t.num_samples),
-                               valid_indices=np.array([], dtype=np.int64),
-                               test_indices=np.array([], dtype=np.int64))
             target = tmp_path / f"d{k}"
-            write_predictions(target, t, y, splits)
+            write_predictions(target, t, y, splits_of(t))
             predictions, labels = reference_tables(t, y)
             assert (target / "predictions.csv").read_bytes() == predictions.encode()
             assert (target / "labels.csv").read_bytes() == labels.encode()
+        # the same bytes when each of three workers formats a range of models
+        with pytest.MonkeyPatch.context() as mp:
+            forked = Forked(mp)
+            for k, (t, y) in enumerate([(edge, edge_labels), random_instance(rng, 3, 7, 4)]):
+                target = tmp_path / f"d{k}"
+                write_predictions(target, t, y, splits_of(t))
+                assert (target / "predictions.csv").read_bytes() == (
+                    reference_tables(t, y)[0].encode())
+            assert forked.maps == 2
 
     def test_streamed_io_peak_memory(self, tmp_path, rng):
         t, y = random_instance(rng, 10, 1000, 20)
@@ -150,16 +220,51 @@ class TestDatasetRoundTrip:
         try:
             write_predictions(tmp_path / "d", t, y, splits)
             write_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            read_predictions(tmp_path / "d")
-            read_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         size = (tmp_path / "d" / "predictions.csv").stat().st_size  # about 4.25 MB
+        # the reader's rows sit in a shared mmap that forked workers fill,
+        # which tracemalloc cannot see: measure the reading process's RSS
+        env = {**os.environ, "PYTHONPATH": str(Path(dataio.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", READ_PEAK_SCRIPT, str(tmp_path / "d"), str(GOLDEN)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        read_peak = int(out.stdout)
         # neither direction holds the whole text: the writer one model's
-        # rows, the reader one line plus the parsed values
+        # rows, the reader one chunk or line plus the parsed values
         assert write_peak < size / 2
         assert read_peak < size
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    def test_chunked_round_trip_matches_inline(self, tmp_path, rng, monkeypatch, cpus):
+        t, y = random_instance(rng, 5, 9, 3)
+        splits = splits_of(t)
+        write_predictions(tmp_path / "inline", t, y, splits)
+        t1, y1, _ = read_predictions(tmp_path / "inline")
+        forked = Forked(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        write_predictions(tmp_path / "forked", t, y, splits)
+        t2, y2, _ = read_predictions(tmp_path / "forked")
+        for name in ("predictions.csv", "labels.csv", "manifest.txt"):
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "inline" / name).read_bytes())
+        assert t2.probs.tobytes() == t1.probs.tobytes()
+        assert y2.labels.tobytes() == y1.labels.tobytes()
+        # one CPU: every table inline, no worker forked
+        assert forked.maps == (0 if len(cpus) == 1 else 3)
+        assert forked.reads == ([False, False] if len(cpus) == 1 else [True, True])
+
+    def test_daemon_process_reads_inline(self, tmp_path, rng, monkeypatch):
+        t, y = random_instance(rng, 5, 9, 3)
+        write_predictions(tmp_path, t, y, splits_of(t))
+        forked = Forked(monkeypatch)
+        # a pool's worker is a daemon, and a daemon may not start processes
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            read = pool.apply_async(probs_bytes, (tmp_path,)).get(timeout=60)
+            pool.close()
+            pool.join()
+        assert read == probs_bytes(tmp_path)
+        assert forked.reads == [True, True]  # in this process only
 
     def test_write_rejects_inconsistent_shapes(self, tmp_path, rng):
         t, y = random_instance(rng, 2, 10, 3)
@@ -267,15 +372,38 @@ class TestDatasetErrors:
         ("manifest.txt", "num_samples 3", "num_samples 1000000000000", 4),
         ("manifest.txt", "num_models 2", "num_models 1000000000000", 7),
     ])
-    def test_bad_row_names_its_line(self, tmp_path, capsys, filename, old, new, line):
+    def test_bad_row_names_its_line(self, tmp_path, capsys, monkeypatch, filename, old,
+                                    new, line):
         target = corrupted_copy(
             tmp_path, filename, lambda s: s.replace(f"\n{old}\n", f"\n{new}\n"))
-        with pytest.raises(ParseError) as exc:
-            read_predictions(target)
-        assert exc.value.line == line
+        error = read_error(target)
+        assert error[2] == line
         code, _, err = run_cli(["check", str(target)], capsys)
         assert code == 2
         assert err.startswith(f"error: line {line}:")
+        # a table read in chunks by forked workers reports the same error
+        forked = Forked(monkeypatch)
+        assert read_error(target) == error
+        if filename != "manifest.txt":  # the bad table's forked read met the defect
+            assert forked.reads == [True] * (filename == "predictions.csv") + [False]
+
+    @pytest.mark.parametrize("edit, message", [
+        # the first copy of row (0, 0) is in the first chunk, the second in the last
+        (lambda rows: rows + [rows[0]], "duplicate predictions row for model_id 0, sample_id 0"),
+        # row (1, 4) is in a middle chunk
+        (lambda rows: rows[:9] + rows[10:], "no predictions row for model_id 1, sample_id 4"),
+    ])
+    def test_chunked_read_defect_reported_inline(self, tmp_path, rng, monkeypatch, edit,
+                                                 message):
+        t, y = random_instance(rng, 3, 5, 2)
+        write_predictions(tmp_path, t, y, splits_of(t))
+        header, *rows = (tmp_path / "predictions.csv").read_text().splitlines()
+        (tmp_path / "predictions.csv").write_text("\n".join([header, *edit(rows)]) + "\n")
+        error = read_error(tmp_path)
+        assert error[1] == f"line {len(edit(rows)) + 1}: {message}"
+        forked = Forked(monkeypatch)
+        assert read_error(tmp_path) == error
+        assert forked.reads == [True, False]  # labels, then predictions
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoError):
@@ -343,14 +471,42 @@ class TestReportIO:
             atomic_write_text(tmp_path / "out.txt", ["payload"])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("failure", ["worker", "rename"])
+    def test_chunked_write_failure_cleans_up(self, tmp_path, rng, monkeypatch, failure):
+        t, y = random_instance(rng, 4, 6, 3)
+        forked = Forked(monkeypatch)
+        if failure == "worker":  # raised in the forked workers
+            def refuse(probs, models):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(dataio, "_model_blocks", refuse)
+        else:  # raised in the parent once every part is written
+            replace = os.replace
+
+            def refuse(src, dst):
+                if str(dst).endswith("predictions.csv"):
+                    raise OSError("disk full")
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(IoError, match="disk full"):
+            write_predictions(tmp_path, t, y, splits_of(t))
+        assert forked.maps == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt"]
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-    def test_written_file_mode_follows_umask(self, tmp_path, umask, mode):
+    def test_written_file_mode_follows_umask(self, tmp_path, rng, monkeypatch, umask, mode):
+        t, y = random_instance(rng, 4, 6, 3)
+        forked = Forked(monkeypatch)
         previous = os.umask(umask)
         try:
             atomic_write_text(tmp_path / "out.txt", ["payload"])
+            write_predictions(tmp_path / "d", t, y, splits_of(t))
         finally:
             os.umask(previous)
-        assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+        assert forked.maps == 1
+        for path in (tmp_path / "out.txt", tmp_path / "d" / "predictions.csv"):
+            assert path.stat().st_mode & 0o777 == mode
 
 
 def run_cli(argv, capsys):
