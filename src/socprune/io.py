@@ -12,10 +12,16 @@ lessly round-trippable) or ``csv-summary`` (a single row with the five
 headline columns).  All writes go through a temp file and an atomic
 rename, so a crashed writer never leaves a half-file that parses.
 
-Floats are serialized with 17 significant digits, so the file carries the
-exact double.  Loading a dataset re-runs the tensor constructor, whose row
-renormalization can move entries by one ulp; values that already sum to
-exactly 1 (like the shipped fixture) round-trip bit-for-bit.
+Floats are serialized with 17 significant digits, ``'%.17g'``, so the file
+carries the exact double.  The predictions writer formats a block of rows
+at a time in numpy: a double-double product of each value and a power of
+ten gives its 17 digits, exactly or within a stated error bound.  A value
+whose rounding that cannot settle (0, -0, 1, subnormal and tiny values, a
+product too close to a tie or to a power of ten) is formatted on its own
+by ``'%.17g' %``, so every value's text is ``format_exact``'s.  Loading a
+dataset re-runs the tensor constructor, whose row renormalization can move
+entries by one ulp; values that already sum to exactly 1 (like the shipped
+fixture) round-trip bit-for-bit.
 
 Dataset reads and writes use every CPU in the process's affinity mask
 (``taskset`` restricts them): the predictions table is parsed or formatted
@@ -37,8 +43,8 @@ import shutil
 import tempfile
 from contextlib import ExitStack
 from dataclasses import asdict
-from functools import partial
-from itertools import chain, pairwise
+from functools import cache, partial
+from itertools import pairwise
 
 import numpy as np
 
@@ -114,7 +120,8 @@ def _fork_map(fn, state, tasks, workers: int) -> list:
     pipe, so they must stay small.  Each worker takes the next task nobody
     has taken.  No thread is started here: a pool's threads would add
     their allocator arenas to the reader's peak.  A worker's exception is
-    raised here.
+    raised here; a worker that exits without a result (a signal, the OOM
+    killer, ``os._exit``) is an IoError naming its exit code.
     """
     import multiprocessing
 
@@ -128,7 +135,14 @@ def _fork_map(fn, state, tasks, workers: int) -> list:
             proc.start()
             procs.append((proc, recv))
             send.close()  # so a worker that dies is an EOFError, not a hang
-        done = [recv.recv() for _, recv in procs]
+        done = []
+        for proc, recv in procs:
+            try:
+                done.append(recv.recv())
+            except EOFError:  # the others still finish, so none writes to a closed pipe
+                proc.join()
+                done.append((IoError(f"a dataset I/O worker exited with code "
+                                     f"{proc.exitcode} before sending its result"), None))
     finally:
         for proc, recv in procs:
             recv.close()  # before the join: a worker still sending gets EPIPE
@@ -241,20 +255,178 @@ def _predictions_header(num_classes: int) -> str:
     return "model_id,sample_id," + ",".join(f"p_{j}" for j in range(num_classes))
 
 
-def _model_blocks(probs, models):
-    """The predictions rows of each model in ``models``, one string per model.
+# The predictions writer's float formatter gives each value a slot of
+# _SLOT bytes, laid out for both forms of '%.17g' on a value x in (0, 1):
+#   0      '0' in fixed form, the first digit in exponent form
+#   1      '.'
+#   2-4    '000', the zeros after the point of fixed form
+#   5-21   the 17 significant digits
+#   22-23  'e-'
+#   24-26  the decimal exponent's magnitude, in 3 digits
+#   27     ',' (the block writes the row's '\n' over the last one)
+# A keep-mask turns the bytes a value does not show into NULs, which one
+# bytes.translate removes from the whole block.
+_SLOT = 28
+# values formatted at a time, in whole rows: enough to spread numpy's
+# per-call cost, few enough to keep the writer's working set small
+_BLOCK_VALUES = 4096
+# x in [10**-e, 10**(1-e)) has 17 digits x * 10**(16 + e); the table has
+# those powers for e in [1, _MAX_E] as split double-doubles.  10**300
+# times Veltkamp's constant stays finite, 10**301 times it would not.
+_MAX_E = 284
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double's 53-bit significand in two halves
 
-    One model at a time: tolist() of the whole tensor would hold M*N*C floats.
+
+@cache
+def _format_tables():
+    """The formatter's lookup tables, built on first use so that importing
+    the package does not pay for them.
+
+    Indexed by e in [0, 300]: the powers 10**(16 + e) as hi + lo, hi split
+    in two, the form's keep-mask row less one, and slot bytes 24-27.
+    Indexed by a 4-digit group: its ASCII digits and its trailing zeros.
     """
-    row = "%d,%d," + ",".join([EXACT_FORMAT] * probs.shape[2]) + "\n"
-    return ("".join([row % (i, n, *p) for n, p in enumerate(probs[i].tolist())])
-            for i in models)
+    # e outside [1, _MAX_E] goes the per-value way; its power only has to be finite
+    powers = [10**(16 + min(max(e, 1), _MAX_E)) for e in range(301)]
+    hi = np.array([float(p) for p in powers])  # int -> float rounds correctly
+    lo = np.array([float(p - int(h)) for p, h in zip(powers, hi.tolist())])
+    hi_hi = hi * _SPLIT - (hi * _SPLIT - hi)
+    masks = np.zeros((4 * 17 + 2 * 17 + 2, _SLOT), dtype=np.uint8)
+    for kept in range(1, 18):
+        for zeros in range(4):  # fixed form: '0.', the zeros, the digits
+            m = masks[zeros * 17 + kept - 1]
+            m[:2 + zeros] = m[5:5 + kept] = 1
+        for width in (2, 3):  # exponent form: 'd', '.ddd' if kept > 1, 'e-', exponent
+            m = masks[4 * 17 + (width - 2) * 17 + kept - 1]
+            m[0] = m[22:24] = m[27 - width:27] = 1
+            if kept > 1:
+                m[1] = m[6:5 + kept] = 1
+    masks[-2, 0] = 1  # '0' or '1'
+    masks[:, 27] = 1
+    masks *= 0xFF
+    masks[-1] = 0xFF  # a value formatted by '%': keep its bytes, drop its NUL padding
+    form = np.zeros(301, dtype=np.int64)  # its mask row is form[e] + kept digits
+    form[1:5] = np.arange(4) * 17 - 1
+    form[5:100] = 4 * 17 - 1
+    form[100:] = 5 * 17 - 1
+    tails = np.frombuffer("".join(["%03d," % e for e in range(301)]).encode(), np.uint32)
+    quads = np.frombuffer("".join(["%04d" % g for g in range(10**4)]).encode(), np.uint32)
+    trailing = np.array([4] + [len(str(g)) - len(str(g).rstrip("0")) for g in range(1, 10**4)])
+    return (hi, lo, hi_hi, hi - hi_hi, masks.view(np.uint32), form, tails,
+            quads, trailing)
+
+
+def _format_slots(x):
+    """``EXACT_FORMAT % v`` for each value of ``x``, in (len(x), _SLOT) NUL-padded slots.
+
+    For x in (0, 1) the 17 significant digits are D = x * 10**(16 + e)
+    rounded half-even to an integer, with e = -floor(log10 x).  The
+    product is a double-double: Dekker's exact product x * hi = p + err
+    (Veltkamp splits of both factors), plus x * lo.  Every p with D in
+    range is at least 10**16 > 2**53, so it is an integer and
+    D = p + round(low), low = err + x * lo.
+
+    For 16 + e <= 22, the power is a double, lo is 0 and p + low is
+    exactly x * 10**(16 + e), so even an exact tie rounds right.
+    Otherwise, with P = x * 10**(16 + e) < 10**17 + 1, |P - (p + low)| is
+    at most the sum of
+      - x * (10**(16 + e) - hi - lo), lo rounded: <= 2**-106 * P < 1.3e-15,
+      - the rounding of x * lo, |x * lo| <= 2**-53 * P: <= 2**-106 * P,
+      - the rounding of err + x * lo, |err| <= 8 (p < 2**57 has ulp 16)
+        and |x * lo| < 12, a sum under 32: <= 2**-49 < 1.8e-15,
+    so under 4.4e-15.  The fraction of low is exact, so where it is more
+    than 2**-44 from 1/2 the rounding is the exact product's.
+
+    D is in range, (10**16, 10**17), exactly when log10 put x in the
+    right decade: a D of 10**16 can be the rounding of an x below 10**-e
+    at the coarser step of the decade above, and 10**17 is a value that
+    rounds up to a power of ten.  0 and 1 are written as one digit.  Every
+    other value takes the per-value path, ``EXACT_FORMAT %``: -0,
+    subnormal and tiny values (e > _MAX_E), undecided roundings and a D
+    out of range.
+    """
+    hi, lo, hi_hi, hi_lo, masks, form, tails, quads, trailing = _format_tables()
+    e = -np.floor(np.log10(np.maximum(x, 1e-300))).astype(np.int64)  # x in [0, 1]: e >= 0
+    h_hi, h_lo = hi_hi.take(e), hi_lo.take(e)
+    p = x * hi.take(e)
+    x_hi = x * _SPLIT - (x * _SPLIT - x)
+    x_lo = x - x_hi
+    low = (((x_hi * h_hi - p) + x_hi * h_lo + x_lo * h_hi) + x_lo * h_lo) + x * lo.take(e)
+    whole = np.floor(low)
+    frac = low - whole
+    digits = p.astype(np.int64) + whole.astype(np.int64)
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits & 1 == 1))  # half-even
+    slow = ((e < 1) | (e > _MAX_E) | (digits <= 10**16) | (digits >= 10**17)
+            | ((e > 6) & (np.abs(frac - 0.5) <= 2.0**-44)))
+    digits[slow] = 10**16 + 1  # their slots are overwritten; no trailing zeros to count
+
+    slots = np.empty((x.size, _SLOT // 4), dtype=np.uint32)
+    text = slots.view(np.uint8)
+    groups = np.empty((x.size, 4), dtype=np.int64)  # digits 2-5, 6-9, 10-13, 14-17
+    upper = digits // 10**8
+    lower = digits - upper * 10**8
+    first = upper // 10**8
+    upper -= first * 10**8
+    for k, half in ((0, upper), (2, lower)):
+        groups[:, k] = half // 10**4
+        groups[:, k + 1] = half - groups[:, k] * 10**4
+    text[:, 6:22] = quads.take(groups).view(np.uint8)
+    first += ord("0")
+    text[:, 5] = first
+    slots[:, 0] = np.frombuffer(b"0.00", np.uint32)
+    text[:, 0] = np.where(e <= 4, ord("0"), first)
+    text[:, 4] = ord("0")
+    text[:, 22] = ord("e")
+    text[:, 23] = ord("-")
+    slots[:, 6] = tails.take(e)
+    kept = 17 - trailing.take(groups[:, 3])
+    rare = np.flatnonzero(groups[:, 3] == 0)  # 4 or more trailing zeros
+    for k in (2, 1, 0):
+        kept[rare] = 4 * k + 5 - trailing.take(groups[rare, k])
+        rare = rare[groups[rare, k] == 0]
+    rows = form.take(e) + kept
+    rows[slow] = len(masks) - 1
+    # 0 and 1 are common in float32 softmax tables: format them here too
+    digit = (x == 1) | ((x == 0) & ~np.signbit(x))
+    rows[digit] = len(masks) - 2
+    slots &= masks.take(rows, axis=0)
+    text[digit, 0] = np.where(x[digit] == 1, ord("1"), ord("0"))
+    percent = np.flatnonzero(slow & ~digit)
+    if percent.size:
+        text[percent, :27] = np.frombuffer(b"".join(
+            [(EXACT_FORMAT % v).encode().ljust(27, b"\0") for v in x[percent].tolist()]),
+            np.uint8).reshape(-1, 27)
+    return text
+
+
+def _model_blocks(probs, models):
+    """The predictions rows of each model in ``models``, as bytes, a block of rows at a time.
+
+    Each block holds whole rows of about _BLOCK_VALUES values, so the
+    writer never holds more than one block's text and slots.
+    """
+    num_samples, num_classes = probs.shape[1:]
+    rows = max(1, _BLOCK_VALUES // num_classes)
+    width = len(b"%d," % (num_samples - 1))
+    keys = np.frombuffer(b"".join([(b"%d," % n).ljust(width, b"\0")
+                                   for n in range(num_samples)]), np.uint8).reshape(-1, width)
+    for i in models:
+        model = np.frombuffer(b"%d," % i, np.uint8)
+        start = model.size + width
+        for n in range(0, num_samples, rows):
+            values = probs[i, n:n + rows]
+            block = np.empty((len(values), start + _SLOT * num_classes), dtype=np.uint8)
+            block[:, :model.size] = model
+            block[:, model.size:start] = keys[n:n + rows]
+            block[:, start:] = _format_slots(values.ravel()).reshape(len(values), -1)
+            block[:, -1] = ord("\n")
+            yield block.tobytes().translate(None, b"\0")
 
 
 def _write_part(probs, task) -> None:
     """Stream one contiguous range of models into a part file a worker inherited."""
     models, fd = task
-    with open(fd, "w", closefd=False) as fh:
+    with open(fd, "wb", closefd=False) as fh:
         fh.writelines(_model_blocks(probs, models))
 
 
@@ -319,7 +491,9 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
     header = _predictions_header(t.num_classes) + "\n"
     workers = _workers(min(t.num_models, math.ceil(t.probs.nbytes / _CHUNK_BYTES)))
     if workers == 1:
-        atomic_write_text(target, chain([header], _model_blocks(t.probs, range(t.num_models))))
+        with atomic_output(target, "wb") as out:
+            out.write(header.encode())
+            out.writelines(_model_blocks(t.probs, range(t.num_models)))
     else:
         _write_rows_parallel(target, header, t.probs, workers)
 

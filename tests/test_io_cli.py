@@ -1,12 +1,15 @@
 """Dataset/report serialization and the socprune command line."""
 
+import hashlib
 import json
+import math
 import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from socprune import cli
 from socprune import io as dataio
 from socprune.conic import NONNEG_ORTHANT, QUADRATIC, ProgramBuilder, write_cone_program
-from socprune.core import LabelVector, PredictionTensor, SplitSpec, format_exact
+from socprune.core import EXACT_FORMAT, LabelVector, PredictionTensor, SplitSpec, format_exact
 from socprune.errors import (
     DomainError,
     IoError,
@@ -65,6 +68,63 @@ def reference_tables(t, y):
             rows.append(f"{i},{n}," + ",".join(format_exact(v) for v in t.probs[i, n]))
     labels = ["sample_id,label"] + [f"{n},{int(k)}" for n, k in enumerate(y.labels)]
     return "\n".join(rows) + "\n", "\n".join(labels) + "\n"
+
+
+def exact_ties(count, decades):
+    """``count`` dyadic values in each decade [10**-e, 10**(1-e)), e in
+    ``decades``, with 18 significant digits and a final 5: exact ties when
+    rounded to 17 digits.
+
+    odd * 2**-(e + 17) is odd * 5**(e + 17) / 10**(e + 17), whose digits
+    are those of the odd multiple of 5 in the numerator; it has 18 of them
+    for some odd only while 5**(e + 17) < 10**18, that is for e <= 8.
+    """
+    ties = []
+    for e in decades:
+        bits = e + 17
+        first = -(-10**17 // 5**bits) | 1  # the least odd with 18 digits
+        ties += [odd * 2.0**-bits for odd in range(first, first + 2 * count, 2)]
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5 and -math.floor(math.log10(x)) in decades
+    return ties
+
+
+def float32_softmax(rng, num_models, num_samples, num_classes):
+    """Softmax rows computed in float32, widened, that sum to exactly 1.
+
+    Entries below 2**-29 become 0 and the top entry takes what the others
+    leave: every entry is then a multiple of 2**-52, so the sums are exact
+    and PredictionTensor's renormalization leaves each row as it is.  Peaked
+    rows come out as one 1 and zeros; a few entries are set to exact ties.
+    """
+    logits = rng.normal(scale=12.0, size=(num_models, num_samples, num_classes))
+    logits = logits.astype(np.float32)
+    p = np.exp(logits - logits.max(axis=2, keepdims=True))
+    p = (p / p.sum(axis=2, keepdims=True)).astype(np.float64)
+    p[p < 2.0**-29] = 0.0
+    ties = exact_ties(2, (5, 7))
+    p[:, 0, 1:1 + len(ties)] = ties
+    p[:, 1, -1] = 0.0
+    top = p.argmax(axis=2)[..., None]
+    np.put_along_axis(p, top, 0.0, axis=2)
+    np.put_along_axis(p, top, 1.0 - p.sum(axis=2, keepdims=True), axis=2)
+    return p
+
+
+class CountingFormat(str):
+    """``EXACT_FORMAT`` that records each value it formats."""
+
+    def __mod__(self, value):
+        self.values.append(value)
+        return str.__mod__(self, value)
+
+
+def slot_text(values):
+    """The writer's formatter on ``values``, a comma after each."""
+    x = np.asarray(values, dtype=np.float64)
+    return b"".join(dataio._format_slots(x[k:k + 4096]).tobytes().translate(None, b"\0")
+                    for k in range(0, x.size, 4096))
 
 
 def read_error(target):
@@ -195,7 +255,14 @@ class TestDatasetRoundTrip:
         assert all(np.any(edge.probs == v) for v in special) and np.signbit(edge.probs).any()
         assert [format_exact(v) for v in special] == [format(v, ".17g") for v in special]
         edge_labels = LabelVector(labels=np.array([2, 0]), num_classes=3)
-        for k, (t, y) in enumerate([(edge, edge_labels), random_instance(rng, 3, 7, 4)]):
+        # rows that mix values formatted in numpy, exact 0s and 1s among
+        # them, with ties that take the per-value path
+        widened = PredictionTensor(probs=float32_softmax(rng, 3, 40, 6))
+        assert (widened.probs == 0).any() and (widened.probs == 1).any()
+        assert set(exact_ties(2, (5, 7))) <= set(widened.probs[:, 0].ravel())
+        widened_labels = LabelVector(labels=rng.integers(0, 6, size=40), num_classes=6)
+        inputs = [(edge, edge_labels), (widened, widened_labels)]
+        for k, (t, y) in enumerate([*inputs, random_instance(rng, 3, 7, 4)]):
             target = tmp_path / f"d{k}"
             write_predictions(target, t, y, splits_of(t))
             predictions, labels = reference_tables(t, y)
@@ -204,12 +271,41 @@ class TestDatasetRoundTrip:
         # the same bytes when each of three workers formats a range of models
         with pytest.MonkeyPatch.context() as mp:
             forked = Forked(mp)
-            for k, (t, y) in enumerate([(edge, edge_labels), random_instance(rng, 3, 7, 4)]):
+            for k, (t, y) in enumerate([*inputs, random_instance(rng, 3, 7, 4)]):
                 target = tmp_path / f"d{k}"
                 write_predictions(target, t, y, splits_of(t))
                 assert (target / "predictions.csv").read_bytes() == (
                     reference_tables(t, y)[0].encode())
-            assert forked.maps == 2
+            assert forked.maps == 3
+
+    def test_formatter_matches_percent_format(self, monkeypatch):
+        tiny = np.finfo(np.float64).smallest_normal
+        powers = [10.0**-k for k in range(1, 21)]
+        near_powers = [math.nextafter(x, to) for x in powers for to in (0.0, 1.0)]
+        # doubles whose 17 digits round up to a power of ten: '%.17g' gives 1e-14 ...
+        round_up = [1e-14, 1e-70, 1e-73, 1e-78, 1e-79, 1e-174, 1e-175, 1e-176, 1e-243]
+        assert all((EXACT_FORMAT % x).startswith("1e-") for x in round_up)
+        # exact ties: from a product that is exact (e <= 6) and one that is not
+        ties = exact_ties(2, range(1, 9))
+        edge = [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, tiny, *powers,
+                *near_powers, *round_up, 0.099999999999999999, 9.9999999999999995e-08, *ties]
+        counted = CountingFormat(EXACT_FORMAT)
+        counted.values = []
+        monkeypatch.setattr(dataio, "EXACT_FORMAT", counted)
+        assert slot_text(edge) == "".join([EXACT_FORMAT % x + "," for x in edge]).encode()
+        # each of these took the per-value path: the fast one cannot decide them
+        assert {5e-324, tiny, *ties[-4:]} <= set(counted.values)
+        assert [math.copysign(1.0, x) for x in counted.values if x == 0] == [-1.0]
+        assert not {1.0, *ties[:12]} & set(counted.values)  # exact products settle ties
+
+        rng = np.random.default_rng(2027)
+        logits = rng.normal(scale=4.0, size=(10**5, 10)).astype(np.float32)
+        softmax = np.exp(logits - logits.max(axis=1, keepdims=True))
+        for values in (rng.random(10**6), 10.0 ** rng.uniform(-300.0, 0.0, 10**6),
+                       (softmax / softmax.sum(axis=1, keepdims=True)).astype(np.float64)):
+            values = values.ravel()
+            assert slot_text(values) == "".join(
+                [EXACT_FORMAT % x + "," for x in values.tolist()]).encode()
 
     def test_streamed_io_peak_memory(self, tmp_path, rng):
         t, y = random_instance(rng, 10, 1000, 20)
@@ -494,6 +590,24 @@ class TestReportIO:
         assert forked.maps == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt"]
 
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    def test_worker_exit_without_result_is_io_error(self, tmp_path, capsys, monkeypatch,
+                                                    direction):
+        # a worker killed by a signal or the OOM killer sends nothing either
+        target = tmp_path / "d"
+        if direction == "read":
+            assert run_cli(gen_args(target), capsys)[0] == 0
+        forked = Forked(monkeypatch)
+        worker = "_parse_chunk" if direction == "read" else "_write_part"
+        monkeypatch.setattr(dataio, worker, lambda state, task: os._exit(9))
+        argv = ["check", str(target)] if direction == "read" else gen_args(target)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 4
+        assert "worker exited with code 9" in err
+        assert forked.maps == 1
+        if direction == "write":
+            assert sorted(p.name for p in target.iterdir()) == ["manifest.txt"]
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_written_file_mode_follows_umask(self, tmp_path, rng, monkeypatch, umask, mode):
         t, y = random_instance(rng, 4, 6, 3)
@@ -767,6 +881,15 @@ class TestCliDeterminism:
         for name in ("manifest.txt", "predictions.csv", "labels.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_gen_predictions_digest_at_benchmark_scale(self, tmp_path, capsys):
+        # sha256 of the table that one '%.17g' format per value wrote for
+        # the grid-simplex-m60 benchmark dataset at seed 1009 (12.8 MB)
+        argv = ["gen", "--models", "60", "--samples", "1000", "--classes", "10",
+                "--seed", "1009", "--out", str(tmp_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        digest = hashlib.sha256((tmp_path / "predictions.csv").read_bytes()).hexdigest()
+        assert digest == "d968e5b795c1c47ab4a269e6b5862806f3c9ff7d1afbd0dfba37024aca18078e"
 
     def test_run_byte_identical(self, tmp_path, capsys):
         run_cli(gen_args(tmp_path / "d", seed=5), capsys)
