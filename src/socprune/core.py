@@ -32,15 +32,14 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate_tensor(t) -> None:
-    """Check prediction-tensor invariants, raising on the first violation.
+def validate_tensor(probs) -> None:
+    """Check the invariants of a raw ``(M, N, C)`` array, raising on the first violation.
 
-    Accepts either a ``PredictionTensor`` or a raw ``(M, N, C)`` array.
     Entries are checked against [0, 1] first, then row sums against 1
     within ``ROW_SUM_TOL``; each error names the first offending index in
     (model, sample) scan order.
     """
-    probs = t.probs if isinstance(t, PredictionTensor) else np.asarray(t, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 3:
         raise ShapeMismatch(f"expected a 3-d (models, samples, classes) array, got ndim={probs.ndim}")
     num_models, num_samples, num_classes = probs.shape
@@ -112,9 +111,7 @@ class LabelVector:
         if not np.issubdtype(labels.dtype, np.integer):
             if not np.all(labels == np.floor(labels)):
                 raise ValidationError("labels must be integers")
-            labels = labels.astype(np.int64)
-        else:
-            labels = labels.astype(np.int64)
+        labels = labels.astype(np.int64)
         if self.num_classes < 2:
             raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
@@ -168,11 +165,6 @@ class SplitSpec:
                 raise ValidationError(
                     f"{name} contains index {int(idx.max())} >= num_samples {num_samples}"
                 )
-
-
-# A weight vector is a plain 1-d float array of length num_models; entries
-# are sign-free unless simplex mode is requested downstream.
-WeightVector = np.ndarray
 
 
 def validate_weights(w, num_models: int) -> np.ndarray:

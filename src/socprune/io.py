@@ -15,13 +15,14 @@ rename, so a crashed writer never leaves a half-file that parses.
 Floats are serialized with 17 significant digits, ``'%.17g'``, so the file
 carries the exact double.  The predictions writer formats a block of rows
 at a time in numpy: a double-double product of each value and a power of
-ten gives its 17 digits, exactly or within a stated error bound.  A value
-whose rounding that cannot settle (0, -0, 1, subnormal and tiny values, a
-product too close to a tie or to a power of ten) is formatted on its own
-by ``'%.17g' %``, so every value's text is ``format_exact``'s.  Loading a
-dataset re-runs the tensor constructor, whose row renormalization can move
-entries by one ulp; values that already sum to exactly 1 (like the shipped
-fixture) round-trip bit-for-bit.
+ten gives its 17 digits, exactly or within a stated error bound; 0 and 1
+are written there too, as one digit.  A value whose rounding that cannot
+settle (-0, subnormal and tiny values, a product too close to a tie or to
+a power of ten) is formatted on its own by ``'%.17g' %``, so every value's
+text is ``format_exact``'s.  Loading a dataset re-runs the tensor
+constructor, whose row renormalization can move entries by one ulp; values
+that already sum to exactly 1 (like the shipped fixture) round-trip
+bit-for-bit.
 
 Dataset reads and writes use every CPU in the process's affinity mask
 (``taskset`` restricts them): the predictions table is parsed or formatted
@@ -60,7 +61,6 @@ from .core import (
     parse_float,
     parse_int,
     read_text,
-    validate_tensor,
 )
 from .errors import DomainError, IoError, ParseError, ShapeMismatch, VersionMismatch
 from .pipeline import CellDiagnostic, PruneReport
@@ -455,10 +455,9 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
                       provenance: str = "") -> None:
     """Materialize a dataset directory (manifest + predictions + labels).
 
-    Refuses to write tensors that would not read back: the tensor is
-    validated first and the splits are checked against its sample count.
+    Refuses to write a dataset that would not read back: the labels and
+    splits are checked against the tensor, which its constructor validated.
     """
-    validate_tensor(t)
     if y.num_samples != t.num_samples:
         raise ShapeMismatch(
             f"labels cover {y.num_samples} samples, tensor has {t.num_samples}"
@@ -724,8 +723,15 @@ def write_report(report: PruneReport, path, format: str = FORMAT_JSON) -> None:
     atomic_write_text(path, [render_report(report, format)])
 
 
+def _number(value, kind=float):
+    """A report value as the writer writes it: a finite JSON number, an integer for int."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def read_report(path) -> PruneReport:
-    """Inverse of write_report for the json-text format."""
+    """Inverse of write_report for the json-text format; rejects any value it never writes."""
     text = read_text(path)
     try:
         data = json.loads(text)
@@ -741,28 +747,28 @@ def read_report(path) -> PruneReport:
     try:
         cells = tuple(
             CellDiagnostic(
-                alpha=float(c["alpha"]),
-                lam=float(c["lam"]),
-                threshold=float(c["threshold"]),
-                accuracy=float(c["accuracy"]),
-                num_pruned=int(c["num_pruned"]),
+                alpha=_number(c["alpha"]),
+                lam=_number(c["lam"]),
+                threshold=_number(c["threshold"]),
+                accuracy=_number(c["accuracy"]),
+                num_pruned=_number(c["num_pruned"], int),
                 status=str(c["status"]),
             )
             for c in data["cells"]
         )
         return PruneReport(
-            best_alpha=float(data["best_alpha"]),
-            best_lambda=float(data["best_lambda"]),
-            threshold_used=float(data["threshold_used"]),
-            weights=np.asarray(data["weights"], dtype=np.float64),
-            selected=tuple(int(i) for i in data["selected"]),
-            full_accuracy=float(data["full_accuracy"]),
-            pruned_accuracy=float(data["pruned_accuracy"]),
-            num_models_full=int(data["num_models_full"]),
-            num_models_pruned=int(data["num_models_pruned"]),
+            best_alpha=_number(data["best_alpha"]),
+            best_lambda=_number(data["best_lambda"]),
+            threshold_used=_number(data["threshold_used"]),
+            weights=np.asarray([_number(v) for v in data["weights"]], dtype=np.float64),
+            selected=tuple(_number(i, int) for i in data["selected"]),
+            full_accuracy=_number(data["full_accuracy"]),
+            pruned_accuracy=_number(data["pruned_accuracy"]),
+            num_models_full=_number(data["num_models_full"], int),
+            num_models_pruned=_number(data["num_models_pruned"], int),
             cells=cells,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed report payload: {exc}") from None
 
 
@@ -776,7 +782,8 @@ def read_summary(path) -> dict:
     parts = lines[1].split(",")
     if len(parts) != len(SUMMARY_COLUMNS):
         raise ParseError(f"summary row has {len(parts)} fields, expected 5", line=2)
-    return {
-        key: (parse_int if key.startswith("models") else parse_float)(value, 2, key)
-        for key, value in zip(SUMMARY_COLUMNS, parts)
-    }
+    values = {key: (parse_int if key.startswith("models") else parse_float)(value, 2, key)
+              for key, value in zip(SUMMARY_COLUMNS, parts)}
+    if not all(map(math.isfinite, values.values())):
+        raise ParseError(f"summary values must be finite, got {lines[1]!r}", line=2)
+    return values

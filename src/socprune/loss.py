@@ -36,12 +36,6 @@ class LossValue:
     diversity_term: float
     alpha: float
 
-    @classmethod
-    def combine(cls, accuracy_term: float, diversity_term: float, alpha: float) -> "LossValue":
-        total = alpha * accuracy_term + (1.0 - alpha) * diversity_term
-        return cls(total=total, accuracy_term=accuracy_term,
-                   diversity_term=diversity_term, alpha=alpha)
-
 
 @dataclass(frozen=True)
 class QuadraticSurrogate:
@@ -98,26 +92,6 @@ def entropy_term(z):
     return out
 
 
-def distribution_entropy(p) -> float:
-    """Shannon entropy (natural log) of a probability row; result in [0, ln C]."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise DomainError(f"expected a 1-d probability row, got ndim={p.ndim}")
-    if abs(p.sum() - 1.0) > MIX_DOMAIN_SLACK:
-        raise DomainError(f"probability row sums to {p.sum()!r}, not 1")
-    return float(np.sum(entropy_term(p)))
-
-
-def ensemble_prediction(w, t: PredictionTensor, n: int) -> np.ndarray:
-    """Weighted mixture row ``sum_i w_i * probs[i, n, :]`` (no renormalization)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (t.num_models,):
-        raise ShapeMismatch(
-            f"weights have shape {w.shape}, expected ({t.num_models},)"
-        )
-    return w @ t.probs[:, n, :]
-
-
 def _mixture(w: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """All mixture rows at once: (N, C) array of sum_i w_i probs[i]."""
     return np.einsum("i,inj->nj", w, probs)
@@ -155,14 +129,11 @@ def exact_loss(w, t: PredictionTensor, y: LabelVector, alpha: float) -> LossValu
     jensen_gap = (mixture_entropy - member_entropy) / num_classes
     diversity = float(np.mean(1.0 - jensen_gap))
 
-    return LossValue.combine(accuracy, diversity, alpha)
+    return LossValue(total=alpha * accuracy + (1.0 - alpha) * diversity,
+                     accuracy_term=accuracy, diversity_term=diversity, alpha=alpha)
 
 
-def build_surrogate(
-    t: PredictionTensor,
-    y: LabelVector,
-    ridge: float | None = None,
-) -> QuadraticSurrogate:
+def build_surrogate(t: PredictionTensor, y: LabelVector) -> QuadraticSurrogate:
     """Quadratic surrogate of the ensemble loss around uniform weights.
 
     The accuracy term is represented exactly:
@@ -173,8 +144,8 @@ def build_surrogate(
     does not move the argmin.  The uniform mixture is clamped below at
     1e-12 inside the logarithm to tolerate one-hot member rows.
 
-    ``ridge`` defaults to ``1e-8 * trace(quad) / M`` and is recorded for
-    the Cholesky factorization performed by the cone-program builder.
+    ``ridge`` is ``1e-8 * trace(quad) / M``, recorded for the Cholesky
+    factorization performed by the cone-program builder.
     """
     if y.num_samples != t.num_samples or y.num_classes != t.num_classes:
         raise ShapeMismatch("labels do not match the prediction tensor")
@@ -196,13 +167,10 @@ def build_surrogate(
         + np.sum(entropy_term(probs), axis=(1, 2))
     )
 
-    if ridge is None:
-        ridge = 1e-8 * float(np.trace(quad)) / num_models
-
     return QuadraticSurrogate(
         quad=quad,
         lin_accuracy=lin_accuracy,
         lin_diversity=lin_diversity,
         constant=constant,
-        ridge=float(ridge),
+        ridge=1e-8 * float(np.trace(quad)) / num_models,
     )

@@ -395,17 +395,16 @@ def cross_validate(t, y, splits, config: PruneConfig):
     return _run_grid(t, y, splits, config)[:3]
 
 
-def brute_force_subset_oracle(t, y, alpha, max_m: int = _ORACLE_LIMIT):
+def brute_force_subset_oracle(t, y, alpha):
     """Exhaustive minimum of the exact loss over uniform-weight subsets.
 
     Returns (subset index list, loss).  Ties go to the lexicographically
-    smallest subset.  Guarded by max_m (hard cap 14): the enumeration is
-    2^M - 1 subsets.
+    smallest subset.  Capped at 14 models: the enumeration is 2^M - 1
+    subsets.
     """
     m = t.num_models
-    limit = min(int(max_m), _ORACLE_LIMIT)
-    if m > limit:
-        raise TooLarge(f"{m} models exceed the enumeration limit {limit}")
+    if m > _ORACLE_LIMIT:
+        raise TooLarge(f"{m} models exceed the enumeration limit {_ORACLE_LIMIT}")
     n, num_c = t.num_samples, t.num_classes
     flat = t.probs.reshape(m, n * num_c)
     ent_flat = entropy_term(t.probs).reshape(m, n * num_c).sum(axis=1)

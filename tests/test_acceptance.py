@@ -24,12 +24,7 @@ from socprune.conic import (
     write_cone_program,
 )
 from socprune.core import PredictionTensor
-from socprune.loss import (
-    QuadraticSurrogate,
-    build_surrogate,
-    distribution_entropy,
-    exact_loss,
-)
+from socprune.loss import QuadraticSurrogate, build_surrogate, entropy_term, exact_loss
 from socprune.pipeline import (
     PruneConfig,
     SyntheticSpec,
@@ -157,13 +152,13 @@ def test_entropy_bounds_and_jensen_concavity():
             upper = np.log(num_classes)
             for i in range(0, 850, 2):
                 p, q = rows[i], rows[i + 1]
-                hp, hq = distribution_entropy(p), distribution_entropy(q)
+                hp, hq = entropy_term(p).sum(), entropy_term(q).sum()
                 for h in (hp, hq):
                     total += 1
                     if h < -1e-12 or h > upper + 1e-12:
                         bound_violations += 1
                 theta = float(rng.uniform())
-                mixed = distribution_entropy(theta * p + (1.0 - theta) * q)
+                mixed = entropy_term(theta * p + (1.0 - theta) * q).sum()
                 if mixed < theta * hp + (1.0 - theta) * hq - 1e-12:
                     jensen_violations += 1
     ok = bound_violations == 0 and jensen_violations == 0 and total >= 10000
@@ -221,7 +216,7 @@ def test_surrogate_accuracy_exactness_and_diversity_gradient():
     step = 1e-6
     for _ in range(10):
         t, y = random_instance(rng, 4, 15, 3)
-        s = build_surrogate(t, y, ridge=0.0)
+        s = build_surrogate(t, y)
         anchor = np.full(4, 0.25)
         for i in range(4):
             wp, wm = anchor.copy(), anchor.copy()

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import socprune
 from socprune.core import (
     LabelVector,
     PredictionTensor,
@@ -159,3 +160,9 @@ class TestSeededRng:
         assert list(rng.random(8)) == expected_uniform
         assert list(rng.integers(0, 1000, 4)) == expected_ints
         assert list(rng.standard_normal(4)) == expected_normal
+
+
+def test_public_names_resolve_once():
+    missing = [name for name in socprune.__all__ if not hasattr(socprune, name)]
+    repeated = sorted({name for name in socprune.__all__ if socprune.__all__.count(name) > 1})
+    assert missing == [] and repeated == []

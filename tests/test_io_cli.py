@@ -467,6 +467,8 @@ class TestDatasetErrors:
         # shape claims no row confirms: the table's last line, with nothing sized by the claim
         ("manifest.txt", "num_samples 3", "num_samples 1000000000000", 4),
         ("manifest.txt", "num_models 2", "num_models 1000000000000", 7),
+        ("manifest.txt", "num_classes 2", "num_classes 2\nnum_classes 2", 6),  # duplicate key
+        ("manifest.txt", "num_classes 2", "", 10),  # missing key: the manifest's last line
     ])
     def test_bad_row_names_its_line(self, tmp_path, capsys, monkeypatch, filename, old,
                                     new, line):
@@ -482,6 +484,20 @@ class TestDatasetErrors:
         assert read_error(target) == error
         if filename != "manifest.txt":  # the bad table's forked read met the defect
             assert forked.reads == [True] * (filename == "predictions.csv") + [False]
+
+    @pytest.mark.parametrize("text, message", [
+        ("socprune-datasets\nformat_version 1\n", "not a dataset manifest"),
+        ("# a comment\n\n", "empty manifest"),
+        ("", "empty manifest"),
+    ], ids=["wrong_magic", "comment_only", "empty"])
+    def test_manifest_without_magic_names_line_1(self, tmp_path, capsys, text, message):
+        # the replacement pattern above edits one line between two others
+        target = corrupted_copy(tmp_path, "manifest.txt", lambda s: text)
+        _, error, line = read_error(target)
+        assert line == 1 and message in error
+        code, _, err = run_cli(["check", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("error: line 1:")
 
     @pytest.mark.parametrize("edit, message", [
         # the first copy of row (0, 0) is in the first chunk, the second in the last
@@ -557,6 +573,44 @@ class TestReportIO:
         with pytest.raises(ParseError) as exc:
             read_report(tmp_path / "r.json")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("name, content, message", [
+        # json-text: sample_report's payload with one edit; the writer never
+        # writes NaN, an infinity, a number as a string or a fractional count
+        ("r.json", lambda d: d.update(best_alpha=math.nan), "finite float, got nan"),
+        ("r.json", lambda d: d.update(threshold_used=math.inf), "finite float, got inf"),
+        ("r.json", lambda d: d["cells"][1].update(accuracy=-math.inf), "got -inf"),
+        ("r.json", lambda d: d.update(threshold_used="0.5"), "got '0.5'"),
+        ("r.json", lambda d: d["weights"].__setitem__(1, "nan"), "got 'nan'"),
+        ("r.json", lambda d: d["cells"][0].update(num_pruned=2.7), "finite int, got 2.7"),
+        ("r.json", lambda d: d["selected"].__setitem__(0, True), "finite int, got True"),
+        ("r.json", lambda d: d.update(num_models_full=10**400), "too large"),
+        ("r.json", lambda d: d.update(kind="socprune-weights"), "not a socprune-report file"),
+        ("r.json", lambda d: d.pop("cells"), "malformed report payload: 'cells'"),
+        # csv-summary
+        ("r.csv", "nan,0.75,3,2,0.05", "summary values must be finite"),
+        ("r.csv", "0.625,0.75,3,2,inf", "summary values must be finite"),
+        ("r.csv", "0.625,0.75,3,2,0.05\n0.625,0.75,3,2,0.05", "header \\+ one row, got 3"),
+        ("r.csv", "0.625,0.75,3,2", "row has 4 fields"),
+        ("r.csv", None, "summary header must be"),
+    ], ids=["nan", "infinity", "cell_infinity", "number_as_string", "nan_string_weight",
+            "fractional_count", "bool_index", "huge_count", "wrong_kind", "missing_key",
+            "summary_nan", "summary_infinity", "summary_two_rows", "summary_short_row",
+            "summary_header"])
+    def test_value_never_written_is_parse_error(self, tmp_path, name, content, message):
+        if name == "r.json":
+            payload = json.loads(render_report(sample_report()))
+            content(payload)
+            text = json.dumps(payload)
+        else:
+            text = render_report(sample_report(), FORMAT_CSV)
+            if content is None:
+                text = text.replace("threshold", "cutoff")
+            else:
+                text = text.split("\n")[0] + f"\n{content}\n"
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ParseError, match=message):
+            (read_report if name == "r.json" else read_summary)(tmp_path / name)
 
     def test_atomic_write_failure_cleans_up(self, tmp_path, monkeypatch):
         def refuse(src, dst):
@@ -637,12 +691,12 @@ def gen_args(out, seed=0):
 
 def program_text(**replace):
     """A two-variable LP file with the named lines replaced."""
-    lines = dict(vars="vars 2", eqs="eqs 1", objective="objective 1\n0 1",
-                 cone="nonneg_orthant 2 0 1")
+    lines = dict(vars="vars 2", eqs="eqs 1", objective="objective 1\n0 1", cones="cones 1",
+                 cone="nonneg_orthant 2 0 1", free="free 0", end="end")
     lines.update(replace)
     return (f"socprune-cone-program 1\n{lines['vars']}\n{lines['eqs']}\n"
             f"{lines['objective']}\neq_entries 2\n0 0 1\n0 1 1\neq_rhs 1\n1\n"
-            f"cones 1\n{lines['cone']}\nfree 0\nend\n")
+            f"{lines['cones']}\n{lines['cone']}\n{lines['free']}\n{lines['end']}\n")
 
 
 class TestCli:
@@ -768,26 +822,46 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("replace, line", [
+    @pytest.mark.parametrize("replace, error", [
         ({}, None),
-        ({"vars": "vars"}, 2),
-        ({"vars": "vars -1"}, 2),
-        ({"eqs": "eqs -2"}, 3),
-        ({"objective": "objective 2\n0 1.0\n0 -1.0"}, 6),  # repeated index
-        ({"cone": "nonneg_orthant 2 0 2"}, 12),
-        ({"cone": "nonneg_orthant 2 -1 1"}, 12),
+        ({"vars": "vars"}, "line 2: expected 'vars <count>'"),
+        ({"vars": "vars -1"}, "line 2: vars count must be >= 0"),
+        ({"eqs": "eqs -2"}, "line 3: eqs count must be >= 0"),
+        ({"objective": "objective 2\n0 1.0\n0 -1.0"}, "line 6: objective index 0 repeated"),
+        ({"cone": "nonneg_orthant 2 0 2"}, "line 12: cone index must be in [0, 2)"),
+        ({"cone": "nonneg_orthant 2 -1 1"}, "line 12: cone index must be in [0, 2)"),
         # more variables than the cones list; must fail before sizing arrays by it
-        ({"vars": "vars 1000000000000", "cone": "nonneg_orthant 1 0"}, 2),
+        ({"vars": "vars 1000000000000", "cone": "nonneg_orthant 1 0"},
+         "line 2: vars 1000000000000 exceeds"),
+        ({"eqs": "equations 1"}, "line 3: expected 'eqs', got 'equations'"),
+        ({"eqs": "eqs 2"}, "line 9: eq_rhs count 1 disagrees with 2"),
+        ({"objective": "objective 1\n0 1 2"}, "line 5: objective line needs 2 fields, got 3"),
+        ({"cone": "nonneg_orthant 2"}, "line 12: cone line needs 'kind dim indices...'"),
+        ({"cone": "nonneg_orthant 3 0 1"}, "line 12: cone lists 2 indices but dim 3"),
+        # Cone's own checks, reported on the cone's line
+        ({"cone": "simplex 2 0 1"}, "line 12: unknown cone kind 'simplex'"),
+        ({"cone": "nonneg_orthant 2 1 1"}, "line 12: cone lists a variable twice"),
+        ({"cone": "rotated_quadratic 2 0 1"}, "line 12: rotated quadratic cone needs dim >= 3"),
+        # ConeProgram's check that each variable is in exactly one cone or the
+        # free set, reported on the 'end' line
+        ({"cones": "cones 2", "cone": "nonneg_orthant 2 0 1\nnonneg_orthant 1 1"},
+         "line 15: structurally invalid program: variable 1 appears in 2"),
+        ({"vars": "vars 3", "cone": "nonneg_orthant 2 0 2", "free": "free 1\n2"},
+         "line 15: structurally invalid program: variable 1 appears in 0"),
+        ({"end": "fin"}, "line 14: expected 'end', got 'fin'"),
     ], ids=["valid", "bare_vars", "negative_vars", "negative_eqs", "repeated_objective",
-            "cone_index_too_large", "negative_cone_index", "vars_beyond_cones"])
-    def test_malformed_program_exit_2(self, tmp_path, capsys, replace, line):
+            "cone_index_too_large", "negative_cone_index", "vars_beyond_cones",
+            "wrong_keyword", "rhs_count", "field_count", "short_cone_line", "cone_dim",
+            "unknown_cone_kind", "repeated_cone_index", "rotated_dim_2", "var_in_two_cones",
+            "var_in_no_cone", "missing_end"])
+    def test_malformed_program_exit_2(self, tmp_path, capsys, replace, error):
         (tmp_path / "p.sp").write_text(program_text(**replace))
         code, _, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
-        if line is None:
+        if error is None:
             assert code == 0
         else:
             assert code == 2
-            assert err.startswith(f"error: line {line}:")
+            assert err.startswith(f"error: {error}")
 
     @pytest.mark.parametrize("argv", [
         ["run", "DATA", "--simplex", "--lambda", "nan"],

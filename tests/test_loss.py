@@ -10,14 +10,8 @@ import numpy as np
 import pytest
 
 from socprune.core import LabelVector, PredictionTensor
-from socprune.errors import DomainError, ShapeMismatch
-from socprune.loss import (
-    build_surrogate,
-    distribution_entropy,
-    ensemble_prediction,
-    entropy_term,
-    exact_loss,
-)
+from socprune.errors import DomainError
+from socprune.loss import build_surrogate, entropy_term, exact_loss
 
 from conftest import random_instance, random_probs
 
@@ -78,26 +72,29 @@ class TestEntropyTerm:
 
 
 class TestDistributionEntropy:
+    """The Shannon entropy of a row, as the sum of its entropy_term kernel."""
+
     def test_uniform_is_log_c(self):
-        assert abs(distribution_entropy([0.25] * 4) - math.log(4)) < 1e-15
+        assert abs(entropy_term([0.25] * 4).sum() - math.log(4)) < 1e-15
 
     def test_one_hot_is_zero(self):
-        assert distribution_entropy([0.0, 1.0, 0.0]) == 0.0
+        assert entropy_term([0.0, 1.0, 0.0]).sum() == 0.0
 
     def test_frozen_value(self):
         # -0.25 ln 0.25 - 0.75 ln 0.75, evaluated independently
-        assert abs(distribution_entropy([0.25, 0.75]) - 0.5623351446188083) < 1e-15
+        assert abs(entropy_term([0.25, 0.75]).sum() - 0.5623351446188083) < 1e-15
 
     def test_bad_row(self):
+        # entries outside [0, 1]; the kernel does not check the row sum
         with pytest.raises(DomainError):
-            distribution_entropy([0.7, 0.7])
+            entropy_term([1.4, -0.4]).sum()
 
     def test_bounds(self, rng):
         for _ in range(200):
             c = int(rng.integers(2, 8))
             g = rng.standard_gamma(0.5, size=c) + 1e-12
             p = g / g.sum()
-            h = distribution_entropy(p)
+            h = entropy_term(p).sum()
             assert -1e-12 <= h <= math.log(c) + 1e-12
 
     def test_concavity(self, rng):
@@ -106,28 +103,9 @@ class TestDistributionEntropy:
             g = rng.standard_gamma(1.0, size=(2, c)) + 1e-9
             p, q = g[0] / g[0].sum(), g[1] / g[1].sum()
             theta = rng.uniform(0.05, 0.95)
-            mixed = distribution_entropy(theta * p + (1 - theta) * q)
-            split = theta * distribution_entropy(p) + (1 - theta) * distribution_entropy(q)
+            mixed = entropy_term(theta * p + (1 - theta) * q).sum()
+            split = theta * entropy_term(p).sum() + (1 - theta) * entropy_term(q).sum()
             assert mixed >= split - 1e-12
-
-
-class TestEnsemblePrediction:
-    def test_single_model_identity(self):
-        t = PredictionTensor(probs=np.array([[[0.3, 0.7]]]))
-        assert np.allclose(ensemble_prediction([1.0], t, 0), [0.3, 0.7])
-
-    def test_symmetry(self):
-        t = PredictionTensor(probs=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
-        assert np.allclose(ensemble_prediction([0.5, 0.5], t, 0), [0.5, 0.5])
-
-    def test_weighted_sum(self):
-        t = PredictionTensor(probs=np.array([[[0.9, 0.1]], [[0.1, 0.9]]]))
-        assert np.allclose(ensemble_prediction([0.2, 0.8], t, 0), [0.26, 0.74])
-
-    def test_shape_mismatch(self):
-        t = PredictionTensor(probs=np.array([[[0.5, 0.5]]]))
-        with pytest.raises(ShapeMismatch):
-            ensemble_prediction([0.5, 0.5], t, 0)
 
 
 class TestExactLoss:
@@ -191,7 +169,7 @@ class TestBuildSurrogate:
     def test_hand_example(self):
         t = PredictionTensor(probs=np.array([[[0.5, 0.5]]]))
         y = LabelVector(labels=np.array([0]), num_classes=2)
-        s = build_surrogate(t, y, ridge=0.0)
+        s = build_surrogate(t, y)
         assert abs(s.quad[0, 0] - 0.25) < 1e-15
         assert abs(s.lin_accuracy[0] - (-0.5)) < 1e-15
         assert abs(s.constant - 0.5) < 1e-15
@@ -199,7 +177,7 @@ class TestBuildSurrogate:
     def test_accuracy_term_exact(self, rng):
         for _ in range(20):
             t, y = random_instance(rng, 4, 6, 3)
-            s = build_surrogate(t, y, ridge=0.0)
+            s = build_surrogate(t, y)
             w = rng.normal(size=4) * 0.3
             quad_val = w @ s.quad @ w + s.lin_accuracy @ w + s.constant
             # evaluate only the accuracy part; alpha=1 isolates it
@@ -212,7 +190,7 @@ class TestBuildSurrogate:
         for _ in range(10):
             t, y = random_instance(rng, 3, 5, 3)
             anchor = np.full(3, 1 / 3)
-            s = build_surrogate(t, y, ridge=0.0)
+            s = build_surrogate(t, y)
             for i in range(3):
                 wp, wm = anchor.copy(), anchor.copy()
                 wp[i] += step
@@ -223,7 +201,7 @@ class TestBuildSurrogate:
 
     def test_quad_psd(self, rng):
         t, y = random_instance(rng, 5, 7, 4)
-        s = build_surrogate(t, y, ridge=0.0)
+        s = build_surrogate(t, y)
         for _ in range(20):
             w = rng.normal(size=5)
             assert w @ s.quad @ w >= -1e-10

@@ -502,8 +502,3 @@ class TestBruteForceOracle:
         t, y = random_instance(rng, 15, 5, 2)
         with pytest.raises(TooLarge):
             brute_force_subset_oracle(t, y, 0.5)
-
-    def test_max_m_argument(self, rng):
-        t, y = random_instance(rng, 5, 5, 2)
-        with pytest.raises(TooLarge):
-            brute_force_subset_oracle(t, y, 0.5, max_m=4)
