@@ -25,12 +25,12 @@ that already sum to exactly 1 (like the shipped fixture) round-trip
 bit-for-bit.
 
 Dataset reads and writes use every CPU in the process's affinity mask
-(``taskset`` restricts them): the predictions table is parsed or formatted
-by one forked worker process per CPU.  The library forks, which matters to
-a caller that holds threads: the child gets only the forking thread.  On
-one CPU, for a table of one chunk, or where ``fork`` is unavailable, the
-table is converted inline; the inline reader is also the one that reports
-every defect in a table, so errors are the same either way.
+(``taskset`` restricts them): a forked worker per CPU parses a table's spans
+of whole lines, decoded as text mode decodes them, or formats ranges of
+models.  The library forks, which matters to a caller that holds threads:
+the child gets only the forking thread.  On one CPU, for one span or range,
+or without ``fork``, the same functions run inline, so files and errors are
+the same either way.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ import json
 import math
 import mmap
 import os
+import re
 import shutil
 import tempfile
 from contextlib import ExitStack
 from dataclasses import asdict
 from functools import cache, partial
+from io import BytesIO, TextIOWrapper
 from itertools import pairwise
 
 import numpy as np
@@ -89,11 +91,13 @@ SUMMARY_COLUMNS = (
     "threshold",
 )
 
-# a reader cuts the table's text into chunks of about this many bytes, a
-# writer forks a worker per this many bytes of float64 values at most:
-# small enough that an ingest-sized table spreads over every CPU, large
-# enough that a table of a few rows stays inline
-_CHUNK_BYTES = 4 << 20
+# a reader cuts the table's text into spans of about this many bytes, a
+# writer forks a worker per this many bytes of float64 values at most: small
+# enough that an ingest-sized table spreads over every CPU and that a span
+# is small beside the table, large enough that a table of a few rows stays inline
+_CHUNK_BYTES = 1 << 18
+# a line ends as in universal-newline text mode: at '\n', '\r\n' or a lone '\r'
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def _workers(chunks: int) -> int:
@@ -113,7 +117,7 @@ def _workers(chunks: int) -> int:
 
 
 def _fork_map(fn, state, tasks, workers: int) -> list:
-    """``[fn(state, task) for task in tasks]`` on ``workers`` forked processes.
+    """``[fn(state, task) for task in tasks]``, on ``workers`` forked processes if > 1.
 
     Forked, so ``state`` (a shared buffer, open files, a tensor) is
     inherited rather than pickled; only the results come back through a
@@ -123,6 +127,8 @@ def _fork_map(fn, state, tasks, workers: int) -> list:
     raised here; a worker that exits without a result (a signal, the OOM
     killer, ``os._exit``) is an IoError naming its exit code.
     """
+    if workers == 1:
+        return [fn(state, task) for task in tasks]
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -424,31 +430,10 @@ def _model_blocks(probs, models):
 
 
 def _write_part(probs, task) -> None:
-    """Stream one contiguous range of models into a part file a worker inherited."""
+    """Stream one contiguous range of models into the file open on a descriptor."""
     models, fd = task
     with open(fd, "wb", closefd=False) as fh:
         fh.writelines(_model_blocks(probs, models))
-
-
-def _write_rows_parallel(target, header, probs, workers) -> None:
-    """Write the predictions table with each worker formatting a range of models.
-
-    Each worker writes its range to its own unnamed temp file in the
-    dataset directory; the parent copies the header and the parts, in model
-    order, into one temp file that atomically replaces ``target``.  Nothing
-    but the temp file has a name, so a failure leaves no file behind.
-    """
-    num_models = probs.shape[0]
-    bounds = [num_models * k // workers for k in range(workers + 1)]
-    with atomic_output(target, "wb") as out, ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(target)))
-                 for _ in range(workers)]
-        tasks = [(range(a, b), part.fileno()) for (a, b), part in zip(pairwise(bounds), parts)]
-        _fork_map(_write_part, probs, tasks, workers)
-        out.write(header.encode())
-        for part in parts:
-            part.seek(0)
-            shutil.copyfileobj(part, out, 1 << 20)
 
 
 def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSpec,
@@ -486,15 +471,21 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
     ]
     atomic_write_text(os.path.join(path, MANIFEST_NAME), ["\n".join(manifest) + "\n"])
 
-    target = os.path.join(path, PREDICTIONS_NAME)
-    header = _predictions_header(t.num_classes) + "\n"
+    # a worker per range of models: the first writes after the header into the temp file
+    # that replaces the table, each other one into an unnamed temp file appended in
+    # model order; only the temp file has a name, so a failure leaves no file behind
     workers = _workers(min(t.num_models, math.ceil(t.probs.nbytes / _CHUNK_BYTES)))
-    if workers == 1:
-        with atomic_output(target, "wb") as out:
-            out.write(header.encode())
-            out.writelines(_model_blocks(t.probs, range(t.num_models)))
-    else:
-        _write_rows_parallel(target, header, t.probs, workers)
+    bounds = [t.num_models * k // workers for k in range(workers + 1)]
+    with atomic_output(os.path.join(path, PREDICTIONS_NAME), "wb") as out, ExitStack() as stack:
+        out.write((_predictions_header(t.num_classes) + "\n").encode())
+        out.flush()  # the first range is written through the descriptor, after the header
+        parts = [out, *(stack.enter_context(tempfile.TemporaryFile(dir=path))
+                        for _ in range(workers - 1))]
+        tasks = [(range(a, b), part.fileno()) for (a, b), part in zip(pairwise(bounds), parts)]
+        _fork_map(_write_part, t.probs, tasks, workers)
+        for part in parts[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part, out, 1 << 20)
 
     labels = "".join(["%d,%d\n" % row for row in enumerate(y.labels.tolist())])
     atomic_write_text(os.path.join(path, LABELS_NAME), ["sample_id,label\n" + labels])
@@ -537,68 +528,66 @@ class _Table:
         return flat, self.parse_values(parts[num_keys:], lineno, self.names[num_keys:])
 
     def key_text(self, flat):
-        key = []
-        for bound in reversed(self.bounds):
-            flat, k = divmod(flat, bound)
-            key.append(k)
-        return ", ".join(f"{name} {k}" for name, k in zip(self.names, reversed(key)))
+        key = np.unravel_index(flat, self.bounds)
+        return ", ".join(f"{name} {k}" for name, k in zip(self.names, key))
 
 
 def _parse_chunk(state, span):
-    """Keys, as int64 bytes, of the rows in one byte span of a table.
+    """Parse the lines of one byte span of a table, decoded as text mode decodes them.
 
-    Each row's values go straight into the shared buffer at the row's key.
-    None at the first defect of any kind; the inline reader then names it.
+    Each row's values go into the shared buffer ``out``, if there is one.
+    Returns the span's line count, its rows' (key, line in the span) pairs
+    as int64 bytes, and its first bad line (None if none) or the
+    UnicodeDecodeError that ends its text early, where it stops.
     """
     path, table, out = state
     start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    if b"\r" in data:  # the inline reader's universal newlines decide these lines
-        return None
-    keys = array.array("q")
-    try:
-        for line in data.decode("ascii").split("\n"):
-            row = table.parse_row(line, 0)
-            if row is not None:
-                flat, values = row
-                out[flat] = values
-                keys.append(flat)
-    except (ParseError, UnicodeDecodeError):
-        return None
-    return keys.tobytes()
+    rows = array.array("q")
+    lineno = 0
+    with TextIOWrapper(BytesIO(data)) as lines:
+        try:
+            for lineno, line in enumerate(lines, start=1):
+                line = line.rstrip("\n")
+                try:
+                    row = table.parse_row(line, lineno)
+                except ParseError:
+                    return lineno, rows.tobytes(), line
+                if row is not None:
+                    flat, values = row
+                    if out is not None:  # None: the file is too small, so a row is missing
+                        out[flat] = values
+                    rows.extend((flat, lineno))
+        except UnicodeDecodeError as exc:  # after the lines decoded before it, as text mode does
+            return lineno, rows.tobytes(), exc
+    return lineno, rows.tobytes(), None
 
 
-def _read_rows_parallel(path, table, out) -> bool:
-    """Parse a table's rows in forked workers, writing each row into ``out``.
+def _raise_first_defect(table, parts, total):
+    """Raise the ParseError that reading the table line by line meets first.
 
-    The body is cut into chunks of about ``_CHUNK_BYTES``, each ending just
-    after a newline.  True when the rows' keys are a permutation of
-    range(len(out)).  False, with ``out`` partly written, at any defect, or
-    when the table is to be read inline: one CPU, one chunk, no ``fork``, or
-    a first line that is not the header in ASCII followed by a newline.
+    ``parts`` are ``_parse_chunk``'s results for the spans after the
+    header, in file order: a repeated row, a bad line or an undecodable
+    byte, whichever comes first, else the first missing row, named at the
+    table's last line.
     """
-    with open(path, "rb") as fh:
-        if fh.readline() != (",".join(table.names) + "\n").encode():
-            return False
-        spans = []
-        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        while start < size:
-            fh.seek(min(start + _CHUNK_BYTES, size) - 1)
-            fh.readline()
-            spans.append((start, fh.tell()))
-            start = fh.tell()
-    workers = _workers(len(spans))
-    if workers == 1:
-        return False
-    parts = _fork_map(_parse_chunk, (path, table, out), spans, workers)
-    if None in parts:
-        return False
-    keys = np.frombuffer(b"".join(parts), np.int64)
-    seen = np.zeros(len(out), dtype=bool)
-    seen[keys] = True
-    return keys.size == len(out) and bool(seen.all())
+    last, rows = 1, set()  # the header is line 1
+    for count, pairs, bad in parts:
+        for key, line in np.frombuffer(pairs, np.int64).reshape(-1, 2).tolist():
+            if key in rows:
+                raise ParseError(f"duplicate {table.what} row for {table.key_text(key)}",
+                                 line=last + line)
+            rows.add(key)
+        last += count
+        if isinstance(bad, UnicodeDecodeError):
+            raise bad  # the caller's open_text names the file
+        if bad is not None:  # the span's parse stopped at its last line
+            table.parse_row(bad, last)  # raises the line's own error
+    # so the search ends within len(rows) + 1 steps, whatever total is
+    missing = next(k for k in range(total) if k not in rows)
+    raise ParseError(f"no {table.what} row for {table.key_text(missing)}", line=last)
 
 
 def _read_table(path, header, width, bounds, parse_values, dtype, what):
@@ -609,9 +598,7 @@ def _read_table(path, header, width, bounds, parse_values, dtype, what):
     allocated only if the file is large enough to hold every row, at two
     bytes or more per field (its text and the comma or newline after it),
     so nothing is sized by a claimed count that the file cannot back.
-    Rows are parsed in parallel when that is possible; any defect sends the
-    table to the inline reader, which streams it line by line.  Empty lines
-    are skipped; each ParseError names the line at fault.
+    Empty lines are skipped; each ParseError names the line at fault.
     """
     total = math.prod(bounds)
     with open_text(path) as fh:
@@ -621,31 +608,32 @@ def _read_table(path, header, width, bounds, parse_values, dtype, what):
                 f"{what} header has {len(names)} fields, not {len(bounds) + width}", line=1)
         if ",".join(names) != header():
             raise ParseError(f"{what} header must be {header()!r}", line=1)
+        if total >= 2**63:  # keys are int64, and no file holds that many rows
+            raise ParseError(f"{what} table cannot have {total} rows")
         table = _Table(what, names, bounds, parse_values)
+        size = os.fstat(fh.fileno()).st_size
         out = None
-        if total * 2 * len(names) <= os.fstat(fh.fileno()).st_size:
+        if total * 2 * len(names) <= size:
             nbytes = total * width * np.dtype(dtype).itemsize
             # shared and anonymous, so forked workers write the rows in place
             out = np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(total, width)
-            if _read_rows_parallel(path, table, out):
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
+            # each span ends just past a line end, so none splits a line or a
+            # '\r\n'; the first end found is the header's
+            ends, pos = [0], 0
+            while ends[-1] < size:
+                found = _LINE_END.search(text, pos)
+                ends.append(found.end() if found else size)
+                pos = min(ends[-1] + _CHUNK_BYTES, size) - 1
+        spans = list(pairwise(ends[1:]))
+        parts = _fork_map(_parse_chunk, (path, table, out), spans, _workers(len(spans)))
+        keys = np.frombuffer(b"".join([rows for _, rows, _ in parts]), np.int64)[::2]
+        if out is not None and keys.size == total and all(bad is None for *_, bad in parts):
+            seen = np.zeros(total, dtype=bool)
+            seen[keys] = True
+            if seen.all():
                 return out.reshape(*bounds, width)
-        rows = set()
-        lineno = 1
-        for lineno, line in enumerate(fh, start=2):
-            row = table.parse_row(line.rstrip("\n"), lineno)
-            if row is None:
-                continue
-            flat, values = row
-            if flat in rows:
-                raise ParseError(f"duplicate {what} row for {table.key_text(flat)}",
-                                 line=lineno)
-            rows.add(flat)
-            if out is not None:  # None: the file is too small, so a row is missing
-                out[flat] = values
-    if len(rows) < total:  # so the search below ends within len(rows) + 1 steps
-        missing = next(k for k in range(total) if k not in rows)
-        raise ParseError(f"no {what} row for {table.key_text(missing)}", line=lineno)
-    return out.reshape(*bounds, width)
+        _raise_first_defect(table, parts, total)
 
 
 def read_predictions(path):
@@ -730,6 +718,13 @@ def _number(value, kind=float):
     return kind(value)
 
 
+def _string(value):
+    """A report value the writer writes as a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def read_report(path) -> PruneReport:
     """Inverse of write_report for the json-text format; rejects any value it never writes."""
     text = read_text(path)
@@ -752,7 +747,7 @@ def read_report(path) -> PruneReport:
                 threshold=_number(c["threshold"]),
                 accuracy=_number(c["accuracy"]),
                 num_pruned=_number(c["num_pruned"], int),
-                status=str(c["status"]),
+                status=_string(c["status"]),
             )
             for c in data["cells"]
         )
@@ -768,7 +763,7 @@ def read_report(path) -> PruneReport:
             num_models_pruned=_number(data["num_models_pruned"], int),
             cells=cells,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ParseError(f"malformed report payload: {exc}") from None
 
 

@@ -9,6 +9,7 @@ relaxation at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 import scipy.special
@@ -152,10 +153,13 @@ class PruneReport:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "selected", tuple(int(i) for i in self.selected))
+        if len(w) != self.num_models_full:
+            raise DomainError(f"{len(w)} weights for {self.num_models_full} models")
+        if not all(a < b for a, b in pairwise((-1, *self.selected, self.num_models_full))):
+            raise DomainError(f"selected models {self.selected} must be strictly "
+                              f"ascending indices in [0, {self.num_models_full})")
         if self.num_models_pruned != len(self.selected):
             raise DomainError("pruned model count must match the selected list")
-        if self.num_models_pruned > self.num_models_full:
-            raise DomainError("pruned ensemble cannot exceed the full ensemble")
 
     def __eq__(self, other):
         if not isinstance(other, PruneReport):

@@ -135,26 +135,31 @@ def read_error(target):
 
 class Forked:
     """Dataset I/O cut into chunks of a few bytes, spread over three forked
-    workers whatever the host's CPU count; records whether each parallel
-    read saw every row once."""
+    workers whatever the host's CPU count.  Records the worker count of each
+    table read and of each table write (1: inline, no process forked), and
+    every line that this process parses itself rather than a forked worker."""
 
     def __init__(self, monkeypatch):
-        self.reads = []
-        self.maps = 0
-        parallel_read, fork_map = dataio._read_rows_parallel, dataio._fork_map
+        self.reads, self.writes, self.parsed = [], [], []
+        fork_map, parse_row = dataio._fork_map, dataio._Table.parse_row
 
-        def read(*args):
-            self.reads.append(parallel_read(*args))
-            return self.reads[-1]
+        def spread(fn, state, tasks, workers):
+            (self.writes if fn is dataio._write_part else self.reads).append(workers)
+            return fork_map(fn, state, tasks, workers)
 
-        def spread(*args):
-            self.maps += 1
-            return fork_map(*args)
+        def parse(table, line, lineno):
+            self.parsed.append((line, lineno))  # a forked worker appends to its own copy
+            return parse_row(table, line, lineno)
 
         monkeypatch.setattr(dataio, "_CHUNK_BYTES", 4)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(dataio, "_read_rows_parallel", read)
         monkeypatch.setattr(dataio, "_fork_map", spread)
+        monkeypatch.setattr(dataio._Table, "parse_row", parse)
+
+    @property
+    def maps(self):
+        """The number of reads and writes that forked workers."""
+        return sum(workers > 1 for workers in self.reads + self.writes)
 
 
 def probs_bytes(path):
@@ -227,10 +232,10 @@ class TestDatasetRoundTrip:
             rows = rows[::-1]
             return "\n".join([header, *rows[:2], "", *rows[2:]]) + "\n\n"
 
-        # the golden dataset with LF line ends, and a copy with CRLF ones; a
-        # form feed inside the provenance does not end the manifest line
-        for newline in ("\n", "\r\n"):
-            target = tmp_path / f"dataset-{len(newline)}"
+        # the golden dataset with LF line ends, and copies with CRLF and CR
+        # ones; a form feed inside the provenance does not end the manifest line
+        for newline in ("\n", "\r\n", "\r"):
+            target = tmp_path / f"dataset-{newline.encode().hex()}"
             shutil.copytree(GOLDEN, target)
             for path in target.iterdir():
                 text = path.read_text()
@@ -245,6 +250,13 @@ class TestDatasetRoundTrip:
             assert np.array_equal(y.labels, [1, 0, 1])
             code, _, _ = run_cli(["check", str(target)], capsys)
             assert code == 0
+            # the same tables when each line is a chunk and forked workers parse them
+            with pytest.MonkeyPatch.context() as mp:
+                forked = Forked(mp)
+                t, y, _ = read_predictions(target)
+            assert np.array_equal(t.probs, TINY_PROBS)
+            assert np.array_equal(y.labels, [1, 0, 1])
+            assert forked.reads == [3, 3]
 
     def test_writer_matches_per_value_reference(self, tmp_path, rng):
         special = [0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1]
@@ -348,7 +360,7 @@ class TestDatasetRoundTrip:
         assert y2.labels.tobytes() == y1.labels.tobytes()
         # one CPU: every table inline, no worker forked
         assert forked.maps == (0 if len(cpus) == 1 else 3)
-        assert forked.reads == ([False, False] if len(cpus) == 1 else [True, True])
+        assert forked.writes == [len(cpus)] and forked.reads == [len(cpus)] * 2
 
     def test_daemon_process_reads_inline(self, tmp_path, rng, monkeypatch):
         t, y = random_instance(rng, 5, 9, 3)
@@ -360,7 +372,7 @@ class TestDatasetRoundTrip:
             pool.close()
             pool.join()
         assert read == probs_bytes(tmp_path)
-        assert forked.reads == [True, True]  # in this process only
+        assert forked.reads == [3, 3]  # in this process only
 
     def test_write_rejects_inconsistent_shapes(self, tmp_path, rng):
         t, y = random_instance(rng, 2, 10, 3)
@@ -483,7 +495,9 @@ class TestDatasetErrors:
         forked = Forked(monkeypatch)
         assert read_error(target) == error
         if filename != "manifest.txt":  # the bad table's forked read met the defect
-            assert forked.reads == [True] * (filename == "predictions.csv") + [False]
+            assert forked.reads == [3] * (1 + (filename == "predictions.csv"))
+            # this process parses only a bad line, to raise its error
+            assert forked.parsed == ([] if "row for" in error[1] else [(new, line)])
 
     @pytest.mark.parametrize("text, message", [
         ("socprune-datasets\nformat_version 1\n", "not a dataset manifest"),
@@ -504,9 +518,9 @@ class TestDatasetErrors:
         (lambda rows: rows + [rows[0]], "duplicate predictions row for model_id 0, sample_id 0"),
         # row (1, 4) is in a middle chunk
         (lambda rows: rows[:9] + rows[10:], "no predictions row for model_id 1, sample_id 4"),
-    ])
-    def test_chunked_read_defect_reported_inline(self, tmp_path, rng, monkeypatch, edit,
-                                                 message):
+    ], ids=["duplicate", "missing"])
+    def test_chunked_read_defect_found_in_one_pass(self, tmp_path, rng, monkeypatch, edit,
+                                                   message):
         t, y = random_instance(rng, 3, 5, 2)
         write_predictions(tmp_path, t, y, splits_of(t))
         header, *rows = (tmp_path / "predictions.csv").read_text().splitlines()
@@ -515,7 +529,17 @@ class TestDatasetErrors:
         assert error[1] == f"line {len(edit(rows)) + 1}: {message}"
         forked = Forked(monkeypatch)
         assert read_error(tmp_path) == error
-        assert forked.reads == [True, False]  # labels, then predictions
+        assert forked.reads == [3, 3]  # labels, then predictions
+        assert forked.parsed == []  # the workers' keys and lines named the defect
+
+    def test_row_count_beyond_int64_is_parse_error(self, tmp_path):
+        # this row's key would not fit the int64 keys that a table's spans return
+        target = corrupted_copy(tmp_path, "manifest.txt",
+                                lambda s: s.replace("num_models 2", f"num_models {10**19}"))
+        rewrite(target / "predictions.csv",
+                lambda s: s.replace("\n1,2,0,1\n", f"\n{9 * 10**18},2,0,1\n"))
+        with pytest.raises(ParseError, match=f"predictions table cannot have {3 * 10**19} rows"):
+            read_predictions(target)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IoError):
@@ -585,6 +609,14 @@ class TestReportIO:
         ("r.json", lambda d: d["cells"][0].update(num_pruned=2.7), "finite int, got 2.7"),
         ("r.json", lambda d: d["selected"].__setitem__(0, True), "finite int, got True"),
         ("r.json", lambda d: d.update(num_models_full=10**400), "too large"),
+        # a selected list, weight count or status that no run produces
+        ("r.json", lambda d: d.update(selected=[0, 7]), r"selected models \(0, 7\) must be"),
+        ("r.json", lambda d: d.update(selected=[2, 2]), "strictly ascending"),
+        ("r.json", lambda d: d.update(selected=[-1, 2]), r"indices in \[0, 3\)"),
+        ("r.json", lambda d: d.update(selected=[2, 0]), "strictly ascending"),
+        ("r.json", lambda d: d.update(weights=[0.5]), "1 weights for 3 models"),
+        ("r.json", lambda d: d["cells"][0].update(status=5), "expected a string, got 5"),
+        ("r.json", lambda d: d.update(num_models_pruned=1), "pruned model count must match"),
         ("r.json", lambda d: d.update(kind="socprune-weights"), "not a socprune-report file"),
         ("r.json", lambda d: d.pop("cells"), "malformed report payload: 'cells'"),
         # csv-summary
@@ -594,7 +626,9 @@ class TestReportIO:
         ("r.csv", "0.625,0.75,3,2", "row has 4 fields"),
         ("r.csv", None, "summary header must be"),
     ], ids=["nan", "infinity", "cell_infinity", "number_as_string", "nan_string_weight",
-            "fractional_count", "bool_index", "huge_count", "wrong_kind", "missing_key",
+            "fractional_count", "bool_index", "huge_count", "selected_beyond_models",
+            "selected_repeated", "selected_negative", "selected_descending", "weight_count",
+            "status_number", "pruned_count", "wrong_kind", "missing_key",
             "summary_nan", "summary_infinity", "summary_two_rows", "summary_short_row",
             "summary_header"])
     def test_value_never_written_is_parse_error(self, tmp_path, name, content, message):
@@ -808,13 +842,28 @@ class TestCli:
         code, _, err = run_cli(["solve", path, "--tol", "0"], capsys)
         assert code == 2 and err.startswith("error:")
 
-    def test_undecodable_labels_exit_2(self, tmp_path, capsys):
-        run_cli(gen_args(tmp_path / "d"), capsys)
-        with open(tmp_path / "d" / "labels.csv", "ab") as fh:
-            fh.write(b"\xff\xfe\n")
-        code, _, err = run_cli(["check", str(tmp_path / "d")], capsys)
-        assert code == 2
-        assert err.startswith("error:")
+    def test_undecodable_labels_exit_2(self, tmp_path, capsys, monkeypatch):
+        # labels.csv fails in its header's read, predictions.csv in its last chunk's
+        for name in ("labels.csv", "predictions.csv"):
+            run_cli(gen_args(tmp_path / name), capsys)
+            with open(tmp_path / name / name, "ab") as fh:
+                fh.write(b"\xff\xfe\n")
+            error = read_error(tmp_path / name)
+            assert error[1].startswith(f"cannot decode {tmp_path / name / name} as ")
+            code, _, err = run_cli(["check", str(tmp_path / name)], capsys)
+            assert code == 2
+            assert err == f"error: {error[1]}\n"
+            with pytest.MonkeyPatch.context() as mp:
+                forked = Forked(mp)
+                assert read_error(tmp_path / name) == error
+            assert forked.reads == ([] if name == "labels.csv" else [3, 3])
+        # a bad row before the undecodable byte is named first, as reading line by line names it
+        table = tmp_path / "predictions.csv" / "predictions.csv"
+        table.write_bytes(table.read_bytes().replace(b"\n0,1,", b"\n0,1,x", 1))
+        error = read_error(tmp_path / "predictions.csv")
+        assert error[1].startswith("line 3: p_0 must be a number, got 'x")
+        Forked(monkeypatch)
+        assert read_error(tmp_path / "predictions.csv") == error
 
     def test_undecodable_program_exit_2(self, tmp_path, capsys):
         (tmp_path / "p.sp").write_bytes(b"\xff\xfe not a program\n")
