@@ -22,8 +22,6 @@ from . import io as dataio
 from .conic import read_cone_program
 from .errors import AllCellsFailed, DomainError, FitFailed, IoError, SocpruneError
 from .pipeline import (
-    VOTE_MAJORITY,
-    VOTE_WEIGHTED,
     PruneConfig,
     SyntheticSpec,
     cross_validate,
@@ -62,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fixed pruning threshold h >= 0 on |w_i|")
     thresh.add_argument("--auto-threshold", action="store_true",
                         help="pick h on the validation split (default)")
-    select.add_argument("--vote", choices=(VOTE_MAJORITY, VOTE_WEIGHTED),
-                        default=VOTE_MAJORITY,
-                        help="aggregation rule for ensemble predictions")
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--tol", type=float, default=None,
                         help="solver stopping tolerance (gap and residuals)")
@@ -163,7 +158,6 @@ def _prune_config(args, single_cell: bool = False) -> PruneConfig:
     kwargs = dict(
         threshold=_threshold_of(args),
         simplex_mode=args.simplex,
-        vote_mode=args.vote,
         solver=_solver_settings(args),
     )
     if single_cell:

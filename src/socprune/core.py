@@ -167,16 +167,6 @@ class SplitSpec:
                 )
 
 
-def validate_weights(w, num_models: int) -> np.ndarray:
-    """Coerce to a finite float64 vector of length num_models."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (num_models,):
-        raise ShapeMismatch(f"weights have shape {w.shape}, expected ({num_models},)")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights contain non-finite entries")
-    return w
-
-
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream from a 64-bit seed.
 

@@ -44,7 +44,7 @@ import re
 import shutil
 import tempfile
 from contextlib import ExitStack
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import cache, partial
 from io import BytesIO, TextIOWrapper
 from itertools import pairwise
@@ -195,18 +195,27 @@ def _format_ranges(indices) -> str:
     return ",".join(parts)
 
 
-def _parse_ranges(text: str, lineno: int, num_samples: int) -> np.ndarray:
-    """Sample indices of a split line; each must lie in [0, num_samples)."""
+def _parse_ranges(text: str, lineno: int, taken: np.ndarray) -> np.ndarray:
+    """Sample indices of a split line, in the order given.
+
+    ``taken`` marks the indices of the split lines read so far.  Each index
+    must lie in [0, len(taken)) and be unmarked; this line's get marked.
+    """
     if text == "none":
         return np.empty(0, dtype=np.int64)
     out = []
     for token in text.split(","):
         first, sep, last = token.partition("-")
         what = f"index range {token!r}"
-        a = parse_int(first, lineno, what, lo=0, hi=num_samples)
-        b = parse_int(last, lineno, what, lo=a, hi=num_samples) if sep else a
-        out.extend(range(a, b + 1))
-    return np.asarray(out, dtype=np.int64)
+        a = parse_int(first, lineno, what, lo=0, hi=taken.size)
+        b = parse_int(last, lineno, what, lo=a, hi=taken.size) if sep else a
+        block = taken[a:b + 1]
+        if block.any():
+            raise ParseError(f"{what} lists sample index {a + int(block.argmax())} "
+                             "a second time", line=lineno)
+        block[:] = True
+        out.append(np.arange(a, b + 1, dtype=np.int64))
+    return np.concatenate(out)
 
 
 def _parse_manifest(text: str) -> dict:
@@ -655,7 +664,8 @@ def read_predictions(path):
 
     labels = _read_table(os.path.join(path, LABELS_NAME), lambda: "sample_id,label", 1,
                          (num_samples,), parse_labels, np.int64, "labels")
-    splits = SplitSpec(**{key: _parse_ranges(*manifest[key], num_samples) for key in _SPLIT_KEYS})
+    taken = np.zeros(num_samples, dtype=bool)
+    splits = SplitSpec(**{key: _parse_ranges(*manifest[key], taken) for key in _SPLIT_KEYS})
     probs = _read_table(os.path.join(path, PREDICTIONS_NAME),
                         partial(_predictions_header, num_classes), num_classes,
                         (num_models, num_samples), _parse_floats, np.float64, "predictions")
@@ -740,6 +750,11 @@ def read_report(path) -> PruneReport:
             f"report format_version {version} unsupported (expected {REPORT_FORMAT_VERSION})"
         )
     try:
+        cell_keys = {f.name for f in fields(CellDiagnostic)}
+        unknown = data.keys() - {"kind", "format_version", *(f.name for f in fields(PruneReport))}
+        unknown.update(*(c.keys() - cell_keys for c in data["cells"]))
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         cells = tuple(
             CellDiagnostic(
                 alpha=_number(c["alpha"]),
@@ -763,7 +778,7 @@ def read_report(path) -> PruneReport:
             num_models_pruned=_number(data["num_models_pruned"], int),
             cells=cells,
         )
-    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ParseError(f"malformed report payload: {exc}") from None
 
 

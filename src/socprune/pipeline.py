@@ -14,13 +14,12 @@ from itertools import pairwise
 import numpy as np
 import scipy.special
 
-from .conic import build_pruning_socp
+from .conic import SOLVE_STATUSES, build_pruning_socp
 from .core import (
     LabelVector,
     PredictionTensor,
     SplitSpec,
     seeded_rng,
-    validate_weights,
 )
 from .errors import (
     AllCellsFailed,
@@ -34,13 +33,12 @@ from .errors import (
 from .loss import build_surrogate, entropy_term, exact_loss
 from .solver import STATUS_OPTIMAL, SolverSettings, solve
 
-VOTE_MAJORITY = "majority"
-VOTE_WEIGHTED = "weighted"
-
 _DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 _DEFAULT_LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _AUTO = "auto"
 _ORACLE_LIMIT = 14
+# a failed grid cell's status names the status of its solve
+_FAILED_STATUSES = tuple(f"failed: {s}" for s in SOLVE_STATUSES if s != STATUS_OPTIMAL)
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ class PruneConfig:
     lambda_grid: tuple = _DEFAULT_LAMBDA_GRID
     threshold: float | str = _AUTO
     simplex_mode: bool = False
-    vote_mode: str = VOTE_MAJORITY
     solver: SolverSettings | None = None
 
     def __post_init__(self):
@@ -107,8 +104,6 @@ class PruneConfig:
             if not 0 <= h < np.inf:
                 raise DomainError("threshold must be finite and nonnegative, or 'auto'")
             object.__setattr__(self, "threshold", h)
-        if self.vote_mode not in (VOTE_MAJORITY, VOTE_WEIGHTED):
-            raise DomainError(f"unknown vote mode {self.vote_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,8 @@ class CellDiagnostic:
     Failed cells carry -1.0 for threshold and accuracy (keeps reports
     JSON-clean and equality-comparable, unlike NaN).  ``num_pruned`` is the
     number of members the cell *kept* (the pruned ensemble's size), not the
-    number removed; the name is part of the report format.
+    number removed; the name is part of the report format.  The constructor
+    admits only the values a grid search produces.
     """
 
     alpha: float
@@ -128,13 +124,30 @@ class CellDiagnostic:
     num_pruned: int
     status: str
 
+    def __post_init__(self):
+        if not (0 <= self.alpha <= 1 and 0 <= self.lam < np.inf):
+            raise DomainError(f"cell alpha {self.alpha} must lie in [0, 1] and "
+                              f"lambda {self.lam} must be finite and nonnegative")
+        if self.status == "ok":
+            valid = (0 <= self.threshold < np.inf and 0 <= self.accuracy <= 1
+                     and self.num_pruned >= 1)
+        else:
+            valid = (self.status in _FAILED_STATUSES
+                     and (self.threshold, self.accuracy, self.num_pruned) == (-1.0, -1.0, 0))
+        if not valid:
+            raise DomainError(f"no grid search gives a {self.status!r} cell with threshold "
+                              f"{self.threshold}, accuracy {self.accuracy} and "
+                              f"{self.num_pruned} kept models")
+
 
 @dataclass(frozen=True, eq=False)
 class PruneReport:
     """Everything a pruning run decided and measured.
 
     Accuracies are computed on the test split only; ``cells`` records the
-    grid search as it was seen on the validation split.
+    grid search as it was seen on the validation split.  The constructor
+    admits only the values a run produces: the best (alpha, lambda),
+    threshold and kept count are those of an ok cell.
     """
 
     best_alpha: float
@@ -153,13 +166,24 @@ class PruneReport:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "selected", tuple(int(i) for i in self.selected))
-        if len(w) != self.num_models_full:
-            raise DomainError(f"{len(w)} weights for {self.num_models_full} models")
-        if not all(a < b for a, b in pairwise((-1, *self.selected, self.num_models_full))):
-            raise DomainError(f"selected models {self.selected} must be strictly "
-                              f"ascending indices in [0, {self.num_models_full})")
+        m = self.num_models_full
+        if len(w) != m:
+            raise DomainError(f"{len(w)} weights for {m} models")
+        if not (self.selected and all(a < b for a, b in pairwise((-1, *self.selected, m)))):
+            raise DomainError(f"selected models {self.selected} must be non-empty, "
+                              f"strictly ascending indices in [0, {m})")
         if self.num_models_pruned != len(self.selected):
             raise DomainError("pruned model count must match the selected list")
+        if not (0 <= self.full_accuracy <= 1 and 0 <= self.pruned_accuracy <= 1):
+            raise DomainError(f"accuracies {self.full_accuracy}, {self.pruned_accuracy} "
+                              "must lie in [0, 1]")
+        if any(c.num_pruned > m for c in self.cells):
+            raise DomainError(f"a grid cell keeps more than the {m} models")
+        best = (self.best_alpha, self.best_lambda, self.threshold_used, self.num_models_pruned)
+        if not any(c.status == "ok" and (c.alpha, c.lam, c.threshold, c.num_pruned) == best
+                   for c in self.cells):
+            raise DomainError(f"best alpha, lambda, threshold and kept count {best} "
+                              "are those of no ok grid cell")
 
     def __eq__(self, other):
         if not isinstance(other, PruneReport):
@@ -266,32 +290,23 @@ def prune_by_threshold(w, h):
     return [int(i) for i in keep]
 
 
-def vote(t: PredictionTensor, members, mode=VOTE_MAJORITY, weights=None):
-    """Aggregate member predictions into per-sample labels.
+def vote(t: PredictionTensor, members):
+    """Majority vote of the members: per-sample labels.
 
-    majority: each member casts its argmax class and the most voted class
-    wins.  weighted: argmax of the weighted probability sum; ``weights`` is
-    indexed over the full model set.  Ties break toward the lowest class.
+    Each member casts its argmax class and the most voted class wins.  Ties
+    break toward the lowest class.
     """
     members = [int(i) for i in members]
     if not members:
         raise EmptyEnsemble("vote requires at least one member")
     if min(members) < 0 or max(members) >= t.num_models:
         raise ShapeMismatch("member index outside the model range")
-    if mode == VOTE_MAJORITY:
-        casts = t.probs[members].argmax(axis=2)
-        counts = np.zeros((t.num_samples, t.num_classes), dtype=np.int64)
-        rows = np.arange(t.num_samples)
-        for row in casts:
-            counts[rows, row] += 1
-        return counts.argmax(axis=1)
-    if mode == VOTE_WEIGHTED:
-        if weights is None:
-            raise DomainError("weighted vote requires weights")
-        w = validate_weights(weights, t.num_models)
-        scores = np.tensordot(w[members], t.probs[members], axes=(0, 0))
-        return scores.argmax(axis=1)
-    raise DomainError(f"unknown vote mode {mode!r}")
+    casts = t.probs[members].argmax(axis=2)
+    counts = np.zeros((t.num_samples, t.num_classes), dtype=np.int64)
+    rows = np.arange(t.num_samples)
+    for row in casts:
+        counts[rows, row] += 1
+    return counts.argmax(axis=1)
 
 
 def accuracy(predicted, y) -> float:
@@ -307,7 +322,7 @@ def accuracy(predicted, y) -> float:
     return float(np.mean(pred == truth))
 
 
-def auto_threshold(w, tv, yv, candidates=None, *, vote_mode=VOTE_MAJORITY):
+def auto_threshold(w, tv, yv, candidates=None):
     """Pick the |w| cutoff maximizing voting accuracy on a validation split.
 
     ``tv`` and ``yv`` are the split's predictions and labels.  Default
@@ -328,7 +343,7 @@ def auto_threshold(w, tv, yv, candidates=None, *, vote_mode=VOTE_MAJORITY):
     best_acc = -1.0
     for h in candidates:
         members = prune_by_threshold(w, float(h))
-        acc = accuracy(vote(tv, members, mode=vote_mode, weights=w), yv)
+        acc = accuracy(vote(tv, members), yv)
         if acc >= best_acc:
             best_acc = acc
             best_h = float(h)
@@ -360,7 +375,7 @@ def _run_grid(t, y, splits, config):
             w = _solve_weights(program, vmap, config.solver)
         except FitFailed as exc:
             return None, -1.0, 0, -1.0, f"failed: {exc.status}"
-        h, acc = auto_threshold(w, tv, yv, candidates, vote_mode=config.vote_mode)
+        h, acc = auto_threshold(w, tv, yv, candidates)
         return w, h, len(prune_by_threshold(w, h)), acc, "ok"
 
     outcomes = {}
@@ -468,13 +483,8 @@ def run_pipeline(source, config: PruneConfig | None = None) -> PruneReport:
 
     tt = t.subset(splits.test_indices)
     yt = y.subset(splits.test_indices)
-    full_members = list(range(t.num_models))
-    full_acc = accuracy(
-        vote(tt, full_members, mode=config.vote_mode, weights=w), yt
-    )
-    pruned_acc = accuracy(
-        vote(tt, selected, mode=config.vote_mode, weights=w), yt
-    )
+    full_acc = accuracy(vote(tt, list(range(t.num_models))), yt)
+    pruned_acc = accuracy(vote(tt, selected), yt)
     return PruneReport(
         best_alpha=best_alpha,
         best_lambda=best_lambda,

@@ -12,7 +12,6 @@ from socprune.core import (
     SplitSpec,
     seeded_rng,
     validate_tensor,
-    validate_weights,
 )
 from socprune.errors import (
     OutOfRange,
@@ -122,20 +121,6 @@ class TestSplitSpec:
         with pytest.raises(ValidationError):
             s.validate_against(4)
         s.validate_against(6)
-
-
-class TestValidateWeights:
-    def test_shape(self):
-        with pytest.raises(ShapeMismatch):
-            validate_weights([1.0, 2.0], 3)
-
-    def test_non_finite(self):
-        with pytest.raises(ValidationError):
-            validate_weights([1.0, np.inf], 2)
-
-    def test_free_sign_allowed(self):
-        w = validate_weights([-1.0, 2.0], 2)
-        assert w.dtype == np.float64
 
 
 class TestSeededRng:

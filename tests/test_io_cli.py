@@ -476,6 +476,8 @@ class TestDatasetErrors:
         ("labels.csv", "1,0", "1,zero", 3),  # non-integer label
         ("manifest.txt", "test_indices 2", "test_indices 2,3", 9),  # index == num_samples
         ("manifest.txt", "valid_indices 1", "valid_indices 0-3", 8),  # range end == num_samples
+        ("manifest.txt", "train_indices 0", "train_indices 0,0", 7),  # index repeated in a split
+        ("manifest.txt", "valid_indices 1", "valid_indices 0", 8),  # index in two splits
         # shape claims no row confirms: the table's last line, with nothing sized by the claim
         ("manifest.txt", "num_samples 3", "num_samples 1000000000000", 4),
         ("manifest.txt", "num_models 2", "num_models 1000000000000", 7),
@@ -552,6 +554,8 @@ def sample_report():
                        num_pruned=2, status="ok"),
         CellDiagnostic(alpha=0.2, lam=0.3, threshold=0.0, accuracy=0.5,
                        num_pruned=3, status="ok"),
+        CellDiagnostic(alpha=0.2, lam=0.5, threshold=-1.0, accuracy=-1.0,
+                       num_pruned=0, status="failed: max_iters"),
     )
     return PruneReport(
         best_alpha=0.2, best_lambda=0.1, threshold_used=0.05,
@@ -619,6 +623,26 @@ class TestReportIO:
         ("r.json", lambda d: d.update(num_models_pruned=1), "pruned model count must match"),
         ("r.json", lambda d: d.update(kind="socprune-weights"), "not a socprune-report file"),
         ("r.json", lambda d: d.pop("cells"), "malformed report payload: 'cells'"),
+        # values outside the domain a run produces
+        ("r.json", lambda d: d.update(full_accuracy=2.5), "accuracies 2.5, 0.75 must lie in"),
+        ("r.json", lambda d: d.update(pruned_accuracy=-0.5), "accuracies 0.625, -0.5 must"),
+        ("r.json", lambda d: d.update(threshold_used=-1.0), r"\(0.2, 0.1, -1.0, 2\) are those"),
+        ("r.json", lambda d: d.update(best_alpha=7.0), r"\(7.0, 0.1, 0.05, 2\) are those"),
+        ("r.json", lambda d: d.update(best_lambda=-3.0), r"\(0.2, -3.0, 0.05, 2\) are those"),
+        ("r.json", lambda d: d["cells"][1].update(num_pruned=99), "keeps more than the 3 models"),
+        ("r.json", lambda d: d["cells"][1].update(status="banana"), "gives a 'banana' cell"),
+        ("r.json", lambda d: d["cells"][1].update(accuracy=3.0),
+         "'ok' cell with threshold 0.0, accuracy 3.0"),
+        ("r.json", lambda d: d["cells"][1].update(status="failed: max_iters"),
+         "'failed: max_iters' cell with threshold 0.0, accuracy 0.5 and 3 kept"),
+        ("r.json", lambda d: d["cells"][2].update(status="ok"), "'ok' cell with threshold -1.0"),
+        ("r.json", lambda d: d["cells"][1].update(alpha=7.0), "cell alpha 7.0 must lie in"),
+        ("r.json", lambda d: d["cells"][1].update(lam=-3.0), "lambda -3.0 must be finite"),
+        ("r.json", lambda d: d.update(cells=[]), "are those of no ok grid cell"),
+        ("r.json", lambda d: d.update(selected=[], num_models_pruned=0),
+         r"selected models \(\) must be non-empty"),
+        ("r.json", lambda d: d.update(note="x"), r"unknown keys \['note'\]"),
+        ("r.json", lambda d: d["cells"][0].update(seed=3), r"unknown keys \['seed'\]"),
         # csv-summary
         ("r.csv", "nan,0.75,3,2,0.05", "summary values must be finite"),
         ("r.csv", "0.625,0.75,3,2,inf", "summary values must be finite"),
@@ -629,6 +653,11 @@ class TestReportIO:
             "fractional_count", "bool_index", "huge_count", "selected_beyond_models",
             "selected_repeated", "selected_negative", "selected_descending", "weight_count",
             "status_number", "pruned_count", "wrong_kind", "missing_key",
+            "full_accuracy_above_one", "pruned_accuracy_negative", "threshold_used_negative",
+            "best_alpha_above_one", "best_lambda_negative", "cell_keeps_too_many",
+            "cell_unknown_status", "cell_accuracy_above_one", "ok_cell_relabelled_failed",
+            "failed_cell_relabelled_ok", "cell_alpha_above_one", "cell_lambda_negative",
+            "no_cells", "nothing_selected", "unknown_key", "unknown_cell_key",
             "summary_nan", "summary_infinity", "summary_two_rows", "summary_short_row",
             "summary_header"])
     def test_value_never_written_is_parse_error(self, tmp_path, name, content, message):
@@ -975,7 +1004,7 @@ class TestCli:
         ["run", "DATA", "--seed", "3"],
         ["gen", "--simplex", "--out", "DATA"],
         ["check", "DATA", "--alpha", "0.3"],
-        ["fit", "DATA", "--vote", "weighted"],
+        ["fit", "DATA", "--threshold", "0.1"],
         ["cv", "DATA", "--format", "csv-summary"],
         ["solve", "PROGRAM", "--lambda", "0.1"],
     ])

@@ -18,8 +18,6 @@ from socprune.errors import (
 from socprune.conic import build_pruning_socp
 from socprune.loss import QuadraticSurrogate, build_surrogate, exact_loss
 from socprune.pipeline import (
-    VOTE_MAJORITY,
-    VOTE_WEIGHTED,
     PruneConfig,
     SyntheticSpec,
     accuracy,
@@ -215,14 +213,6 @@ class TestVote:
     def test_single_member(self):
         labels = vote(self.two_model_tensor(), [1])
         assert np.array_equal(labels, [1, 1, 1])
-
-    def test_weighted_matches_manual(self, rng):
-        t, _ = random_instance(rng, 4, 10, 3)
-        w = rng.normal(size=4) * 0.4 + 0.3
-        members = [0, 2, 3]
-        labels = vote(t, members, mode=VOTE_WEIGHTED, weights=w)
-        mix = np.einsum("i,inj->nj", w[members], t.probs[members])
-        assert np.array_equal(labels, np.argmax(mix, axis=1))
 
     def test_duplication_invariance(self, rng):
         t, _ = random_instance(rng, 3, 12, 4)
