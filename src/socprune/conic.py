@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .core import atomic_write_text, format_exact, parse_float, parse_int, read_text
 from .errors import (
@@ -87,13 +86,13 @@ class Cone:
 class ConeProgram:
     """min objective @ x  subject to  eq_A @ x = eq_b  and cone memberships.
 
-    Every variable belongs to exactly one cone or to ``free_vars``.
-    Immutable after construction.
+    ``eq_A`` is a dense (num_eqs, num_vars) array.  Every variable belongs
+    to exactly one cone or to ``free_vars``.  Immutable after construction.
     """
 
     num_vars: int
     objective: np.ndarray
-    eq_A: sp.csr_matrix
+    eq_A: np.ndarray
     eq_b: np.ndarray
     cones: tuple
     free_vars: tuple
@@ -105,17 +104,14 @@ class ConeProgram:
         obj = np.ascontiguousarray(np.asarray(self.objective, dtype=np.float64))
         if obj.shape != (n,):
             raise MalformedProgram(f"objective has shape {obj.shape}, expected ({n},)")
-        A = sp.csr_matrix(self.eq_A, dtype=np.float64, copy=True)
-        # drop stored 0.0s: the solver's presolve finds empty rows by counting entries
-        A.eliminate_zeros()
-        if A.shape[1] != n:
-            raise MalformedProgram(
-                f"equality matrix has {A.shape[1]} columns, expected {n}"
-            )
+        # "+ 0.0" copies and stores every zero as +0.0: equal programs have equal bytes
+        A = np.asarray(self.eq_A, dtype=np.float64) + 0.0
+        if A.ndim != 2 or A.shape[1] != n:
+            raise MalformedProgram(f"equality matrix has shape {A.shape}, expected (*, {n})")
         b = np.ascontiguousarray(np.asarray(self.eq_b, dtype=np.float64))
         if b.shape != (A.shape[0],):
             raise MalformedProgram(f"rhs has shape {b.shape}, expected ({A.shape[0]},)")
-        if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(b)) and np.all(np.isfinite(A.data))):
+        if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(b)) and np.all(np.isfinite(A))):
             raise MalformedProgram("program data contains non-finite entries")
         cones = tuple(self.cones)
         free = tuple(int(i) for i in self.free_vars)
@@ -138,7 +134,7 @@ class ConeProgram:
             )
         obj.setflags(write=False)
         b.setflags(write=False)
-        A.data.setflags(write=False)
+        A.setflags(write=False)
         self.num_vars = n
         self.objective = obj
         self.eq_A = A
@@ -256,7 +252,10 @@ class ProgramBuilder:
         for i, v in self._obj.items():
             objective[i] = v
         rows, cols, vals = (np.concatenate(part) for part in zip(*self._entries))
-        eq_A = sp.coo_matrix((vals, (rows, cols)), shape=(len(self._rhs), n)).tocsr()
+        if cols.size and not 0 <= cols.min() <= cols.max() < n:
+            raise MalformedProgram("equality column out of range")
+        eq_A = np.zeros((len(self._rhs), n))
+        np.add.at(eq_A, (rows, cols), vals)
         return ConeProgram(
             num_vars=n,
             objective=objective,
@@ -304,41 +303,33 @@ def build_pruning_socp(
         raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
     m = surrogate.num_models
     root = cholesky_lower(surrogate.quad, surrogate.ridge).T
-    c_all = surrogate.combined_linear(alpha)
-
-    builder = ProgramBuilder()
-    x = builder.add_variables(m)
-    t = builder.add_variable()
-    u_abs = builder.add_variables(0 if simplex else m)
-    aux = builder.add_variables(m + 2)
-
-    for i in range(m):
-        builder.set_objective(x[i], c_all[i])
-    builder.set_objective(t, alpha)
-
-    # aux = (1 + t, 2 R x, 1 - t)
-    builder.add_equality([aux[0], t], [1.0, -1.0], 1.0)
-    for r in range(m):
-        builder.add_equality(np.concatenate(([aux[1 + r]], x[r:])),
-                             np.concatenate(([1.0], -2.0 * root[r, r:])), 0.0)
-    builder.add_equality([aux[m + 1], t], [1.0, 1.0], 1.0)
-    builder.add_cone(QUADRATIC, aux)
-
+    # variables: x = 0..m-1, t = m, u_abs (free mode only), aux (m + 2);
+    # rows: aux = (1 + t, 2 R x, 1 - t), then sum(x) = 1 in simplex mode
+    t = m
+    u_abs = range(m + 1, m + 1 + (0 if simplex else m))
+    aux = np.arange(len(u_abs) + m + 1, len(u_abs) + 2 * m + 3)
+    objective = np.zeros(aux[-1] + 1)
+    objective[:m] = surrogate.combined_linear(alpha)
+    objective[t] = alpha
+    objective[u_abs] = lam
+    A = np.zeros((m + 2 + int(simplex), objective.size))
+    A[np.arange(m + 2), aux] = 1.0
+    A[[0, m + 1], t] = -1.0, 1.0
+    A[1:m + 1, :m] = -2.0 * root
+    b = np.zeros(A.shape[0])
+    b[[0, m + 1]] = 1.0
+    cones = [Cone(QUADRATIC, aux)]
     if simplex:
-        builder.add_equality(x, [1.0] * m, 1.0)
-        builder.add_cone(NONNEG_ORTHANT, [t, *x])
+        A[m + 2, :m] = 1.0
+        b[m + 2] = 1.0
+        cones.append(Cone(NONNEG_ORTHANT, (t, *range(m))))
     else:
-        for i in range(m):
-            builder.set_objective(u_abs[i], lam)
-            builder.add_cone(QUADRATIC, [u_abs[i], x[i]])
-        builder.add_cone(NONNEG_ORTHANT, [t])
+        cones += [Cone(QUADRATIC, pair) for pair in zip(u_abs, range(m))]
+        cones.append(Cone(NONNEG_ORTHANT, (t,)))
 
-    program = builder.build()
-    var_map = VariableMap(
-        x_indices=tuple(int(i) for i in x),
-        t_index=int(t),
-        u_abs_indices=tuple(int(i) for i in u_abs),
-    )
+    program = ConeProgram(num_vars=objective.size, objective=objective, eq_A=A, eq_b=b,
+                          cones=tuple(cones), free_vars=())
+    var_map = VariableMap(x_indices=tuple(range(m)), t_index=t, u_abs_indices=tuple(u_abs))
     return program, var_map
 
 
@@ -377,7 +368,6 @@ def qp_to_socp(Q, a, beta: float, A=None, b=None) -> QpConeForm:
     if a.shape != (n,):
         raise ShapeMismatch(f"linear term has shape {a.shape}, expected ({n},)")
     L = cholesky_lower(Q, 0.0)
-    root = L.T
     v = scipy.linalg.solve_triangular(L, 0.5 * a, lower=True)
     shift = float(beta) - float(v @ v)
 
@@ -390,26 +380,18 @@ def qp_to_socp(Q, a, beta: float, A=None, b=None) -> QpConeForm:
     if b.shape != (A.shape[0],):
         raise ShapeMismatch(f"rhs has shape {b.shape}, expected ({A.shape[0]},)")
 
-    builder = ProgramBuilder()
-    x = builder.add_variables(n)
-    head = builder.add_variable()
-    tail = builder.add_variables(n)
-    builder.mark_free(x)
-    builder.set_objective(head, 1.0)
-    # R x - tail = -v, so tail = R x + v and ||tail|| <= head.
-    for r in range(n):
-        builder.add_equality(np.concatenate(([tail[r]], x[r:])),
-                             np.concatenate(([-1.0], root[r, r:])), -v[r])
-    for r in range(A.shape[0]):
-        nz = np.nonzero(A[r])[0]
-        builder.add_equality(x[nz], A[r, nz], b[r])
-    builder.add_cone(QUADRATIC, [head] + list(tail))
-    return QpConeForm(
-        program=builder.build(),
-        x_indices=tuple(int(i) for i in x),
-        epigraph_index=int(head),
-        shift=shift,
-    )
+    # variables: x (free), head, tail; R x - tail = -v, so tail = R x + v
+    # and ||tail|| <= head
+    objective = np.zeros(2 * n + 1)
+    objective[n] = 1.0
+    eq_A = np.zeros((n + A.shape[0], 2 * n + 1))
+    eq_A[:n, :n] = L.T  # R
+    eq_A[np.arange(n), np.arange(n + 1, 2 * n + 1)] = -1.0
+    eq_A[n:, :n] = A
+    program = ConeProgram(num_vars=2 * n + 1, objective=objective, eq_A=eq_A,
+                          eq_b=np.concatenate((-v, b)),
+                          cones=(Cone(QUADRATIC, range(n, 2 * n + 1)),), free_vars=range(n))
+    return QpConeForm(program=program, x_indices=tuple(range(n)), epigraph_index=n, shift=shift)
 
 
 def serialize_cone_program(p: ConeProgram) -> str:
@@ -421,9 +403,9 @@ def serialize_cone_program(p: ConeProgram) -> str:
     lines.append(f"objective {len(nz)}")
     for i in nz:
         lines.append(f"{i} {format_exact(p.objective[i])}")
-    coo = p.eq_A.tocoo()
-    lines.append(f"eq_entries {coo.nnz}")
-    for r, c, v in zip(coo.row, coo.col, coo.data):
+    rows, cols = np.nonzero(p.eq_A)
+    lines.append(f"eq_entries {rows.size}")
+    for r, c, v in zip(rows, cols, p.eq_A[rows, cols]):
         lines.append(f"{r} {c} {format_exact(v)}")
     lines.append(f"eq_rhs {p.num_eqs}")
     for v in p.eq_b:
@@ -442,7 +424,8 @@ class _LineReader:
     """The non-empty lines of a text, each with its 1-based line number."""
 
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        # newline-translated text: only "\n" ends a line, and a final one opens no line
+        self.lines = text.removesuffix("\n").split("\n")
         self.pos = 0
 
     def next(self) -> tuple:
@@ -542,6 +525,8 @@ def parse_cone_program(text: str) -> ConeProgram:
     objective = np.zeros(num_vars)
     for i, value in coeffs.items():
         objective[i] = value
+    eq_A = np.zeros((num_eqs, num_vars))
+    np.add.at(eq_A, (rows, cols), vals)
 
     line, lineno = reader.next()
     if line != "end":
@@ -551,7 +536,7 @@ def parse_cone_program(text: str) -> ConeProgram:
         return ConeProgram(
             num_vars=num_vars,
             objective=objective,
-            eq_A=sp.coo_matrix((vals, (rows, cols)), shape=(num_eqs, num_vars)).tocsr(),
+            eq_A=eq_A,
             eq_b=np.asarray(rhs, dtype=np.float64),
             cones=tuple(cones),
             free_vars=tuple(free),

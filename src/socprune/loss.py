@@ -61,6 +61,9 @@ class QuadraticSurrogate:
             raise ShapeMismatch(f"quadratic matrix must be square, got {quad.shape}")
         if np.abs(quad - quad.T).max(initial=0.0) > 1e-12:
             raise DomainError("quadratic matrix is not symmetric to 1e-12")
+        for name in ("lin_accuracy", "lin_diversity"):
+            if np.shape(getattr(self, name)) != (quad.shape[0],):
+                raise ShapeMismatch(f"{name} must have shape ({quad.shape[0]},)")
         if self.ridge < 0:
             raise DomainError("ridge must be nonnegative")
 
@@ -85,8 +88,12 @@ def entropy_term(z):
             f"entropy argument outside [0, 1]: range [{arr.min()}, {arr.max()}]"
         )
     clipped = np.clip(arr, 0.0, 1.0)
+    # one output array beside the clipped copy: log, times z, negated, then 0 at z = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(clipped > 0.0, -clipped * np.log(clipped), 0.0)
+        out = np.log(clipped, out=np.empty_like(clipped))
+        out *= clipped
+    np.negative(out, out=out)
+    out[~(clipped > 0.0)] = 0.0
     if np.isscalar(z) or arr.ndim == 0:
         return float(out)
     return out

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
+from statistics import NormalDist
 
 import numpy as np
-import scipy.special
 
 from .conic import SOLVE_STATUSES, build_pruning_socp
 from .core import (
@@ -226,7 +226,7 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
     rho = spec.correlation
     w_shared = np.sqrt(rho)
     w_own = np.sqrt(1.0 - rho)
-    cut = scipy.special.ndtri(target_acc)
+    cut = [NormalDist().inv_cdf(p) for p in target_acc]
 
     probs = np.empty((m, n, num_c))
     rows = np.arange(n)
@@ -293,14 +293,16 @@ def prune_by_threshold(w, h):
 def vote(t: PredictionTensor, members):
     """Majority vote of the members: per-sample labels.
 
-    Each member casts its argmax class and the most voted class wins.  Ties
-    break toward the lowest class.
+    Each member, listed once, casts its argmax class and the most voted
+    class wins.  Ties break toward the lowest class.
     """
     members = [int(i) for i in members]
     if not members:
         raise EmptyEnsemble("vote requires at least one member")
     if min(members) < 0 or max(members) >= t.num_models:
         raise ShapeMismatch("member index outside the model range")
+    if len(set(members)) != len(members):
+        raise DomainError("a member is listed twice")
     casts = t.probs[members].argmax(axis=2)
     counts = np.zeros((t.num_samples, t.num_classes), dtype=np.int64)
     rows = np.arange(t.num_samples)

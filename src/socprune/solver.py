@@ -467,7 +467,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
 
     # presolve: drop all-zero equality rows; a zero row with nonzero rhs is
     # an immediate infeasibility certificate.
-    row_nnz = program.eq_A.getnnz(axis=1)
+    row_nnz = np.count_nonzero(program.eq_A, axis=1)
     empty = np.nonzero(row_nnz == 0)[0]
     for r in empty:
         if b_full[r] != 0.0:
@@ -475,7 +475,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
             y_cert[r] = np.sign(b_full[r])
             return _solution(program, np.zeros(n), y_cert, np.zeros(n), STATUS_INFEASIBLE, 0)
     keep_rows = np.nonzero(row_nnz > 0)[0]
-    A = program.eq_A[keep_rows].toarray()
+    A = program.eq_A[keep_rows]
     b = b_full[keep_rows]
     m = A.shape[0]
 

@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from socprune import conic
 from socprune.conic import (
     NONNEG_ORTHANT,
     QUADRATIC,
@@ -129,7 +134,7 @@ class TestBuildPruningSocp:
         a, _ = build_pruning_socp(s, alpha=0.3, lam=0.1, simplex=True)
         b, _ = build_pruning_socp(s, alpha=0.3, lam=0.9, simplex=True)
         assert np.array_equal(a.objective, b.objective)
-        assert (a.eq_A != b.eq_A).nnz == 0
+        assert np.array_equal(a.eq_A, b.eq_A)
         assert np.array_equal(a.eq_b, b.eq_b)
         assert a.cones == b.cones
 
@@ -277,7 +282,7 @@ class TestSerialization:
         assert back.num_vars == program.num_vars
         assert np.array_equal(back.objective, program.objective)
         assert np.array_equal(back.eq_b, program.eq_b)
-        assert (back.eq_A != program.eq_A).nnz == 0
+        assert np.array_equal(back.eq_A, program.eq_A)
         assert back.cones == program.cones
         assert back.free_vars == program.free_vars
 
@@ -310,13 +315,11 @@ class TestSerialization:
 
 class TestStructuralValidation:
     def test_overlapping_cones_rejected(self):
-        import scipy.sparse as sp
-
         with pytest.raises(MalformedProgram):
             ConeProgram(
                 num_vars=2,
                 objective=np.zeros(2),
-                eq_A=sp.csr_matrix((0, 2)),
+                eq_A=np.zeros((0, 2)),
                 eq_b=np.zeros(0),
                 cones=(
                     Cone(kind=NONNEG_ORTHANT, var_indices=(0, 1)),
@@ -324,6 +327,40 @@ class TestStructuralValidation:
                 ),
                 free_vars=(),
             )
+
+    def test_eq_A_is_a_read_only_copy(self):
+        A = np.array([[1.0, 1.0]])
+        program = ConeProgram(num_vars=2, objective=np.zeros(2), eq_A=A, eq_b=np.ones(1),
+                              cones=(Cone(kind=NONNEG_ORTHANT, var_indices=(0, 1)),),
+                              free_vars=())
+        A[0, 0] = 5.0
+        assert program.eq_A.dtype == np.float64
+        assert program.eq_A.tolist() == [[1.0, 1.0]]
+        with pytest.raises(ValueError):
+            program.eq_A[0, 0] = 2.0
+
+    @pytest.mark.parametrize("eq_A", [np.ones(2), np.ones((1, 3))], ids=["1-d", "wrong_width"])
+    def test_eq_A_shape(self, eq_A):
+        with pytest.raises(MalformedProgram):
+            ConeProgram(num_vars=2, objective=np.zeros(2), eq_A=eq_A, eq_b=np.ones(1),
+                        cones=(Cone(kind=NONNEG_ORTHANT, var_indices=(0, 1)),), free_vars=())
+
+    @pytest.mark.parametrize("col", [-1, 2])
+    def test_builder_rejects_equality_column_out_of_range(self, col):
+        builder = ProgramBuilder()
+        builder.add_cone(NONNEG_ORTHANT, builder.add_variables(2))
+        builder.add_equality([col], [1.0], 1.0)
+        with pytest.raises(MalformedProgram):
+            builder.build()
+
+    def test_cli_import_leaves_out_sparse_and_special(self):
+        # the package's only scipy part is scipy.linalg
+        env = {**os.environ, "PYTHONPATH": str(Path(conic.__file__).parents[1])}
+        code = ("import sys, socprune.cli; print(sorted(m for m in sys.modules"
+                " if m.startswith(('scipy.sparse', 'scipy.special'))))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout == "[]\n"
 
     def test_rotated_cone_min_dim(self):
         with pytest.raises(MalformedProgram):

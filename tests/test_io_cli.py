@@ -941,6 +941,20 @@ class TestCli:
             assert code == 2
             assert err.startswith(f"error: {error}")
 
+    def test_program_lines_end_only_at_newlines(self, tmp_path, capsys):
+        path = tmp_path / "p.sp"
+        # a form feed opening a line is leading blank space: the bad
+        # coefficient is on line 8, where an editor shows it
+        path.write_text(program_text(objective="\fobjective 1\n0 1").replace("0 1 1\n", "0 1 x\n"))
+        code, _, err = run_cli(["solve", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: line 8: equality coefficient must be a number, got 'x'")
+        # NEL inside a line separates two fields, as a space does
+        path.write_text(program_text())
+        expected = run_cli(["solve", str(path)], capsys)
+        path.write_text(program_text().replace("0 0 1\n", "0 0\x851\n"))
+        assert run_cli(["solve", str(path)], capsys) == expected
+
     @pytest.mark.parametrize("argv", [
         ["run", "DATA", "--simplex", "--lambda", "nan"],
         ["prune", "DATA", "--simplex", "--lambda", "nan"],

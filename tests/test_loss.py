@@ -5,13 +5,14 @@ with explicit loops, independent of the vectorized implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from socprune.core import LabelVector, PredictionTensor
-from socprune.errors import DomainError
-from socprune.loss import build_surrogate, entropy_term, exact_loss
+from socprune.errors import DomainError, ShapeMismatch
+from socprune.loss import QuadraticSurrogate, build_surrogate, entropy_term, exact_loss
 
 from conftest import random_instance, random_probs
 
@@ -69,6 +70,22 @@ class TestEntropyTerm:
         z = np.array([0.0, 0.5, 1.0])
         out = entropy_term(z)
         assert out.shape == (3,) and out[0] == 0.0 and out[2] == 0.0
+
+    def test_peak_memory_is_the_clipped_copy_and_the_output(self, rng):
+        z = random_probs(rng, 20, 1200, 100)
+        z[:, ::7] = 0.0
+        z[:, 1::7] = np.eye(100)[0]
+        z[0, 2, 0] = 5e-324
+        tracemalloc.start()
+        try:
+            out = entropy_term(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * z.nbytes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.where(z > 0.0, -z * np.log(z), 0.0)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestDistributionEntropy:
@@ -163,6 +180,17 @@ class TestExactLoss:
         a = exact_loss(w, t, y, 0.4).total
         b = exact_loss(w, t.subset(perm), y.subset(perm), 0.4).total
         assert abs(a - b) < 1e-9
+
+
+class TestQuadraticSurrogate:
+    @pytest.mark.parametrize("name", ["lin_accuracy", "lin_diversity"])
+    @pytest.mark.parametrize("shape", [(2,), (3, 1)])
+    def test_linear_terms_need_one_entry_per_model(self, name, shape):
+        fields = dict(quad=np.eye(3), lin_accuracy=np.zeros(3), lin_diversity=np.zeros(3),
+                      constant=0.0, ridge=0.0)
+        fields[name] = np.zeros(shape)
+        with pytest.raises(ShapeMismatch):
+            QuadraticSurrogate(**fields)
 
 
 class TestBuildSurrogate:

@@ -228,6 +228,13 @@ class TestVote:
         with pytest.raises(ShapeMismatch):
             vote(self.two_model_tensor(), [0, 5])
 
+    def test_repeated_member(self):
+        # listed three times, model 0 would outvote models 1 and 2
+        t = PredictionTensor(probs=np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0]]]))
+        assert vote(t, [0, 1, 2])[0] == 1
+        with pytest.raises(DomainError):
+            vote(t, [0, 0, 0, 1, 2])
+
 
 class TestAccuracy:
     def test_three_of_four(self):
