@@ -60,11 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fixed pruning threshold h >= 0 on |w_i|")
     thresh.add_argument("--auto-threshold", action="store_true",
                         help="pick h on the validation split (default)")
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--tol", type=float, default=None,
-                        help="solver stopping tolerance (gap and residuals)")
-    solver.add_argument("--max-iters", type=int, default=None,
-                        help="solver iteration cap")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None,
                      help="output path (default: print to stdout)")
@@ -96,22 +91,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="confidence of the generated probability rows")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fit", parents=[cell, solver, out],
+    p = sub.add_parser("fit", parents=[cell, out],
                        help="solve one (alpha, lambda) cell and print weights")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("cv", parents=[cell, select, solver, out],
+    p = sub.add_parser("cv", parents=[cell, select, out],
                        help="grid-search (alpha, lambda) on the validation split")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("prune", parents=[cell, select, solver, out, report],
+    p = sub.add_parser("prune", parents=[cell, select, out, report],
                        help="fit one cell, threshold, vote, report")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_run, single_cell=True)
 
-    p = sub.add_parser("run", parents=[cell, select, solver, out, report],
+    p = sub.add_parser("run", parents=[cell, select, out, report],
                        help="full pipeline: cv, threshold, vote, report")
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_run, single_cell=False)
@@ -120,9 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset directory")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", parents=[solver, out],
+    p = sub.add_parser("solve", parents=[out],
                        help="solve a cone-program file (solver debugging)")
     p.add_argument("program", help="cone program text file")
+    p.add_argument("--tol", type=float, default=None,
+                   help="solver stopping tolerance (gap and residuals)")
+    p.add_argument("--max-iters", type=int, default=None,
+                   help="solver iteration cap")
     p.add_argument("--verbose", action="store_true",
                    help="print per-iteration solver progress")
     p.set_defaults(func=cmd_solve)
@@ -130,16 +129,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_settings(args, verbose: bool = False) -> SolverSettings | None:
-    if args.tol is None and args.max_iters is None and not verbose:
-        return None
-    kwargs = {}
+def _solver_settings(args) -> SolverSettings:
+    kwargs = {"verbose": args.verbose}
     if args.tol is not None:
         kwargs["tol"] = args.tol
     if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
-    if verbose:
-        kwargs["verbose"] = True
     return SolverSettings(**kwargs)
 
 
@@ -158,7 +153,6 @@ def _prune_config(args, single_cell: bool = False) -> PruneConfig:
     kwargs = dict(
         threshold=_threshold_of(args),
         simplex_mode=args.simplex,
-        solver=_solver_settings(args),
     )
     if single_cell:
         alpha, lam = _cell(args)
@@ -206,10 +200,11 @@ def cmd_gen(args) -> int:
 
 def cmd_fit(args) -> int:
     t, y, splits = dataio.read_predictions(args.data)
+    splits.require("train")
     alpha, lam = _cell(args)
     w = fit_weights(
         t.subset(splits.train_indices), y.subset(splits.train_indices),
-        alpha, lam, simplex=args.simplex, settings=_solver_settings(args),
+        alpha, lam, simplex=args.simplex,
     )
     _emit_json(args, {
         "kind": "socprune-weights",
@@ -256,7 +251,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     program = read_cone_program(args.program)
-    sol = solve(program, _solver_settings(args, verbose=args.verbose))
+    sol = solve(program, _solver_settings(args))
     objective = float(np.dot(np.asarray(program.objective, dtype=np.float64), sol.x))
     _emit_json(args, {
         "kind": "socprune-solution",

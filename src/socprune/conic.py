@@ -101,14 +101,14 @@ class ConeProgram:
         n = int(self.num_vars)
         if n <= 0:
             raise MalformedProgram("program needs at least one variable")
-        obj = np.ascontiguousarray(np.asarray(self.objective, dtype=np.float64))
+        obj = np.ascontiguousarray(_dense(self.objective, "objective"))
         if obj.shape != (n,):
             raise MalformedProgram(f"objective has shape {obj.shape}, expected ({n},)")
         # "+ 0.0" copies and stores every zero as +0.0: equal programs have equal bytes
-        A = np.asarray(self.eq_A, dtype=np.float64) + 0.0
+        A = _dense(self.eq_A, "equality matrix") + 0.0
         if A.ndim != 2 or A.shape[1] != n:
             raise MalformedProgram(f"equality matrix has shape {A.shape}, expected (*, {n})")
-        b = np.ascontiguousarray(np.asarray(self.eq_b, dtype=np.float64))
+        b = np.ascontiguousarray(_dense(self.eq_b, "rhs"))
         if b.shape != (A.shape[0],):
             raise MalformedProgram(f"rhs has shape {b.shape}, expected ({A.shape[0]},)")
         if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(b)) and np.all(np.isfinite(A))):
@@ -145,6 +145,15 @@ class ConeProgram:
     @property
     def num_eqs(self) -> int:
         return self.eq_A.shape[0]
+
+
+def _dense(value, what):
+    """``value`` as a float64 array; a sparse matrix or ragged list is MalformedProgram."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        hint = "; pass a sparse matrix A as A.toarray()" if hasattr(value, "toarray") else ""
+        raise MalformedProgram(f"{what} is not a dense numeric array{hint}: {exc}") from None
 
 
 @dataclass(eq=False)

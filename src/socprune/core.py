@@ -166,6 +166,12 @@ class SplitSpec:
                     f"{name} contains index {int(idx.max())} >= num_samples {num_samples}"
                 )
 
+    def require(self, *names) -> None:
+        """Raise ValidationError naming the first of the given splits that is empty."""
+        for name in names:
+            if getattr(self, f"{name}_indices").size == 0:
+                raise ValidationError(f"the {name} split ({name}_indices) is empty")
+
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream from a 64-bit seed.

@@ -780,20 +780,3 @@ def read_report(path) -> PruneReport:
         )
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ParseError(f"malformed report payload: {exc}") from None
-
-
-def read_summary(path) -> dict:
-    """Read back a csv-summary row as a plain dict."""
-    lines = [line for line in read_text(path).split("\n") if line]
-    if len(lines) != 2:
-        raise ParseError(f"summary must be header + one row, got {len(lines)} lines")
-    if tuple(lines[0].split(",")) != SUMMARY_COLUMNS:
-        raise ParseError(f"summary header must be {','.join(SUMMARY_COLUMNS)}", line=1)
-    parts = lines[1].split(",")
-    if len(parts) != len(SUMMARY_COLUMNS):
-        raise ParseError(f"summary row has {len(parts)} fields, expected 5", line=2)
-    values = {key: (parse_int if key.startswith("models") else parse_float)(value, 2, key)
-              for key, value in zip(SUMMARY_COLUMNS, parts)}
-    if not all(map(math.isfinite, values.values())):
-        raise ParseError(f"summary values must be finite, got {lines[1]!r}", line=2)
-    return values

@@ -31,7 +31,7 @@ from .errors import (
     TooLarge,
 )
 from .loss import build_surrogate, entropy_term, exact_loss
-from .solver import STATUS_OPTIMAL, SolverSettings, solve
+from .solver import STATUS_OPTIMAL, solve
 
 _DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 _DEFAULT_LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -61,6 +61,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.num_models, self.num_samples, self.num_classes, self.seed)
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise InvalidSpec(f"model, sample and class counts and the seed must be "
+                              f"integers, got {counts}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be nonnegative, got {self.seed}")
         if self.num_models < 2:
             raise InvalidSpec("need at least 2 models")
         if self.num_samples < 5:
@@ -69,10 +75,11 @@ class SyntheticSpec:
             raise InvalidSpec("need at least 2 classes")
         low, high = self.base_accuracy_range
         chance = 1.0 / self.num_classes
-        if not (chance < low <= high < 1.0):
+        # a range may start at chance, so long as some model beats it
+        if not (chance <= low <= high < 1.0 and chance < high):
             raise InvalidSpec(
-                f"base_accuracy_range must lie inside ({chance:.4g}, 1), got "
-                f"({low}, {high})"
+                f"base_accuracy_range must lie inside [{chance:.4g}, 1) and reach above "
+                f"{chance:.4g}, got ({low}, {high})"
             )
         if not 0.0 <= self.correlation < 1.0:
             raise InvalidSpec("correlation must lie in [0, 1)")
@@ -82,13 +89,12 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class PruneConfig:
-    """Grid, thresholding, and reporting options for the pruning run."""
+    """Grid and thresholding options; every cell solves with ``SolverSettings()``."""
 
     alpha_grid: tuple = _DEFAULT_ALPHA_GRID
     lambda_grid: tuple = _DEFAULT_LAMBDA_GRID
     threshold: float | str = _AUTO
     simplex_mode: bool = False
-    solver: SolverSettings | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
@@ -262,21 +268,21 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
     return tensor, LabelVector(labels=labels, num_classes=num_c), splits
 
 
-def _solve_weights(program, vmap, settings):
-    sol = solve(program, settings)
+def _solve_weights(program, vmap):
+    sol = solve(program)
     if sol.status != STATUS_OPTIMAL:
         raise FitFailed(sol.status)
     return sol.x[np.asarray(vmap.x_indices)]
 
 
-def fit_weights(t, y, alpha, lam, *, simplex=False, settings=None):
+def fit_weights(t, y, alpha, lam, *, simplex=False):
     """Solve the pruning program on the given data and return the weights.
 
     Raises FitFailed when the solver does not reach status optimal.
     """
     surrogate = build_surrogate(t, y)
     program, vmap = build_pruning_socp(surrogate, alpha, lam, simplex=simplex)
-    return _solve_weights(program, vmap, settings)
+    return _solve_weights(program, vmap)
 
 
 def prune_by_threshold(w, h):
@@ -364,6 +370,7 @@ def _run_grid(t, y, splits, config):
     is the search's one candidate.
     """
     splits.validate_against(t.num_samples)
+    splits.require("train", "valid")
     surrogate = build_surrogate(
         t.subset(splits.train_indices), y.subset(splits.train_indices)
     )
@@ -374,7 +381,7 @@ def _run_grid(t, y, splits, config):
     def evaluate(program, vmap):
         # (w, h, kept, accuracy, status); failed cells carry w=None and -1.0
         try:
-            w = _solve_weights(program, vmap, config.solver)
+            w = _solve_weights(program, vmap)
         except FitFailed as exc:
             return None, -1.0, 0, -1.0, f"failed: {exc.status}"
         h, acc = auto_threshold(w, tv, yv, candidates)
@@ -426,6 +433,8 @@ def brute_force_subset_oracle(t, y, alpha):
     m = t.num_models
     if m > _ORACLE_LIMIT:
         raise TooLarge(f"{m} models exceed the enumeration limit {_ORACLE_LIMIT}")
+    if not 0 <= alpha <= 1:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     n, num_c = t.num_samples, t.num_classes
     flat = t.probs.reshape(m, n * num_c)
     ent_flat = entropy_term(t.probs).reshape(m, n * num_c).sum(axis=1)
@@ -480,6 +489,7 @@ def run_pipeline(source, config: PruneConfig | None = None) -> PruneReport:
         t, y, splits = generate_synthetic_ensemble(source)
     else:
         t, y, splits = source
+    splits.require("test")
     best_alpha, best_lambda, cells, w, h = _run_grid(t, y, splits, config)
     selected = prune_by_threshold(w, h)
 

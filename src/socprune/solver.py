@@ -62,8 +62,8 @@ class SolverSettings:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise DomainError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be at least 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise DomainError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 def _inf_norm(v) -> float:

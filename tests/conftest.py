@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from socprune.core import LabelVector, PredictionTensor
+from socprune.solver import SolverSettings, solve
 
 
 def random_probs(rng, num_models, num_samples, num_classes, concentration=1.0):
@@ -17,6 +18,11 @@ def random_instance(rng, num_models, num_samples, num_classes):
     y = LabelVector(labels=rng.integers(0, num_classes, size=num_samples),
                     num_classes=num_classes)
     return t, y
+
+
+def one_iteration_solve(program):
+    """A stand-in for the pipeline's ``solve``: one iteration, status max_iters."""
+    return solve(program, SolverSettings(max_iters=1))
 
 
 @pytest.fixture

@@ -345,6 +345,21 @@ class TestStructuralValidation:
             ConeProgram(num_vars=2, objective=np.zeros(2), eq_A=eq_A, eq_b=np.ones(1),
                         cones=(Cone(kind=NONNEG_ORTHANT, var_indices=(0, 1)),), free_vars=())
 
+    def test_non_dense_input_is_malformed(self):
+        import scipy.sparse
+
+        def build(objective=np.zeros(2), eq_A=np.eye(2)):
+            return ConeProgram(num_vars=2, objective=objective, eq_A=eq_A, eq_b=np.ones(2),
+                               cones=(Cone(kind=NONNEG_ORTHANT, var_indices=(0, 1)),),
+                               free_vars=())
+
+        with pytest.raises(MalformedProgram, match=r"pass a sparse matrix A as A\.toarray\(\)"):
+            build(eq_A=scipy.sparse.csr_matrix(np.eye(2)))
+        with pytest.raises(MalformedProgram, match="equality matrix is not a dense numeric"):
+            build(eq_A=[[1.0, 0.0], [1.0]])
+        with pytest.raises(MalformedProgram, match="objective is not a dense numeric"):
+            build(objective=[0.0, [1.0]])
+
     @pytest.mark.parametrize("col", [-1, 2])
     def test_builder_rejects_equality_column_out_of_range(self, col):
         builder = ProgramBuilder()

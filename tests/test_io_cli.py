@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socprune import cli
+from socprune import cli, pipeline
 from socprune import io as dataio
 from socprune.conic import NONNEG_ORTHANT, QUADRATIC, ProgramBuilder, write_cone_program
 from socprune.core import EXACT_FORMAT, LabelVector, PredictionTensor, SplitSpec, format_exact
@@ -33,7 +34,6 @@ from socprune.io import (
     atomic_write_text,
     read_predictions,
     read_report,
-    read_summary,
     render_report,
     write_predictions,
     write_report,
@@ -41,7 +41,7 @@ from socprune.io import (
 from socprune.pipeline import CellDiagnostic, PruneReport
 from socprune.solver import SolverSettings
 
-from conftest import random_instance
+from conftest import one_iteration_solve, random_instance
 from test_solver import lp_with_stored_zero_row
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_dataset"
@@ -548,6 +548,14 @@ class TestDatasetErrors:
             read_predictions(tmp_path / "nope")
 
 
+def summary_of(text):
+    """The csv-summary row as a dict, counts as int and the rest as float."""
+    header, row = text.split("\n")[:2]
+    assert tuple(header.split(",")) == SUMMARY_COLUMNS and text.count("\n") == 2
+    return {key: (int if key.startswith("models") else float)(value)
+            for key, value in zip(SUMMARY_COLUMNS, row.split(","), strict=True)}
+
+
 def sample_report():
     cells = (
         CellDiagnostic(alpha=0.2, lam=0.1, threshold=0.05, accuracy=0.75,
@@ -580,8 +588,7 @@ class TestReportIO:
 
     def test_read_summary_values(self, tmp_path):
         write_report(sample_report(), tmp_path / "r.csv", FORMAT_CSV)
-        summary = read_summary(tmp_path / "r.csv")
-        assert summary == {
+        assert summary_of((tmp_path / "r.csv").read_text()) == {
             "accuracy_full": 0.625,
             "accuracy_pruned": 0.75,
             "models_full": 3,
@@ -602,53 +609,47 @@ class TestReportIO:
             read_report(tmp_path / "r.json")
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("name, content, message", [
+    @pytest.mark.parametrize("content, message", [
         # json-text: sample_report's payload with one edit; the writer never
         # writes NaN, an infinity, a number as a string or a fractional count
-        ("r.json", lambda d: d.update(best_alpha=math.nan), "finite float, got nan"),
-        ("r.json", lambda d: d.update(threshold_used=math.inf), "finite float, got inf"),
-        ("r.json", lambda d: d["cells"][1].update(accuracy=-math.inf), "got -inf"),
-        ("r.json", lambda d: d.update(threshold_used="0.5"), "got '0.5'"),
-        ("r.json", lambda d: d["weights"].__setitem__(1, "nan"), "got 'nan'"),
-        ("r.json", lambda d: d["cells"][0].update(num_pruned=2.7), "finite int, got 2.7"),
-        ("r.json", lambda d: d["selected"].__setitem__(0, True), "finite int, got True"),
-        ("r.json", lambda d: d.update(num_models_full=10**400), "too large"),
+        (lambda d: d.update(best_alpha=math.nan), "finite float, got nan"),
+        (lambda d: d.update(threshold_used=math.inf), "finite float, got inf"),
+        (lambda d: d["cells"][1].update(accuracy=-math.inf), "got -inf"),
+        (lambda d: d.update(threshold_used="0.5"), "got '0.5'"),
+        (lambda d: d["weights"].__setitem__(1, "nan"), "got 'nan'"),
+        (lambda d: d["cells"][0].update(num_pruned=2.7), "finite int, got 2.7"),
+        (lambda d: d["selected"].__setitem__(0, True), "finite int, got True"),
+        (lambda d: d.update(num_models_full=10**400), "too large"),
         # a selected list, weight count or status that no run produces
-        ("r.json", lambda d: d.update(selected=[0, 7]), r"selected models \(0, 7\) must be"),
-        ("r.json", lambda d: d.update(selected=[2, 2]), "strictly ascending"),
-        ("r.json", lambda d: d.update(selected=[-1, 2]), r"indices in \[0, 3\)"),
-        ("r.json", lambda d: d.update(selected=[2, 0]), "strictly ascending"),
-        ("r.json", lambda d: d.update(weights=[0.5]), "1 weights for 3 models"),
-        ("r.json", lambda d: d["cells"][0].update(status=5), "expected a string, got 5"),
-        ("r.json", lambda d: d.update(num_models_pruned=1), "pruned model count must match"),
-        ("r.json", lambda d: d.update(kind="socprune-weights"), "not a socprune-report file"),
-        ("r.json", lambda d: d.pop("cells"), "malformed report payload: 'cells'"),
+        (lambda d: d.update(selected=[0, 7]), r"selected models \(0, 7\) must be"),
+        (lambda d: d.update(selected=[2, 2]), "strictly ascending"),
+        (lambda d: d.update(selected=[-1, 2]), r"indices in \[0, 3\)"),
+        (lambda d: d.update(selected=[2, 0]), "strictly ascending"),
+        (lambda d: d.update(weights=[0.5]), "1 weights for 3 models"),
+        (lambda d: d["cells"][0].update(status=5), "expected a string, got 5"),
+        (lambda d: d.update(num_models_pruned=1), "pruned model count must match"),
+        (lambda d: d.update(kind="socprune-weights"), "not a socprune-report file"),
+        (lambda d: d.pop("cells"), "malformed report payload: 'cells'"),
         # values outside the domain a run produces
-        ("r.json", lambda d: d.update(full_accuracy=2.5), "accuracies 2.5, 0.75 must lie in"),
-        ("r.json", lambda d: d.update(pruned_accuracy=-0.5), "accuracies 0.625, -0.5 must"),
-        ("r.json", lambda d: d.update(threshold_used=-1.0), r"\(0.2, 0.1, -1.0, 2\) are those"),
-        ("r.json", lambda d: d.update(best_alpha=7.0), r"\(7.0, 0.1, 0.05, 2\) are those"),
-        ("r.json", lambda d: d.update(best_lambda=-3.0), r"\(0.2, -3.0, 0.05, 2\) are those"),
-        ("r.json", lambda d: d["cells"][1].update(num_pruned=99), "keeps more than the 3 models"),
-        ("r.json", lambda d: d["cells"][1].update(status="banana"), "gives a 'banana' cell"),
-        ("r.json", lambda d: d["cells"][1].update(accuracy=3.0),
+        (lambda d: d.update(full_accuracy=2.5), "accuracies 2.5, 0.75 must lie in"),
+        (lambda d: d.update(pruned_accuracy=-0.5), "accuracies 0.625, -0.5 must"),
+        (lambda d: d.update(threshold_used=-1.0), r"\(0.2, 0.1, -1.0, 2\) are those"),
+        (lambda d: d.update(best_alpha=7.0), r"\(7.0, 0.1, 0.05, 2\) are those"),
+        (lambda d: d.update(best_lambda=-3.0), r"\(0.2, -3.0, 0.05, 2\) are those"),
+        (lambda d: d["cells"][1].update(num_pruned=99), "keeps more than the 3 models"),
+        (lambda d: d["cells"][1].update(status="banana"), "gives a 'banana' cell"),
+        (lambda d: d["cells"][1].update(accuracy=3.0),
          "'ok' cell with threshold 0.0, accuracy 3.0"),
-        ("r.json", lambda d: d["cells"][1].update(status="failed: max_iters"),
+        (lambda d: d["cells"][1].update(status="failed: max_iters"),
          "'failed: max_iters' cell with threshold 0.0, accuracy 0.5 and 3 kept"),
-        ("r.json", lambda d: d["cells"][2].update(status="ok"), "'ok' cell with threshold -1.0"),
-        ("r.json", lambda d: d["cells"][1].update(alpha=7.0), "cell alpha 7.0 must lie in"),
-        ("r.json", lambda d: d["cells"][1].update(lam=-3.0), "lambda -3.0 must be finite"),
-        ("r.json", lambda d: d.update(cells=[]), "are those of no ok grid cell"),
-        ("r.json", lambda d: d.update(selected=[], num_models_pruned=0),
+        (lambda d: d["cells"][2].update(status="ok"), "'ok' cell with threshold -1.0"),
+        (lambda d: d["cells"][1].update(alpha=7.0), "cell alpha 7.0 must lie in"),
+        (lambda d: d["cells"][1].update(lam=-3.0), "lambda -3.0 must be finite"),
+        (lambda d: d.update(cells=[]), "are those of no ok grid cell"),
+        (lambda d: d.update(selected=[], num_models_pruned=0),
          r"selected models \(\) must be non-empty"),
-        ("r.json", lambda d: d.update(note="x"), r"unknown keys \['note'\]"),
-        ("r.json", lambda d: d["cells"][0].update(seed=3), r"unknown keys \['seed'\]"),
-        # csv-summary
-        ("r.csv", "nan,0.75,3,2,0.05", "summary values must be finite"),
-        ("r.csv", "0.625,0.75,3,2,inf", "summary values must be finite"),
-        ("r.csv", "0.625,0.75,3,2,0.05\n0.625,0.75,3,2,0.05", "header \\+ one row, got 3"),
-        ("r.csv", "0.625,0.75,3,2", "row has 4 fields"),
-        ("r.csv", None, "summary header must be"),
+        (lambda d: d.update(note="x"), r"unknown keys \['note'\]"),
+        (lambda d: d["cells"][0].update(seed=3), r"unknown keys \['seed'\]"),
     ], ids=["nan", "infinity", "cell_infinity", "number_as_string", "nan_string_weight",
             "fractional_count", "bool_index", "huge_count", "selected_beyond_models",
             "selected_repeated", "selected_negative", "selected_descending", "weight_count",
@@ -657,23 +658,13 @@ class TestReportIO:
             "best_alpha_above_one", "best_lambda_negative", "cell_keeps_too_many",
             "cell_unknown_status", "cell_accuracy_above_one", "ok_cell_relabelled_failed",
             "failed_cell_relabelled_ok", "cell_alpha_above_one", "cell_lambda_negative",
-            "no_cells", "nothing_selected", "unknown_key", "unknown_cell_key",
-            "summary_nan", "summary_infinity", "summary_two_rows", "summary_short_row",
-            "summary_header"])
-    def test_value_never_written_is_parse_error(self, tmp_path, name, content, message):
-        if name == "r.json":
-            payload = json.loads(render_report(sample_report()))
-            content(payload)
-            text = json.dumps(payload)
-        else:
-            text = render_report(sample_report(), FORMAT_CSV)
-            if content is None:
-                text = text.replace("threshold", "cutoff")
-            else:
-                text = text.split("\n")[0] + f"\n{content}\n"
-        (tmp_path / name).write_text(text)
+            "no_cells", "nothing_selected", "unknown_key", "unknown_cell_key"])
+    def test_value_never_written_is_parse_error(self, tmp_path, content, message):
+        payload = json.loads(render_report(sample_report()))
+        content(payload)
+        (tmp_path / "r.json").write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=message):
-            (read_report if name == "r.json" else read_summary)(tmp_path / name)
+            read_report(tmp_path / "r.json")
 
     def test_atomic_write_failure_cleans_up(self, tmp_path, monkeypatch):
         def refuse(src, dst):
@@ -800,7 +791,7 @@ class TestCli:
             ["run", str(tmp_path / "d"), "--simplex", "--format",
              "csv-summary", "--out", str(out_file)], capsys)
         assert code == 0 and out == ""
-        summary = read_summary(out_file)
+        summary = summary_of(out_file.read_text())
         assert summary["models_full"] == 6
         assert 1 <= summary["models_pruned"] <= 6
 
@@ -961,12 +952,11 @@ class TestCli:
         ["cv", "DATA", "--simplex", "--lambda", "nan"],
         ["fit", "DATA", "--simplex", "--lambda", "nan"],
         ["run", "DATA", "--threshold", "inf"],
-        ["run", "DATA", "--tol", "inf"],
         ["solve", "PROGRAM", "--tol", "inf"],
         ["gen", "--sharpness", "nan", "--out", "NEW"],
         ["gen", "--sharpness", "inf", "--out", "NEW"],
     ], ids=["run_lambda_nan", "prune_lambda_nan", "cv_lambda_nan", "fit_lambda_nan",
-            "threshold_inf", "run_tol_inf", "solve_tol_inf", "sharpness_nan",
+            "threshold_inf", "solve_tol_inf", "sharpness_nan",
             "sharpness_inf"])
     def test_non_finite_setting_exit_2(self, tmp_path, capsys, argv):
         run_cli(gen_args(tmp_path / "DATA"), capsys)
@@ -997,12 +987,42 @@ class TestCli:
         code, _, _ = run_cli(["check", str(tmp_path / "d")], capsys)
         assert code == 2
 
-    def test_solver_failure_exit_3(self, tmp_path, capsys):
+    def test_solver_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         run_cli(gen_args(tmp_path / "d"), capsys)
-        code, _, err = run_cli(
-            ["fit", str(tmp_path / "d"), "--max-iters", "1"], capsys)
+        monkeypatch.setattr(pipeline, "solve", one_iteration_solve)
+        code, _, err = run_cli(["fit", str(tmp_path / "d")], capsys)
         assert code == 3
-        assert err.startswith("error:")
+        assert err.startswith("error:") and "max_iters" in err
+
+    def test_gen_checks_its_spec(self, tmp_path, capsys):
+        code, _, err = run_cli(["gen", "--seed", "-1", "--out", str(tmp_path / "neg")], capsys)
+        assert code == 2 and err == "error: seed must be nonnegative, got -1\n"
+        # the default --acc-low 0.5 is chance for two classes; 0.9 beats it
+        binary = ["gen", "--models", "4", "--samples", "60", "--classes", "2",
+                  "--out", str(tmp_path / "bin")]
+        assert run_cli(binary, capsys)[0] == 0
+        code, out, _ = run_cli(["run", str(tmp_path / "bin"), "--simplex", "--format",
+                                "csv-summary"], capsys)
+        assert code == 0 and summary_of(out)["models_full"] == 4
+
+    @pytest.mark.parametrize("split, failing, passing", [
+        ("train", ["fit", "cv", "run", "prune"], []),
+        ("valid", ["cv", "run", "prune"], ["fit"]),
+        ("test", ["run", "prune"], ["fit", "cv"]),
+    ])
+    def test_empty_split_is_named(self, tmp_path, capsys, split, failing, passing):
+        data = str(tmp_path / "d")
+        run_cli(gen_args(data), capsys)
+        rewrite(tmp_path / "d" / "manifest.txt",
+                lambda s: re.sub(f"(?m)^{split}_indices .*$", f"{split}_indices none", s))
+        code, out, _ = run_cli(["check", data], capsys)
+        assert code == 0 and f"{split}=0" in out
+        for command in failing:
+            code, out, err = run_cli([command, data, "--simplex"], capsys)
+            assert (code, out) == (2, ""), command
+            assert err == f"error: the {split} split ({split}_indices) is empty\n"
+        for command in passing:
+            assert run_cli([command, data, "--simplex"], capsys)[0] == 0, command
 
     def test_gen_requires_out(self, capsys):
         code, _, err = run_cli(["gen"], capsys)
@@ -1021,6 +1041,8 @@ class TestCli:
         ["fit", "DATA", "--threshold", "0.1"],
         ["cv", "DATA", "--format", "csv-summary"],
         ["solve", "PROGRAM", "--lambda", "0.1"],
+        ["run", "DATA", "--tol", "1e-6"],
+        ["fit", "DATA", "--max-iters", "5"],
     ])
     def test_flags_a_subcommand_ignores_rejected(self, tmp_path, argv):
         argv = [str(tmp_path / a) if a.isupper() else a for a in argv]

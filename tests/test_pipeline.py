@@ -33,7 +33,7 @@ from socprune.pipeline import (
 from socprune import pipeline
 from socprune.solver import SolverSettings, solve
 
-from conftest import random_instance
+from conftest import one_iteration_solve, random_instance
 
 
 def small_spec(**overrides):
@@ -52,6 +52,21 @@ class TestSyntheticSpec:
     def test_accuracy_range_must_beat_chance(self):
         with pytest.raises(InvalidSpec):
             small_spec(base_accuracy_range=(0.2, 0.8))  # 0.2 < 1/3
+
+    def test_accuracy_range_may_start_at_chance(self):
+        spec = small_spec(num_classes=2, base_accuracy_range=(0.5, 0.9))
+        assert spec.base_accuracy_range == (0.5, 0.9)
+        with pytest.raises(InvalidSpec):
+            small_spec(num_classes=2, base_accuracy_range=(0.5, 0.5))  # no model beats 1/2
+
+    @pytest.mark.parametrize("override", [
+        dict(num_models=3.5), dict(num_samples=60.0), dict(num_classes="3"),
+        dict(seed=1.5), dict(seed=-1),
+    ], ids=["fractional_models", "float_samples", "string_classes", "fractional_seed",
+            "negative_seed"])
+    def test_counts_and_seed_are_nonnegative_integers(self, override):
+        with pytest.raises(InvalidSpec):
+            small_spec(**override)
 
     def test_accuracy_range_below_one(self):
         with pytest.raises(InvalidSpec):
@@ -156,11 +171,11 @@ class TestFitWeights:
         assert abs(w.sum() - 1.0) < 1e-7
         assert w.min() >= -1e-7
 
-    def test_fit_failed_surfaces_status(self, rng):
+    def test_fit_failed_surfaces_status(self, rng, monkeypatch):
         t, y = random_instance(rng, 3, 30, 3)
+        monkeypatch.setattr(pipeline, "solve", one_iteration_solve)
         with pytest.raises(FitFailed) as exc:
-            fit_weights(t, y, alpha=0.4, lam=0.1,
-                        settings=SolverSettings(max_iters=1))
+            fit_weights(t, y, alpha=0.4, lam=0.1)
         assert "max_iters" in str(exc.value)
 
 
@@ -336,13 +351,13 @@ class TestCrossValidate:
         assert best_lambda == 0.7
         assert best_alpha == 0.2
 
-    def test_all_cells_failed(self, rng):
+    def test_all_cells_failed(self, rng, monkeypatch):
         t, y = random_instance(rng, 3, 50, 3)
         splits = SplitSpec(train_indices=np.arange(30),
                            valid_indices=np.arange(30, 40),
                            test_indices=np.arange(40, 50))
-        config = PruneConfig(alpha_grid=(0.3,), lambda_grid=(0.5,),
-                             solver=SolverSettings(max_iters=1))
+        config = PruneConfig(alpha_grid=(0.3,), lambda_grid=(0.5,))
+        monkeypatch.setattr(pipeline, "solve", one_iteration_solve)
         with pytest.raises(AllCellsFailed):
             cross_validate(t, y, splits, config)
 
@@ -494,6 +509,17 @@ class TestBruteForceOracle:
         subset, _ = brute_force_subset_oracle(t2, y, 0.5)
         # duplicates tie; {0} precedes {1} and {0,1} lexicographically
         assert tuple(subset) == (0,)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), 2.0, -0.5])
+    def test_alpha_checked_before_enumeration(self, rng, monkeypatch, alpha):
+        t, y = random_instance(rng, 3, 12, 3)
+
+        def enumerated(probs):
+            raise AssertionError("subsets enumerated before alpha was checked")
+
+        monkeypatch.setattr(pipeline, "entropy_term", enumerated)
+        with pytest.raises(DomainError, match="alpha"):
+            brute_force_subset_oracle(t, y, alpha)
 
     def test_too_large_guard(self, rng):
         t, y = random_instance(rng, 15, 5, 2)

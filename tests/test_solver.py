@@ -394,6 +394,13 @@ class TestSolverQuality:
         with pytest.raises(DomainError):
             SolverSettings(max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "5"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        from socprune.errors import DomainError
+
+        with pytest.raises(DomainError, match="max_iters must be an integer"):
+            SolverSettings(max_iters=max_iters)
+
     def test_verbose_trace(self, rng, capsys):
         program, _ = build_pruning_socp(
             surrogate_from(np.eye(2), rng.normal(size=2)), alpha=1.0, lam=0.1
