@@ -249,22 +249,27 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_null(v):  # JSON has no NaN or infinity: null where a value overflowed
+    return float(v) if np.isfinite(v) else None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a numerical exit's point may overflow
 def cmd_solve(args) -> int:
     program = read_cone_program(args.program)
     sol = solve(program, _solver_settings(args))
-    objective = float(np.dot(np.asarray(program.objective, dtype=np.float64), sol.x))
+    objective = np.dot(np.asarray(program.objective, dtype=np.float64), sol.x)
     _emit_json(args, {
         "kind": "socprune-solution",
         "format_version": 1,
         "status": sol.status,
         "iterations": sol.iterations,
-        "objective": objective,
-        "gap": sol.gap,
-        "primal_residual": sol.primal_residual,
-        "dual_residual": sol.dual_residual,
-        "x": [float(v) for v in sol.x],
-        "y": [float(v) for v in sol.y],
-        "s": [float(v) for v in sol.s],
+        "objective": _finite_or_null(objective),
+        "gap": _finite_or_null(sol.gap),
+        "primal_residual": _finite_or_null(sol.primal_residual),
+        "dual_residual": _finite_or_null(sol.dual_residual),
+        "x": [_finite_or_null(v) for v in sol.x],
+        "y": [_finite_or_null(v) for v in sol.y],
+        "s": [_finite_or_null(v) for v in sol.s],
     })
     return EXIT_OK if sol.status == STATUS_OPTIMAL else EXIT_NOT_OPTIMAL
 

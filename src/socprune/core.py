@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,9 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 def validate_tensor(probs) -> None:
     """Check the invariants of a raw ``(M, N, C)`` array, raising on the first violation.
 
-    Entries are checked against [0, 1] first, then row sums against 1
-    within ``ROW_SUM_TOL``; each error names the first offending index in
-    (model, sample) scan order.
+    Non-finite entries first, then entries outside [0, 1], then row sums off
+    1 by more than ``ROW_SUM_TOL``, each pass a model at a time; each error
+    names the first offending index in (model, sample) scan order.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 3:
@@ -47,20 +47,18 @@ def validate_tensor(probs) -> None:
         raise ShapeMismatch(
             f"need at least 1 model, 1 sample and 2 classes, got shape {probs.shape}"
         )
-    if not np.all(np.isfinite(probs)):
-        i, n, j = np.unravel_index(int(np.argmin(np.isfinite(probs))), probs.shape)
-        raise OutOfRange(int(i), int(n), int(j), float(probs[i, n, j]))
-
-    in_range = (probs >= 0.0) & (probs <= 1.0)
-    if not in_range.all():
-        i, n, j = np.unravel_index(int(np.argmin(in_range)), probs.shape)
-        raise OutOfRange(int(i), int(n), int(j), float(probs[i, n, j]))
-
-    sums = probs.sum(axis=2)
-    normalized = np.abs(sums - 1.0) <= ROW_SUM_TOL
-    if not normalized.all():
-        i, n = np.unravel_index(int(np.argmin(normalized)), sums.shape)
-        raise RowNotNormalized(int(i), int(n), float(sums[i, n]))
+    for entry_ok in (np.isfinite, lambda model: (model >= 0.0) & (model <= 1.0)):
+        for i, model in enumerate(probs):
+            ok = entry_ok(model)
+            if not ok.all():
+                n, j = np.unravel_index(int(np.argmin(ok)), ok.shape)
+                raise OutOfRange(i, int(n), int(j), float(model[n, j]))
+    for i, model in enumerate(probs):
+        sums = model.sum(axis=1)
+        normalized = np.abs(sums - 1.0) <= ROW_SUM_TOL
+        if not normalized.all():
+            n = int(np.argmin(normalized))
+            raise RowNotNormalized(i, n, float(sums[n]))
 
 
 @dataclass(frozen=True)
@@ -68,16 +66,26 @@ class PredictionTensor:
     """Per-model, per-sample class-probability rows, shape (M, N, C).
 
     Rows are validated on construction and renormalized to sum exactly
-    to 1 (input sums may deviate by at most ``ROW_SUM_TOL``).
+    to 1 (input sums may deviate by at most ``ROW_SUM_TOL``), in a copy of
+    the caller's array; the generator, the dataset reader and ``subset``
+    hand over the buffer they built instead (``_adopt``), renormalized in place.
     """
 
     probs: np.ndarray
 
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+    def __post_init__(self, copy=True):
+        probs = np.array(self.probs, dtype=np.float64, copy=copy)
         validate_tensor(probs)
-        probs = probs / probs.sum(axis=2, keepdims=True)
+        probs /= probs.sum(axis=2, keepdims=True)
         object.__setattr__(self, "probs", _as_readonly(probs))
+
+    @classmethod
+    def _adopt(cls, probs: np.ndarray) -> "PredictionTensor":
+        """Tensor that takes over ``probs``, a writable float64 buffer nothing else uses."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "probs", probs)
+        t.__post_init__(copy=False)
+        return t
 
     @property
     def num_models(self) -> int:
@@ -94,7 +102,7 @@ class PredictionTensor:
     def subset(self, sample_indices) -> "PredictionTensor":
         """Tensor restricted to the given sample indices, in the given order."""
         idx = np.asarray(sample_indices, dtype=np.int64)
-        return PredictionTensor(probs=self.probs[:, idx, :])
+        return PredictionTensor._adopt(self.probs.take(idx, axis=1))
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,19 @@ ten gives its 17 digits, exactly or within a stated error bound; 0 and 1
 are written there too, as one digit.  A value whose rounding that cannot
 settle (-0, subnormal and tiny values, a product too close to a tie or to
 a power of ten) is formatted on its own by ``'%.17g' %``, so every value's
-text is ``format_exact``'s.  Loading a dataset re-runs the tensor
-constructor, whose row renormalization can move entries by one ulp; values
-that already sum to exactly 1 (like the shipped fixture) round-trip
-bit-for-bit.
+text is ``format_exact``'s.  Loading a dataset renormalizes the rows as
+the tensor constructor does, in place in the buffer the rows were parsed
+into, which can move entries by one ulp; values that already sum to
+exactly 1 (like the shipped fixture) round-trip bit-for-bit.
 
 Dataset reads and writes use every CPU in the process's affinity mask
 (``taskset`` restricts them): a forked worker per CPU parses a table's spans
 of whole lines, decoded as text mode decodes them, or formats ranges of
-models.  The library forks, which matters to a caller that holds threads:
-the child gets only the forking thread.  On one CPU, for one span or range,
-or without ``fork``, the same functions run inline, so files and errors are
-the same either way.
+models.  The reading process holds the tensor once and finds where spans
+end in small windows read with ``os.pread``, never mapping the file.  The
+library forks, which matters to a caller that holds threads: the child gets
+only the forking thread.  On one CPU, for one span or range, or without
+``fork``, the same functions run inline, so files and errors are the same.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ SUMMARY_COLUMNS = (
 # enough that an ingest-sized table spreads over every CPU and that a span
 # is small beside the table, large enough that a table of a few rows stays inline
 _CHUNK_BYTES = 1 << 18
+_WINDOW = 1 << 12  # bytes read at a time while looking for the line end that closes a span
 # a line ends as in universal-newline text mode: at '\n', '\r\n' or a lone '\r'
 _LINE_END = re.compile(rb"\r\n?|\n")
 
@@ -599,6 +601,17 @@ def _raise_first_defect(table, parts, total):
     raise ParseError(f"no {table.what} row for {table.key_text(missing)}", line=last)
 
 
+def _line_end(fd, pos, size):
+    """Offset just past the first line end at or after ``pos``, else ``size``.  Read
+    in windows one byte longer than _WINDOW, so a CR ending one is seen with its LF."""
+    while pos < size:
+        found = _LINE_END.search(os.pread(fd, _WINDOW + 1, pos))
+        if found and found.start() < _WINDOW:
+            return pos + found.end()
+        pos += _WINDOW
+    return size
+
+
 def _read_table(path, header, width, bounds, parse_values, dtype, what):
     """One dataset CSV table as an array shaped (*bounds, width).
 
@@ -626,14 +639,12 @@ def _read_table(path, header, width, bounds, parse_values, dtype, what):
             nbytes = total * width * np.dtype(dtype).itemsize
             # shared and anonymous, so forked workers write the rows in place
             out = np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(total, width)
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
-            # each span ends just past a line end, so none splits a line or a
-            # '\r\n'; the first end found is the header's
-            ends, pos = [0], 0
-            while ends[-1] < size:
-                found = _LINE_END.search(text, pos)
-                ends.append(found.end() if found else size)
-                pos = min(ends[-1] + _CHUNK_BYTES, size) - 1
+        # each span ends just past a line end, so none splits a line or a
+        # '\r\n'; the first end found is the header's
+        ends, pos = [0], 0
+        while ends[-1] < size:
+            ends.append(_line_end(fh.fileno(), pos, size))
+            pos = min(ends[-1] + _CHUNK_BYTES, size) - 1
         spans = list(pairwise(ends[1:]))
         parts = _fork_map(_parse_chunk, (path, table, out), spans, _workers(len(spans)))
         keys = np.frombuffer(b"".join([rows for _, rows, _ in parts]), np.int64)[::2]
@@ -670,7 +681,7 @@ def read_predictions(path):
                         partial(_predictions_header, num_classes), num_classes,
                         (num_models, num_samples), _parse_floats, np.float64, "predictions")
 
-    t = PredictionTensor(probs=probs)
+    t = PredictionTensor._adopt(probs)
     y = LabelVector(labels=labels[:, 0], num_classes=num_classes)
     return t, y, splits
 

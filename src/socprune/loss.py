@@ -167,11 +167,13 @@ def build_surrogate(t: PredictionTensor, y: LabelVector) -> QuadraticSurrogate:
     lin_accuracy = -2.0 * scale * np.einsum("nj,inj->i", one_hot, probs)
     constant = float(np.sum(one_hot**2) * scale)
 
-    uniform_mix = _mixture(np.full(num_models, 1.0 / num_models), probs)
-    log_mix = np.log(np.clip(uniform_mix, LOG_CLAMP, None))
+    # log(mix) + 1 built in place, entropy summed a model at a time: no tensor-sized temporary
+    log_mix_1 = _mixture(np.full(num_models, 1.0 / num_models), probs)
+    np.log(np.clip(log_mix_1, LOG_CLAMP, None, out=log_mix_1), out=log_mix_1)
+    log_mix_1 += 1.0
     lin_diversity = scale * (
-        np.einsum("nj,inj->i", log_mix + 1.0, probs)
-        + np.sum(entropy_term(probs), axis=(1, 2))
+        np.einsum("nj,inj->i", log_mix_1, probs)
+        + np.array([np.sum(entropy_term(model)) for model in probs])
     )
 
     return QuadraticSurrogate(

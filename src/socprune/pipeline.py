@@ -62,7 +62,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         counts = (self.num_models, self.num_samples, self.num_classes, self.seed)
-        if not all(isinstance(v, (int, np.integer)) for v in counts):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts):
             raise InvalidSpec(f"model, sample and class counts and the seed must be "
                               f"integers, got {counts}")
         if self.seed < 0:
@@ -264,8 +264,7 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
         valid_indices=perm[n_train:n_train + n_valid],
         test_indices=perm[n_train + n_valid:],
     )
-    tensor = PredictionTensor(probs=probs)
-    return tensor, LabelVector(labels=labels, num_classes=num_c), splits
+    return PredictionTensor._adopt(probs), LabelVector(labels=labels, num_classes=num_c), splits
 
 
 def _solve_weights(program, vmap):

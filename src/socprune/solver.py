@@ -62,7 +62,8 @@ class SolverSettings:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise DomainError(f"tol must be finite and positive, got {self.tol}")
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+        if not (isinstance(self.max_iters, (int, np.integer))
+                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
             raise DomainError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
@@ -245,6 +246,8 @@ class _KktSolver:
         K[:n, :n] = -H
         K[:n, n:] = A.T
         K[n:, :n] = A
+        if not np.isfinite(K).all():  # an iterate that overflowed
+            raise scipy.linalg.LinAlgError("the KKT matrix is not finite")
         self.K = K
         K_reg = K.copy()
         K_reg[np.arange(n), np.arange(n)] -= _REGULARIZATION
@@ -260,6 +263,8 @@ class _KktSolver:
 
     def solve(self, rhs_x: np.ndarray, rhs_y: np.ndarray):
         rhs = np.concatenate((rhs_x, rhs_y))
+        if not np.isfinite(rhs).all():
+            raise scipy.linalg.LinAlgError("the KKT right-hand side is not finite")
         z = scipy.linalg.lu_solve(self.lu, rhs)
         # refine against the unregularized matrix; extra passes matter once
         # the barrier parameter drops below the first pass's solve error
@@ -449,6 +454,7 @@ def _polish(structure, A, b, c, x, y, s):
     return xf, yv, s_pol
 
 
+@np.errstate(all="ignore")  # an iterate that overflows ends the solve as ``numerical``
 def solve(program: ConeProgram, settings: SolverSettings | None = None) -> ConicSolution:
     """Solve the cone program; never raises for well-formed inputs.
 
@@ -574,39 +580,38 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         try:
             W = _NtScaling(structure, x, s)
             kkt = _KktSolver(W.H, A)
-        except (FloatingPointError, scipy.linalg.LinAlgError, ZeroDivisionError):
+            # predictor: drive the scaled complementarity to zero
+            r_p = b - A @ x
+            r_d = c - A.T @ y - s
+            dx_aff, dy_aff = kkt.solve(r_d + s, r_p)
+            ds_aff = -s - W.H @ dx_aff
+            alpha_aff = min(
+                1.0,
+                _max_step(x, dx_aff, structure),
+                _max_step(s, ds_aff, structure),
+            )
+            mu_aff = max(0.0, float((x + alpha_aff * dx_aff) @ (s + alpha_aff * ds_aff))) / nu
+            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+
+            # corrector: recentering plus the Mehrotra cross term in scaled space
+            u = W.mul_winv(dx_aff)
+            v = W.mul_w(ds_aff)
+            o = structure.orth
+            lam = W.lam
+            g = np.zeros(n)
+            g[o] = (sigma * mu - lam[o] * lam[o] - u[o] * v[o]) / lam[o]
+            for sc in W.socs:
+                d_blk = -_jordan(sc.lam, sc.lam) - _jordan(u[sc.idx], v[sc.idx])
+                d_blk[0] += sigma * mu
+                g[sc.idx] = _arrow_solve(sc.lam, d_blk)
+            winv_g = W.mul_winv(g)
+
+            dx, dy = kkt.solve(r_d - winv_g, r_p)
+            ds = winv_g - W.H @ dx
+        except (FloatingPointError, OverflowError, scipy.linalg.LinAlgError, ZeroDivisionError):
             status = STATUS_NUMERICAL
             iterations = k
             break
-
-        # predictor: drive the scaled complementarity to zero
-        r_p = b - A @ x
-        r_d = c - A.T @ y - s
-        dx_aff, dy_aff = kkt.solve(r_d + s, r_p)
-        ds_aff = -s - W.H @ dx_aff
-        alpha_aff = min(
-            1.0,
-            _max_step(x, dx_aff, structure),
-            _max_step(s, ds_aff, structure),
-        )
-        mu_aff = max(0.0, float((x + alpha_aff * dx_aff) @ (s + alpha_aff * ds_aff))) / nu
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
-
-        # corrector: recentering plus the Mehrotra cross term in scaled space
-        u = W.mul_winv(dx_aff)
-        v = W.mul_w(ds_aff)
-        o = structure.orth
-        lam = W.lam
-        g = np.zeros(n)
-        g[o] = (sigma * mu - lam[o] * lam[o] - u[o] * v[o]) / lam[o]
-        for sc in W.socs:
-            d_blk = -_jordan(sc.lam, sc.lam) - _jordan(u[sc.idx], v[sc.idx])
-            d_blk[0] += sigma * mu
-            g[sc.idx] = _arrow_solve(sc.lam, d_blk)
-        winv_g = W.mul_winv(g)
-
-        dx, dy = kkt.solve(r_d - winv_g, r_p)
-        ds = winv_g - W.H @ dx
         alpha_max = min(_max_step(x, dx, structure), _max_step(s, ds, structure))
         step = min(1.0, _STEP_FRACTION * alpha_max)
 

@@ -50,6 +50,25 @@ class TestValidateTensor:
         with pytest.raises(OutOfRange):
             validate_tensor(probs)
 
+    def test_passes_keep_their_precedence_across_models(self):
+        # a non-finite entry in a later model wins over an out-of-range entry
+        # in an earlier one, and that over an earlier row that does not sum to 1
+        probs = np.full((3, 2, 2), 0.5)
+        probs[0, 1] = [0.7, 0.7]
+        probs[1, 0, 1] = 1.5
+        probs[2, 1, 0] = np.inf
+        with pytest.raises(OutOfRange) as exc:
+            validate_tensor(probs)
+        assert (exc.value.model, exc.value.sample, exc.value.class_index) == (2, 1, 0)
+        probs[2, 1, 0] = 0.5
+        with pytest.raises(OutOfRange) as exc:
+            validate_tensor(probs)
+        assert (exc.value.model, exc.value.sample, exc.value.value) == (1, 0, 1.5)
+        probs[1, 0, 1] = 0.5
+        with pytest.raises(RowNotNormalized) as exc:
+            validate_tensor(probs)
+        assert (exc.value.model, exc.value.sample, exc.value.row_sum) == (0, 1, 1.4)
+
     def test_random_valid_accepted(self, rng):
         for _ in range(50):
             m, n, c = rng.integers(1, 5), rng.integers(1, 6), rng.integers(2, 6)
@@ -84,6 +103,33 @@ class TestPredictionTensor:
         g = rng.standard_gamma(1.0, size=(3, 5, 4)) + 1e-6
         t = PredictionTensor(probs=g / g.sum(axis=2, keepdims=True))
         assert (t.num_models, t.num_samples, t.num_classes) == (3, 5, 4)
+
+    def test_constructor_copies_the_callers_array(self, rng):
+        g = rng.standard_gamma(1.0, size=(3, 5, 4)) + 1e-6
+        probs = g / g.sum(axis=2, keepdims=True)
+        probs[0, 0] *= 1 + 1e-10  # renormalization moves this row
+        before = probs.copy()
+        t = PredictionTensor(probs=probs)
+        assert probs.tobytes() == before.tobytes() and probs.flags.writeable
+        assert not np.shares_memory(t.probs, probs)
+        assert t.probs.tobytes() == (before / before.sum(axis=2, keepdims=True)).tobytes()
+
+    def test_adopt_renormalizes_the_buffer_in_place(self, rng):
+        g = rng.standard_gamma(1.0, size=(3, 5, 4)) + 1e-6
+        probs = g / g.sum(axis=2, keepdims=True)
+        probs[1, 2] *= 1 - 1e-10
+        expected = PredictionTensor(probs=probs).probs
+        t = PredictionTensor._adopt(probs)
+        assert t.probs is probs and not probs.flags.writeable
+        assert t.probs.tobytes() == expected.tobytes()
+
+    def test_subset_matches_the_constructor_on_the_gathered_rows(self, rng):
+        g = rng.standard_gamma(1.0, size=(3, 9, 4)) + 1e-6
+        t = PredictionTensor(probs=g / g.sum(axis=2, keepdims=True))
+        idx = [7, 0, 3, 8]
+        sub = t.subset(idx)
+        assert sub.probs.flags.c_contiguous and not sub.probs.flags.writeable
+        assert sub.probs.tobytes() == PredictionTensor(probs=t.probs[:, idx, :]).probs.tobytes()
 
     def test_subset_order(self):
         probs = np.array([[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]])

@@ -38,7 +38,12 @@ from socprune.io import (
     write_predictions,
     write_report,
 )
-from socprune.pipeline import CellDiagnostic, PruneReport
+from socprune.pipeline import (
+    CellDiagnostic,
+    PruneReport,
+    SyntheticSpec,
+    generate_synthetic_ensemble,
+)
 from socprune.solver import SolverSettings
 
 from conftest import one_iteration_solve, random_instance
@@ -183,6 +188,16 @@ before = status("VmRSS:")
 io.read_predictions(sys.argv[1])
 print(status("VmHWM:") - before)
 """
+
+
+def with_line_ends(source, target, newline, final):
+    """A copy of dataset ``source`` whose lines end in ``newline``, the last
+    one too if ``final``."""
+    target.mkdir()
+    for name in ("manifest.txt", "predictions.csv", "labels.csv"):
+        lines = (source / name).read_text().splitlines()
+        (target / name).write_bytes((newline.join(lines) + newline * final).encode())
+    return target
 
 
 def rewrite(path, transform):
@@ -382,6 +397,80 @@ class TestDatasetRoundTrip:
         with pytest.raises(Exception):
             write_predictions(tmp_path / "d", t, y, bad_splits)
         assert not (tmp_path / "d" / "manifest.txt").exists()
+
+
+class TestSpanEnds:
+    """The reader ends each span at a line end that it finds in small windows
+    read with os.pread, never mapping the file."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    def test_matches_a_search_of_the_whole_text(self, tmp_path, rng, monkeypatch, window):
+        monkeypatch.setattr(dataio, "_WINDOW", window)
+        alphabet = np.frombuffer(b"ab\r\n", np.uint8)
+        path = tmp_path / "table"
+        for _ in range(100):
+            data = rng.choice(alphabet, size=int(rng.integers(1, 40))).tobytes()
+            path.write_bytes(data)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                for pos in range(len(data)):
+                    found = re.compile(rb"\r\n?|\n").search(data, pos)
+                    expected = found.end() if found else len(data)
+                    assert dataio._line_end(fd, pos, len(data)) == expected
+            finally:
+                os.close(fd)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["inline", "forked"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final_newline", "no_final_newline"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_rows_and_errors_match_the_lf_table(self, tmp_path, monkeypatch, newline, final,
+                                                cpus):
+        lf = read_predictions(GOLDEN)
+        bad = corrupted_copy(tmp_path / "lf", "predictions.csv",
+                             lambda s: s.replace("1,1,0.75,", "1,1,zero,"))
+        lf_error = read_error(bad)
+        Forked(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        windows = []
+        pread = os.pread
+
+        def recording_pread(fd, length, offset):
+            windows.append((length - 1, pread(fd, length, offset)))
+            return windows[-1][1]
+
+        monkeypatch.setattr(os, "pread", recording_pread)
+        for window in (2, 3, 4, 5):
+            monkeypatch.setattr(dataio, "_WINDOW", window)
+            target = with_line_ends(GOLDEN, tmp_path / f"good-{window}", newline, final)
+            t, y, splits = read_predictions(target)
+            assert t.probs.tobytes() == lf[0].probs.tobytes()
+            assert y.labels.tobytes() == lf[1].labels.tobytes()
+            for key in ("train_indices", "valid_indices", "test_indices"):
+                assert getattr(splits, key).tobytes() == getattr(lf[2], key).tobytes()
+            target = with_line_ends(bad, tmp_path / f"bad-{window}", newline, final)
+            assert read_error(target) == lf_error
+        # the windows met every case: a line longer than a window, and a CR
+        # ending a window, alone or with the LF that the next window starts with
+        assert any(not re.search(rb"[\r\n]", w[:size]) for size, w in windows)
+        ends = {w[size - 1:size + 1] for size, w in windows if len(w) > size}
+        if newline == "\r\n":
+            assert b"\r\n" in ends
+        if newline == "\r":
+            assert any(end[:1] == b"\r" for end in ends)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_reader_holds_the_tensor_once(self, tmp_path):
+        # an ingest-sized dataset (87 MB of text, a 32 MB tensor): the reader
+        # renormalizes the buffer its workers filled in place and maps no text
+        t, y, splits = generate_synthetic_ensemble(
+            SyntheticSpec(num_models=20, num_samples=2000, num_classes=100, seed=1))
+        write_predictions(tmp_path / "d", t, y, splits)
+        env = {**os.environ, "PYTHONPATH": str(Path(dataio.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", READ_PEAK_SCRIPT, str(tmp_path / "d"), str(GOLDEN)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert int(out.stdout) <= 1.3 * t.probs.nbytes
 
 
 class TestDatasetErrors:
@@ -837,6 +926,21 @@ class TestCli:
         assert payload["status"] == "infeasible"
         stats = [payload[key] for key in ("gap", "primal_residual", "dual_residual")]
         assert all(np.isfinite(stats))
+
+    def test_solve_overflow_exit_3_with_null_for_non_finite(self, tmp_path, capsys):
+        # x's overflows: status numerical, and JSON has no NaN, so the gap is null
+        builder = ProgramBuilder()
+        x = builder.add_variables(2)
+        builder.add_cone(NONNEG_ORTHANT, x)
+        builder.set_objective(x[0], 1e200)
+        builder.set_objective(x[1], 2e200)
+        write_cone_program(builder.build(), tmp_path / "p.sp")
+        code, out, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
+        assert code == 3 and err == ""
+        payload = json.loads(out)
+        assert payload["status"] == "numerical"
+        assert payload["gap"] is None and payload["objective"] is None
+        assert all(math.isfinite(v) for v in payload["x"] + payload["s"])
 
     def test_tol_reaches_the_solver(self, tmp_path, capsys):
         # min x0 over the cone x0 >= ||(x1, x2)|| with x1 = 1, x2 = 2

@@ -244,6 +244,29 @@ class TestBuildSurrogate:
         s = build_surrogate(t, y)
         assert np.abs(s.quad - s.quad.T).max() <= 1e-12
 
+    def test_peak_memory_is_a_fraction_of_the_tensor(self, rng):
+        # entropy_term runs a model at a time and log(mix) + 1 is built in
+        # place: no temporary is as large as the train tensor
+        t, y = random_instance(rng, 20, 1200, 100)
+        tracemalloc.start()
+        try:
+            build_surrogate(t, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * t.probs.nbytes
+
+    def test_diversity_term_matches_the_whole_tensor_formula(self, rng):
+        # the same bits as the formula on whole-tensor temporaries
+        for shape in [(20, 1200, 100), (3, 7, 2), (40, 240, 10), (5, 1, 3), (1, 50, 1000)]:
+            t, y = random_instance(rng, *shape)
+            m, n, c = shape
+            mix = np.einsum("i,inj->nj", np.full(m, 1.0 / m), t.probs)
+            log_mix = np.log(np.clip(mix, 1e-12, None))
+            expected = (1.0 / (n * c)) * (np.einsum("nj,inj->i", log_mix + 1.0, t.probs)
+                                          + np.sum(entropy_term(t.probs), axis=(1, 2)))
+            assert build_surrogate(t, y).lin_diversity.tobytes() == expected.tobytes()
+
     def test_one_hot_members_tolerated(self):
         # anchor mixture contains an exact zero; the clamped log must not blow up
         probs = np.array([[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])

@@ -61,9 +61,9 @@ class TestSyntheticSpec:
 
     @pytest.mark.parametrize("override", [
         dict(num_models=3.5), dict(num_samples=60.0), dict(num_classes="3"),
-        dict(seed=1.5), dict(seed=-1),
+        dict(seed=1.5), dict(seed=-1), dict(seed=True), dict(seed=False),
     ], ids=["fractional_models", "float_samples", "string_classes", "fractional_seed",
-            "negative_seed"])
+            "negative_seed", "true_seed", "false_seed"])
     def test_counts_and_seed_are_nonnegative_integers(self, override):
         with pytest.raises(InvalidSpec):
             small_spec(**override)

@@ -8,6 +8,9 @@ from socprune.conic import (
     NONNEG_ORTHANT,
     QUADRATIC,
     ROTATED_QUADRATIC,
+    SOLVE_STATUSES,
+    Cone,
+    ConeProgram,
     ConicSolution,
     ProgramBuilder,
     build_pruning_socp,
@@ -19,6 +22,7 @@ from socprune.solver import (
     _REGULARIZATION,
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERS,
+    STATUS_NUMERICAL,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     SolverSettings,
@@ -218,6 +222,41 @@ class TestStatuses:
         assert sol.status == status
         assert (sol.gap, sol.primal_residual, sol.dual_residual) == kkt_residuals(program, sol)
 
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_overflowing_iterate_ends_as_numerical(self, scale):
+        # x's overflows at the starting point, so the KKT right-hand side is
+        # not finite: the solve ends as numerical instead of raising
+        builder = ProgramBuilder()
+        x = builder.add_variables(2)
+        builder.add_cone(NONNEG_ORTHANT, x)
+        builder.set_objective(x[0], scale)
+        builder.set_objective(x[1], 2 * scale)
+        sol = solve(builder.build())
+        assert (sol.status, sol.iterations) == (STATUS_NUMERICAL, 0)
+        assert np.isnan(sol.gap)
+
+    def test_extreme_scales_never_raise(self):
+        # small programs with every cone kind, objective and rhs scales up to
+        # 1e300: each solve returns a status, most of them numerical
+        rng = np.random.default_rng(7)
+        statuses = []
+        for _ in range(40):
+            sizes = [int(rng.integers(1, 4)), int(rng.choice([0, 2, 3])),
+                     int(rng.choice([0, 3])), int(rng.integers(0, 2))]
+            n = sum(sizes)
+            bounds = np.cumsum([0] + sizes)
+            cones = [Cone(kind, tuple(range(a, b)))
+                     for kind, a, b in zip((NONNEG_ORTHANT, QUADRATIC, ROTATED_QUADRATIC),
+                                           bounds, bounds[1:]) if b > a]
+            m = int(rng.integers(0, min(3, n)))
+            program = ConeProgram(
+                num_vars=n, objective=rng.normal(size=n) * 10.0 ** rng.uniform(0, 300),
+                eq_A=rng.normal(size=(m, n)), eq_b=rng.normal(size=m) * 10.0 ** rng.uniform(0, 300),
+                cones=tuple(cones), free_vars=tuple(range(bounds[3], n)))
+            statuses.append(solve(program).status)
+        assert set(statuses) <= set(SOLVE_STATUSES)
+        assert statuses.count(STATUS_NUMERICAL) > len(statuses) // 2
+
     def test_all_free_optimum_and_certificate(self):
         sol = solve(free_program([1.0, 1.0], [[1.0, 1.0]], [1.0]))
         assert sol.status == STATUS_OPTIMAL
@@ -274,6 +313,16 @@ class TestKktSolver:
         H = -_REGULARIZATION * np.eye(2)
         with pytest.raises(scipy.linalg.LinAlgError):
             _KktSolver(H, np.zeros((1, 2)))
+
+
+    def test_non_finite_system_raises_linalg_error(self):
+        # an iterate that overflowed; solve() maps this to status numerical
+        H = np.diag([1.0, np.inf])
+        with pytest.raises(scipy.linalg.LinAlgError):
+            _KktSolver(H, np.ones((1, 2)))
+        kkt = _KktSolver(np.eye(2), np.ones((1, 2)))
+        with pytest.raises(scipy.linalg.LinAlgError):
+            kkt.solve(np.array([1.0, np.nan]), np.zeros(1))
 
 
 class TestKktResiduals:
@@ -394,7 +443,7 @@ class TestSolverQuality:
         with pytest.raises(DomainError):
             SolverSettings(max_iters=0)
 
-    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "5"])
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "5", True])
     def test_max_iters_must_be_an_integer(self, max_iters):
         from socprune.errors import DomainError
 
