@@ -202,10 +202,7 @@ def cmd_fit(args) -> int:
     t, y, splits = dataio.read_predictions(args.data)
     splits.require("train")
     alpha, lam = _cell(args)
-    w = fit_weights(
-        t.subset(splits.train_indices), y.subset(splits.train_indices),
-        alpha, lam, simplex=args.simplex,
-    )
+    w = fit_weights(t, y, alpha, lam, samples=splits.train_indices, simplex=args.simplex)
     _emit_json(args, {
         "kind": "socprune-weights",
         "format_version": 1,

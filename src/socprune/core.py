@@ -7,6 +7,8 @@ read-only) and safe to share across concurrent workers.
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,12 +26,25 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 EXACT_FORMAT = "%.17g"  # 17 significant digits: enough for exact float64 round-trips
+# PredictionTensor.blocks gathers about this many bytes of rows at a time
+_BLOCK_BYTES = 1 << 20
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
+    """Zero-filled array in an anonymous shared memory mapping of its own.
+
+    Freeing the array unmaps it, so its pages go back to the operating system
+    at once rather than staying in the allocator's heap; a forked child
+    writes into the parent's array.  ``shape`` must hold at least one element.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
 
 
 def validate_tensor(probs) -> None:
@@ -103,6 +118,33 @@ class PredictionTensor:
         """Tensor restricted to the given sample indices, in the given order."""
         idx = np.asarray(sample_indices, dtype=np.int64)
         return PredictionTensor._adopt(self.probs.take(idx, axis=1))
+
+    def blocks(self, sample_indices):
+        """The given samples' rows as ``(span, block)`` pairs of about 1 MiB each.
+
+        ``block`` is a fresh ``(M, b, C)`` array, gathered and renormalized
+        as ``subset`` does, that equals ``subset(sample_indices).probs[:, span]``
+        bit for bit, so a sum over the blocks never holds the subset whole.
+        """
+        idx = np.asarray(sample_indices, dtype=np.int64)
+        step = max(1, _BLOCK_BYTES // (self.probs.itemsize * self.num_models * self.num_classes))
+        for start in range(0, idx.size, step):
+            block = self.probs.take(idx[start:start + step], axis=1)
+            block /= block.sum(axis=2, keepdims=True)
+            yield slice(start, start + block.shape[1]), block
+
+    def classes(self, sample_indices) -> np.ndarray:
+        """Class table of the given samples: each model's argmax class, ``(M, n)``.
+
+        Equal to ``subset(sample_indices).probs.argmax(axis=2)``, built a block
+        at a time; read-only, since every vote on the split reads it.
+        """
+        idx = np.asarray(sample_indices, dtype=np.int64)
+        table = np.empty((self.num_models, idx.size), dtype=np.intp)
+        for span, block in self.blocks(idx):
+            table[:, span] = block.argmax(axis=2)
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import array
 import json
 import math
-import mmap
 import os
 import re
 import shutil
@@ -60,6 +59,7 @@ from .core import (
     atomic_output,
     atomic_write_text,
     format_exact,
+    mapped_zeros,
     open_text,
     parse_float,
     parse_int,
@@ -636,9 +636,8 @@ def _read_table(path, header, width, bounds, parse_values, dtype, what):
         size = os.fstat(fh.fileno()).st_size
         out = None
         if total * 2 * len(names) <= size:
-            nbytes = total * width * np.dtype(dtype).itemsize
-            # shared and anonymous, so forked workers write the rows in place
-            out = np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(total, width)
+            # shared, so forked workers write the rows in place
+            out = mapped_zeros((total, width), dtype)
         # each span ends just past a line end, so none splits a line or a
         # '\r\n'; the first end found is the header's
         ends, pos = [0], 0

@@ -132,7 +132,9 @@ def exact_loss(w, t: PredictionTensor, y: LabelVector, alpha: float) -> LossValu
     accuracy = float(np.mean(np.sum((mix - one_hot) ** 2, axis=1)) / num_classes)
 
     mixture_entropy = np.sum(entropy_term(mix), axis=1)
-    member_entropy = np.einsum("i,in->n", w, np.sum(entropy_term(probs), axis=2))
+    # a model at a time: no tensor-sized temporary
+    member_entropy = np.einsum(
+        "i,in->n", w, np.array([np.sum(entropy_term(model), axis=1) for model in probs]))
     jensen_gap = (mixture_entropy - member_entropy) / num_classes
     diversity = float(np.mean(1.0 - jensen_gap))
 
@@ -140,7 +142,7 @@ def exact_loss(w, t: PredictionTensor, y: LabelVector, alpha: float) -> LossValu
                      accuracy_term=accuracy, diversity_term=diversity, alpha=alpha)
 
 
-def build_surrogate(t: PredictionTensor, y: LabelVector) -> QuadraticSurrogate:
+def build_surrogate(t: PredictionTensor, y: LabelVector, samples=None) -> QuadraticSurrogate:
     """Quadratic surrogate of the ensemble loss around uniform weights.
 
     The accuracy term is represented exactly:
@@ -151,35 +153,52 @@ def build_surrogate(t: PredictionTensor, y: LabelVector) -> QuadraticSurrogate:
     does not move the argmin.  The uniform mixture is clamped below at
     1e-12 inside the logarithm to tolerate one-hot member rows.
 
+    ``samples`` selects the samples it is fitted on, all of them by
+    default.  Selected samples are read from ``t`` in blocks of about 1 MiB
+    (``PredictionTensor.blocks``), each renormalized as ``t.subset(samples)``
+    would be, so no copy of the selection is held whole; the Gram is one
+    matrix product per block.
+
     ``ridge`` is ``1e-8 * trace(quad) / M``, recorded for the Cholesky
     factorization performed by the cone-program builder.
     """
     if y.num_samples != t.num_samples or y.num_classes != t.num_classes:
         raise ShapeMismatch("labels do not match the prediction tensor")
-    num_models = t.num_models
-    probs = t.probs
-    scale = 1.0 / (t.num_samples * t.num_classes)
+    num_models, num_classes = t.num_models, t.num_classes
+    if samples is None:
+        labels, blocks = y.labels, [(slice(None), t.probs)]
+    else:
+        samples = np.asarray(samples, dtype=np.int64)
+        labels, blocks = y.labels[samples], t.blocks(samples)
+    if labels.size == 0:
+        raise ShapeMismatch("need at least 1 sample to fit the surrogate on")
+    scale = 1.0 / (labels.size * num_classes)
+    uniform = np.full(num_models, 1.0 / num_models)
 
-    quad = np.einsum("inj,knj->ik", probs, probs) * scale
+    gram = np.zeros((num_models, num_models))
+    label_mass = np.zeros(num_models)
+    log_mix_mass = np.zeros(num_models)
+    entropy = np.zeros(num_models)
+    for span, block in blocks:
+        flat = block.reshape(num_models, -1)
+        gram += flat @ flat.T
+        block_labels = labels[span]
+        one_hot = np.zeros((block_labels.size, num_classes))
+        one_hot[np.arange(block_labels.size), block_labels] = 1.0
+        label_mass += np.einsum("nj,inj->i", one_hot, block)
+        # log(mix) + 1 built in place, entropy summed a model at a time
+        log_mix_1 = _mixture(uniform, block)
+        np.log(np.clip(log_mix_1, LOG_CLAMP, None, out=log_mix_1), out=log_mix_1)
+        log_mix_1 += 1.0
+        log_mix_mass += np.einsum("nj,inj->i", log_mix_1, block)
+        entropy += [np.sum(entropy_term(model)) for model in block]
+
+    quad = gram * scale
     quad = 0.5 * (quad + quad.T)
-
-    one_hot = y.one_hot()
-    lin_accuracy = -2.0 * scale * np.einsum("nj,inj->i", one_hot, probs)
-    constant = float(np.sum(one_hot**2) * scale)
-
-    # log(mix) + 1 built in place, entropy summed a model at a time: no tensor-sized temporary
-    log_mix_1 = _mixture(np.full(num_models, 1.0 / num_models), probs)
-    np.log(np.clip(log_mix_1, LOG_CLAMP, None, out=log_mix_1), out=log_mix_1)
-    log_mix_1 += 1.0
-    lin_diversity = scale * (
-        np.einsum("nj,inj->i", log_mix_1, probs)
-        + np.array([np.sum(entropy_term(model)) for model in probs])
-    )
-
     return QuadraticSurrogate(
         quad=quad,
-        lin_accuracy=lin_accuracy,
-        lin_diversity=lin_diversity,
-        constant=constant,
+        lin_accuracy=-2.0 * scale * label_mass,
+        lin_diversity=scale * (log_mix_mass + entropy),
+        constant=float(labels.size * scale),
         ridge=1e-8 * float(np.trace(quad)) / num_models,
     )

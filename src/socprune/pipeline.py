@@ -19,6 +19,7 @@ from .core import (
     LabelVector,
     PredictionTensor,
     SplitSpec,
+    mapped_zeros,
     seeded_rng,
 )
 from .errors import (
@@ -234,7 +235,8 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
     w_own = np.sqrt(1.0 - rho)
     cut = [NormalDist().inv_cdf(p) for p in target_acc]
 
-    probs = np.empty((m, n, num_c))
+    # mapped, so the tensor's pages go back to the system as soon as it is freed
+    probs = mapped_zeros((m, n, num_c))
     rows = np.arange(n)
     for i in range(m):
         own = rng.normal(size=n)
@@ -245,7 +247,7 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
         top = np.where(correct, labels, (labels + offset) % num_c)
         conc = np.ones((n, num_c))
         conc[rows, top] += spec.sharpness
-        draw = rng.standard_gamma(conc)
+        draw = rng.standard_gamma(conc, out=probs[i])
         draw /= draw.sum(axis=1, keepdims=True)
         am = draw.argmax(axis=1)
         fix = np.nonzero(am != top)[0]
@@ -254,7 +256,6 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
             lo = draw[fix, top[fix]].copy()
             draw[fix, top[fix]] = hi
             draw[fix, am[fix]] = lo
-        probs[i] = draw
 
     perm = rng.permutation(n)
     n_train = int(0.6 * n)
@@ -274,12 +275,12 @@ def _solve_weights(program, vmap):
     return sol.x[np.asarray(vmap.x_indices)]
 
 
-def fit_weights(t, y, alpha, lam, *, simplex=False):
-    """Solve the pruning program on the given data and return the weights.
+def fit_weights(t, y, alpha, lam, *, samples=None, simplex=False):
+    """Solve the pruning program on ``samples`` (all by default); return the weights.
 
     Raises FitFailed when the solver does not reach status optimal.
     """
-    surrogate = build_surrogate(t, y)
+    surrogate = build_surrogate(t, y, samples)
     program, vmap = build_pruning_socp(surrogate, alpha, lam, simplex=simplex)
     return _solve_weights(program, vmap)
 
@@ -295,23 +296,31 @@ def prune_by_threshold(w, h):
     return [int(i) for i in keep]
 
 
-def vote(t: PredictionTensor, members):
+def vote(casts, members):
     """Majority vote of the members: per-sample labels.
 
-    Each member, listed once, casts its argmax class and the most voted
-    class wins.  Ties break toward the lowest class.
+    ``casts`` is a split's class table (``PredictionTensor.classes``): row i
+    holds model i's argmax class on each sample.  Each member, listed once,
+    casts its row and the most voted class wins.  Ties break toward the
+    lowest class.
     """
     members = [int(i) for i in members]
     if not members:
         raise EmptyEnsemble("vote requires at least one member")
-    if min(members) < 0 or max(members) >= t.num_models:
+    casts = np.asarray(casts)
+    if casts.ndim != 2 or not np.issubdtype(casts.dtype, np.integer):
+        raise ShapeMismatch(f"casts must be a 2-d integer (models, samples) table, "
+                            f"got ndim={casts.ndim} and dtype {casts.dtype}")
+    if min(members) < 0 or max(members) >= casts.shape[0]:
         raise ShapeMismatch("member index outside the model range")
     if len(set(members)) != len(members):
         raise DomainError("a member is listed twice")
-    casts = t.probs[members].argmax(axis=2)
-    counts = np.zeros((t.num_samples, t.num_classes), dtype=np.int64)
-    rows = np.arange(t.num_samples)
-    for row in casts:
+    chosen = casts[members]
+    if chosen.min(initial=0) < 0:
+        raise DomainError("a class in the table is negative")
+    counts = np.zeros((casts.shape[1], int(chosen.max(initial=0)) + 1), dtype=np.int64)
+    rows = np.arange(casts.shape[1])
+    for row in chosen:
         counts[rows, row] += 1
     return counts.argmax(axis=1)
 
@@ -329,10 +338,10 @@ def accuracy(predicted, y) -> float:
     return float(np.mean(pred == truth))
 
 
-def auto_threshold(w, tv, yv, candidates=None):
+def auto_threshold(w, casts, yv, candidates=None):
     """Pick the |w| cutoff maximizing voting accuracy on a validation split.
 
-    ``tv`` and ``yv`` are the split's predictions and labels.  Default
+    ``casts`` and ``yv`` are the split's class table and labels.  Default
     candidates are 20 quantiles of |w|; each distinct candidate is voted
     once.  Ties break toward the larger threshold, i.e. the smaller
     ensemble.  Returns (threshold, its validation accuracy).
@@ -350,7 +359,7 @@ def auto_threshold(w, tv, yv, candidates=None):
     best_acc = -1.0
     for h in candidates:
         members = prune_by_threshold(w, float(h))
-        acc = accuracy(vote(tv, members), yv)
+        acc = accuracy(vote(casts, members), yv)
         if acc >= best_acc:
             best_acc = acc
             best_h = float(h)
@@ -360,20 +369,19 @@ def auto_threshold(w, tv, yv, candidates=None):
 def _run_grid(t, y, splits, config):
     """Shared grid search; returns (best_alpha, best_lambda, cells, w, h).
 
-    Validates the splits and fits the surrogate on the train split; ``w``
-    and ``h`` are the winning cell's weights and threshold.  Cells
-    that build the same program share one solve and one threshold search:
-    the constraints depend only on the surrogate and the mode, so the
-    program is keyed by its objective.  In simplex mode the objective does
+    Validates the splits, fits the surrogate on the train split and votes
+    on the validation split's class table, reading both from ``t`` a block
+    at a time; ``w`` and ``h`` are the winning cell's weights and
+    threshold.  Cells that build the same program share one solve and one
+    threshold search: the constraints depend only on the surrogate and the
+    mode, so the program is keyed by its objective.  In simplex mode the objective does
     not depend on lambda, so each alpha is solved once.  A fixed threshold
     is the search's one candidate.
     """
     splits.validate_against(t.num_samples)
     splits.require("train", "valid")
-    surrogate = build_surrogate(
-        t.subset(splits.train_indices), y.subset(splits.train_indices)
-    )
-    tv = t.subset(splits.valid_indices)
+    surrogate = build_surrogate(t, y, splits.train_indices)
+    casts = t.classes(splits.valid_indices)
     yv = y.subset(splits.valid_indices)
     candidates = None if config.threshold == _AUTO else [config.threshold]
 
@@ -383,7 +391,7 @@ def _run_grid(t, y, splits, config):
             w = _solve_weights(program, vmap)
         except FitFailed as exc:
             return None, -1.0, 0, -1.0, f"failed: {exc.status}"
-        h, acc = auto_threshold(w, tv, yv, candidates)
+        h, acc = auto_threshold(w, casts, yv, candidates)
         return w, h, len(prune_by_threshold(w, h)), acc, "ok"
 
     outcomes = {}
@@ -436,7 +444,8 @@ def brute_force_subset_oracle(t, y, alpha):
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     n, num_c = t.num_samples, t.num_classes
     flat = t.probs.reshape(m, n * num_c)
-    ent_flat = entropy_term(t.probs).reshape(m, n * num_c).sum(axis=1)
+    # a model at a time: no tensor-sized temporary
+    ent_flat = np.array([np.sum(entropy_term(model)) for model in t.probs])
     one_hot = y.one_hot().ravel()
     scale = 1.0 / (n * num_c)
 
@@ -492,10 +501,10 @@ def run_pipeline(source, config: PruneConfig | None = None) -> PruneReport:
     best_alpha, best_lambda, cells, w, h = _run_grid(t, y, splits, config)
     selected = prune_by_threshold(w, h)
 
-    tt = t.subset(splits.test_indices)
+    casts = t.classes(splits.test_indices)
     yt = y.subset(splits.test_indices)
-    full_acc = accuracy(vote(tt, list(range(t.num_models))), yt)
-    pruned_acc = accuracy(vote(tt, selected), yt)
+    full_acc = accuracy(vote(casts, range(t.num_models)), yt)
+    pruned_acc = accuracy(vote(casts, selected), yt)
     return PruneReport(
         best_alpha=best_alpha,
         best_lambda=best_lambda,

@@ -1,15 +1,18 @@
 """Domain types, validation, and the fixed RNG contract."""
 
+import mmap
 import os
 
 import numpy as np
 import pytest
 
 import socprune
+from socprune import core
 from socprune.core import (
     LabelVector,
     PredictionTensor,
     SplitSpec,
+    mapped_zeros,
     seeded_rng,
     validate_tensor,
 )
@@ -136,6 +139,41 @@ class TestPredictionTensor:
         sub = PredictionTensor(probs=probs).subset([2, 0])
         assert np.array_equal(sub.probs[0, 0], [0.5, 0.5])
         assert np.array_equal(sub.probs[0, 1], [1.0, 0.0])
+
+    # blocks of 1 sample, of 4 (which does not divide the 10 samples) and of
+    # more samples than there are
+    @pytest.mark.parametrize("block_samples", [1, 4, 50])
+    def test_blocks_are_the_subset_bit_for_bit(self, rng, monkeypatch, block_samples):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_samples * 8 * 3 * 4)
+        g = rng.standard_gamma(1.0, size=(3, 12, 4)) + 1e-6
+        probs = g / g.sum(axis=2, keepdims=True)
+        probs[:, ::2] *= 1 + 1e-10  # renormalization moves these rows
+        t = PredictionTensor(probs=probs)
+        idx = [11, 0, 5, 3, 9, 1, 2, 8, 7, 4]
+        sub = t.subset(idx).probs
+        blocks = list(t.blocks(idx))
+        assert len(blocks) == -(-len(idx) // block_samples)
+        assert [span.stop for span, _ in blocks] == [
+            min(len(idx), (k + 1) * block_samples) for k in range(len(blocks))]
+        for span, block in blocks:
+            assert block.tobytes() == sub[:, span].tobytes()
+        assert t.classes(idx).tobytes() == sub.argmax(axis=2).tobytes()
+        assert not t.classes(idx).flags.writeable
+
+    def test_classes_of_no_samples(self, rng):
+        g = rng.standard_gamma(1.0, size=(3, 5, 4)) + 1e-6
+        t = PredictionTensor(probs=g / g.sum(axis=2, keepdims=True))
+        assert t.classes([]).shape == (3, 0)
+
+
+def test_mapped_zeros_owns_an_anonymous_mapping():
+    a = mapped_zeros((3, 4), np.int64)
+    assert a.shape == (3, 4) and a.dtype == np.int64 and a.flags.writeable
+    assert not a.any()
+    owner = a
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap) and len(owner.obj) == a.nbytes
 
 
 class TestLabelVector:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from socprune import core
 from socprune.core import LabelVector, PredictionTensor
 from socprune.errors import DomainError, ShapeMismatch
 from socprune.loss import QuadraticSurrogate, build_surrogate, entropy_term, exact_loss
@@ -181,6 +182,35 @@ class TestExactLoss:
         b = exact_loss(w, t.subset(perm), y.subset(perm), 0.4).total
         assert abs(a - b) < 1e-9
 
+    def test_peak_memory_is_a_fraction_of_the_tensor(self, rng):
+        # member entropy is summed a model at a time: every temporary is the
+        # size of one model's rows, not of the tensor
+        t, y = random_instance(rng, 20, 1200, 100)
+        w = np.full(20, 1.0 / 20)
+        tracemalloc.start()
+        try:
+            exact_loss(w, t, y, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * t.probs.nbytes
+
+
+def whole_tensor_surrogate(t, y):
+    """(quad, lin_accuracy, lin_diversity, constant) by the surrogate's formulas,
+    each one einsum over the whole tensor."""
+    m, n, c = t.probs.shape
+    scale = 1.0 / (n * c)
+    quad = np.einsum("inj,knj->ik", t.probs, t.probs) * scale
+    one_hot = y.one_hot()
+    mix = np.einsum("i,inj->nj", np.full(m, 1.0 / m), t.probs)
+    log_mix_1 = np.log(np.clip(mix, 1e-12, None)) + 1.0
+    return (0.5 * (quad + quad.T),
+            -2.0 * scale * np.einsum("nj,inj->i", one_hot, t.probs),
+            scale * (np.einsum("nj,inj->i", log_mix_1, t.probs)
+                     + np.sum(entropy_term(t.probs), axis=(1, 2))),
+            float(np.sum(one_hot**2) * scale))
+
 
 class TestQuadraticSurrogate:
     @pytest.mark.parametrize("name", ["lin_accuracy", "lin_diversity"])
@@ -260,12 +290,40 @@ class TestBuildSurrogate:
         # the same bits as the formula on whole-tensor temporaries
         for shape in [(20, 1200, 100), (3, 7, 2), (40, 240, 10), (5, 1, 3), (1, 50, 1000)]:
             t, y = random_instance(rng, *shape)
-            m, n, c = shape
-            mix = np.einsum("i,inj->nj", np.full(m, 1.0 / m), t.probs)
-            log_mix = np.log(np.clip(mix, 1e-12, None))
-            expected = (1.0 / (n * c)) * (np.einsum("nj,inj->i", log_mix + 1.0, t.probs)
-                                          + np.sum(entropy_term(t.probs), axis=(1, 2)))
+            expected = whole_tensor_surrogate(t, y)[2]
             assert build_surrogate(t, y).lin_diversity.tobytes() == expected.tobytes()
+
+    # blocks of 1 sample, of 7 (which does not divide the 71 samples) and of
+    # more samples than there are
+    @pytest.mark.parametrize("block_samples", [1, 7, 500])
+    def test_blocks_match_the_whole_tensor_formulas_on_the_subset(
+            self, rng, monkeypatch, block_samples):
+        m, n, c = 6, 120, 5
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_samples * 8 * m * c)
+        for _ in range(5):
+            t, y = random_instance(rng, m, n, c)
+            samples = rng.permutation(n)[:71]
+            s = build_surrogate(t, y, samples)
+            quad, lin_accuracy, lin_diversity, constant = whole_tensor_surrogate(
+                t.subset(samples), y.subset(samples))
+            for got, want in ((s.quad, quad), (s.lin_accuracy, lin_accuracy),
+                              (s.lin_diversity, lin_diversity)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert s.constant == constant
+            assert np.array_equal(s.quad, s.quad.T)
+
+    def test_all_samples_by_default(self, rng):
+        t, y = random_instance(rng, 5, 40, 4)
+        everything = build_surrogate(t, y, np.arange(40))
+        s = build_surrogate(t, y)
+        for name in ("quad", "lin_accuracy", "lin_diversity"):
+            got, want = getattr(s, name), getattr(everything, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_needs_a_sample(self, rng):
+        t, y = random_instance(rng, 3, 10, 2)
+        with pytest.raises(ShapeMismatch):
+            build_surrogate(t, y, [])
 
     def test_one_hot_members_tolerated(self):
         # anchor mixture contains an exact zero; the clamped log must not blow up

@@ -1,6 +1,8 @@
 """End-to-end pruning pipeline: generator, grid search, voting, oracles."""
 
 import itertools
+import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +116,14 @@ class TestGenerator:
         assert np.array_equal(y1.labels, y2.labels)
         assert np.array_equal(s1.train_indices, s2.train_indices)
 
+    def test_tensor_owns_an_anonymous_mapping(self):
+        # freeing the tensor returns its pages to the system at once
+        t, _, _ = generate_synthetic_ensemble(small_spec())
+        owner = t.probs
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert isinstance(owner.obj, mmap.mmap) and len(owner.obj) == t.probs.nbytes
+
     def test_split_proportions(self):
         t, y, s = generate_synthetic_ensemble(small_spec(num_samples=100))
         assert s.train_indices.size == 60
@@ -205,50 +215,98 @@ class TestPruneByThreshold:
                 previous = selected
 
 
+def class_table(probs):
+    """Class table of every sample of a tensor, as the grid hands it to ``vote``."""
+    t = PredictionTensor(probs=probs)
+    return t.classes(np.arange(t.num_samples))
+
+
+def tensor_vote_counts(t, members):
+    """Per-sample class counts of the tensor vote that ``vote`` replaced."""
+    casts = t.probs[members].argmax(axis=2)
+    counts = np.zeros((t.num_samples, t.num_classes), dtype=np.int64)
+    for row in casts:
+        counts[np.arange(t.num_samples), row] += 1
+    return counts
+
+
 class TestVote:
-    def two_model_tensor(self):
+    def two_model_table(self):
         # model 0 says class 0 on all three samples; model 1 says class 1
-        probs = np.array([
+        return class_table(np.array([
             [[0.9, 0.1], [0.9, 0.1], [0.9, 0.1]],
             [[0.2, 0.8], [0.2, 0.8], [0.2, 0.8]],
-        ])
-        return PredictionTensor(probs=probs)
+        ]))
 
     def test_majority_simple(self):
-        probs = np.array([
+        casts = class_table(np.array([
             [[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]],
-        ])
-        t = PredictionTensor(probs=probs)
-        assert vote(t, [0, 1, 2])[0] == 0
+        ]))
+        assert vote(casts, [0, 1, 2])[0] == 0
 
     def test_majority_tie_lowest_class(self):
-        labels = vote(self.two_model_tensor(), [0, 1])
+        labels = vote(self.two_model_table(), [0, 1])
         assert np.array_equal(labels, [0, 0, 0])
 
     def test_single_member(self):
-        labels = vote(self.two_model_tensor(), [1])
+        labels = vote(self.two_model_table(), [1])
         assert np.array_equal(labels, [1, 1, 1])
 
     def test_duplication_invariance(self, rng):
         t, _ = random_instance(rng, 3, 12, 4)
-        base = vote(t, [0, 1, 2])
-        doubled = PredictionTensor(probs=np.concatenate([t.probs, t.probs], axis=0))
+        base = vote(class_table(t.probs), [0, 1, 2])
+        doubled = class_table(np.concatenate([t.probs, t.probs], axis=0))
         assert np.array_equal(vote(doubled, [0, 1, 2, 3, 4, 5]), base)
 
     def test_empty_members(self):
         with pytest.raises(EmptyEnsemble):
-            vote(self.two_model_tensor(), [])
+            vote(self.two_model_table(), [])
 
     def test_out_of_range_member(self):
         with pytest.raises(ShapeMismatch):
-            vote(self.two_model_tensor(), [0, 5])
+            vote(self.two_model_table(), [0, 5])
+        with pytest.raises(ShapeMismatch):
+            vote(self.two_model_table(), [-1])
 
     def test_repeated_member(self):
         # listed three times, model 0 would outvote models 1 and 2
-        t = PredictionTensor(probs=np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0]]]))
-        assert vote(t, [0, 1, 2])[0] == 1
+        casts = class_table(np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0]]]))
+        assert vote(casts, [0, 1, 2])[0] == 1
         with pytest.raises(DomainError):
-            vote(t, [0, 0, 0, 1, 2])
+            vote(casts, [0, 0, 0, 1, 2])
+
+    @pytest.mark.parametrize("casts", [
+        np.zeros((2, 3, 1), dtype=np.intp),  # a tensor's shape, not a table's
+        np.zeros(3, dtype=np.intp),
+        np.zeros((2, 3)),  # float classes
+    ])
+    def test_table_must_be_2d_integer(self, casts):
+        with pytest.raises(ShapeMismatch):
+            vote(casts, [0])
+
+    def test_negative_class_rejected(self):
+        with pytest.raises(DomainError):
+            vote(np.array([[0, -1], [1, 1]]), [0, 1])
+
+    def test_matches_the_tensor_vote_on_random_splits_with_ties(self, rng):
+        # few classes and sharp rows make many tied counts; the table of a
+        # split equals the split tensor's argmax and votes as it did
+        ties = 0
+        for _ in range(30):
+            m, n, c = int(rng.integers(1, 7)), int(rng.integers(1, 40)), int(rng.integers(2, 5))
+            g = rng.standard_gamma(0.3, size=(m, n, c)) + 1e-9
+            t = PredictionTensor(probs=g / g.sum(axis=2, keepdims=True))
+            split = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            casts = t.classes(split)
+            sub = t.subset(split)
+            assert np.array_equal(casts, sub.probs.argmax(axis=2))
+            for _ in range(5):
+                members = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+                counts = tensor_vote_counts(sub, members)
+                assert np.array_equal(vote(casts, members), counts.argmax(axis=1))
+                top_two = np.sort(counts, axis=1)[:, -2:]
+                ties += np.count_nonzero(top_two[:, 0] == top_two[:, 1])
+        assert ties > 0
 
 
 class TestAccuracy:
@@ -272,10 +330,10 @@ class TestAutoThreshold:
         # identical models: every threshold votes identically, largest h wins
         row = np.array([[0.8, 0.2], [0.3, 0.7], [0.9, 0.1], [0.1, 0.9]])
         probs = np.stack([row, row, row])
-        t = PredictionTensor(probs=probs)
+        casts = class_table(probs)
         y = LabelVector(labels=np.array([0, 1, 0, 1]), num_classes=2)
         w = np.array([0.1, 0.2, 0.3])
-        h, _ = auto_threshold(w, t, y)
+        h, _ = auto_threshold(w, casts, y)
         assert h == pytest.approx(0.3)
 
     def test_picks_accuracy_maximizer(self):
@@ -283,25 +341,25 @@ class TestAutoThreshold:
         # isolates model 0 and fixes the vote
         good = np.array([[0.9, 0.1], [0.1, 0.9]] * 2)
         bad = np.array([[0.1, 0.9], [0.9, 0.1]] * 2)
-        t = PredictionTensor(probs=np.stack([good, bad, bad]))
+        casts = class_table(np.stack([good, bad, bad]))
         y = LabelVector(labels=np.array([0, 1, 0, 1]), num_classes=2)
         w = np.array([0.9, 0.5, 0.5])
-        h, _ = auto_threshold(w, t, y)
+        h, _ = auto_threshold(w, casts, y)
         selected = prune_by_threshold(w, h)
         assert selected == [0]
 
     def test_explicit_candidates(self):
-        t = PredictionTensor(probs=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
+        casts = class_table(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
         y = LabelVector(labels=np.array([0]), num_classes=2)
-        h, acc = auto_threshold(np.array([0.8, 0.1]), t, y, candidates=[0.0, 0.5])
+        h, acc = auto_threshold(np.array([0.8, 0.1]), casts, y, candidates=[0.0, 0.5])
         assert (h, acc) == (0.5, 1.0)
 
     @pytest.mark.parametrize("candidates", [[np.inf], [0.5, np.inf], [-0.1], [np.nan], []])
     def test_bad_candidates_rejected(self, candidates):
-        t = PredictionTensor(probs=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
+        casts = class_table(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
         y = LabelVector(labels=np.array([0]), num_classes=2)
         with pytest.raises(DomainError):
-            auto_threshold(np.array([0.8, 0.1]), t, y, candidates=candidates)
+            auto_threshold(np.array([0.8, 0.1]), casts, y, candidates=candidates)
 
 
 class TestCrossValidate:
@@ -396,7 +454,7 @@ class TestRunPipeline:
         # simplex mode drops lambda from the program, so the default 5x5
         # grid has one program per alpha; each distinct program gets one
         # threshold search on the one validation split, and the winner is
-        # not refit or voted again
+        # not refit or voted again; no split is gathered into a tensor
         calls = []
         subsets = []
         votes = []
@@ -413,38 +471,52 @@ class TestRunPipeline:
             subsets.append(len(indices))
             return real_subset(self, indices)
 
-        def counting_vote(t, *args, **kwargs):
-            votes.append(t)
-            return real_vote(t, *args, **kwargs)
+        def counting_vote(casts, *args, **kwargs):
+            votes.append(casts)
+            return real_vote(casts, *args, **kwargs)
 
-        def counting_threshold(w, tv, yv, candidates=None, **kwargs):
+        def counting_threshold(w, casts, yv, candidates=None, **kwargs):
             grid = (np.quantile(np.abs(w), np.linspace(0.0, 1.0, 20))
                     if candidates is None else candidates)
             searched.append(np.unique(grid).size)
-            return real_threshold(w, tv, yv, candidates, **kwargs)
+            return real_threshold(w, casts, yv, candidates, **kwargs)
 
         monkeypatch.setattr(pipeline, "solve", counting_solve)
         monkeypatch.setattr(PredictionTensor, "subset", counting_subset)
         monkeypatch.setattr(pipeline, "vote", counting_vote)
         monkeypatch.setattr(pipeline, "auto_threshold", counting_threshold)
         spec = small_spec()
-        _, _, splits = generate_synthetic_ensemble(spec)
         report = run_pipeline(spec, PruneConfig(simplex_mode=simplex, threshold=threshold))
         assert len(calls) == solves
         assert len(report.cells) == 25
-        # train, valid, test: one subset each
-        assert subsets == [len(splits.train_indices), len(splits.valid_indices),
-                           len(splits.test_indices)]
+        # the surrogate and the class tables read the dataset tensor in blocks
+        assert subsets == []
         # one vote per distinct candidate of each distinct program, all on
-        # one validation tensor, then the full and the pruned ensemble on
-        # the test split
+        # one validation class table, then the full and the pruned ensemble
+        # on the test split's
         assert len(searched) == solves
         assert len(votes) == sum(searched) + 2
-        assert len({id(t) for t in votes[:-2]}) == 1
+        assert len({id(casts) for casts in votes[:-2]}) == 1
         assert votes[-1] is votes[-2] is not votes[0]
         if threshold != "auto":
             assert searched == [1] * solves
             assert {c.threshold for c in report.cells} == {threshold}
+
+    def test_peak_memory_is_a_fraction_of_the_tensor(self, rng):
+        # the surrogate and the class tables read the tensor a block at a
+        # time: no split is copied whole
+        t, y = random_instance(rng, 20, 2000, 100)
+        perm = rng.permutation(2000)
+        splits = SplitSpec(train_indices=perm[:1200], valid_indices=perm[1200:1600],
+                           test_indices=perm[1600:])
+        config = PruneConfig(alpha_grid=(0.4,), lambda_grid=(0.1,), simplex_mode=True)
+        tracemalloc.start()
+        try:
+            run_pipeline((t, y, splits), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * t.probs.nbytes
 
     def test_selected_size_mostly_shrinks_with_lambda(self):
         # free mode, where lambda enters the program, at fractions of
@@ -457,8 +529,7 @@ class TestRunPipeline:
         for seed in range(trials):
             t, y, splits = generate_synthetic_ensemble(small_spec(
                 num_models=6, num_samples=200, seed=seed))
-            surrogate = build_surrogate(t.subset(splits.train_indices),
-                                        y.subset(splits.train_indices))
+            surrogate = build_surrogate(t, y, splits.train_indices)
             lam_max = float(np.abs(surrogate.combined_linear(alpha)).max())
             supports = []
             kept = []
