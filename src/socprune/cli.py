@@ -36,8 +36,8 @@ EXIT_INVALID = 2
 EXIT_NOT_OPTIMAL = 3
 EXIT_IO = 4
 
-# Single-cell subcommands (fit, prune) default to the grid midpoints.
-DEFAULT_ALPHA = 0.3
+# Single-cell subcommands (fit, prune) default to one grid cell that prunes.
+DEFAULT_ALPHA = 0.7
 DEFAULT_LAMBDA = 0.5
 
 
@@ -48,10 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="accuracy/diversity trade-off in [0,1]; for cv/run "
                            "this narrows the grid to a single value")
     cell.add_argument("--lambda", dest="lam", type=float, default=None,
-                      help="sparsity weight >= 0; for cv/run this narrows the "
-                           "grid to a single value.  With --simplex the "
-                           "weights sum to 1, so lambda does not change the "
-                           "program")
+                      help="sparsity weight in [0,1], a fraction of lambda_max, "
+                           "the weight at which every model drops; for cv/run "
+                           "this narrows the grid to a single value.  With "
+                           "--simplex the weights sum to 1, so lambda does not "
+                           "change the program")
     cell.add_argument("--simplex", action="store_true",
                       help="constrain weights to the probability simplex")
     select = argparse.ArgumentParser(add_help=False)
@@ -138,22 +139,16 @@ def _solver_settings(args) -> SolverSettings:
     return SolverSettings(**kwargs)
 
 
-def _threshold_of(args):
-    return args.threshold if args.threshold is not None else "auto"
-
-
 def _cell(args):
-    """(alpha, lambda) of a single-cell subcommand, defaulting to the midpoints."""
+    """(alpha, lambda) of a single-cell subcommand, with the defaults above."""
     alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     lam = DEFAULT_LAMBDA if args.lam is None else args.lam
     return alpha, lam
 
 
 def _prune_config(args, single_cell: bool = False) -> PruneConfig:
-    kwargs = dict(
-        threshold=_threshold_of(args),
-        simplex_mode=args.simplex,
-    )
+    kwargs = dict(threshold="auto" if args.threshold is None else args.threshold,
+                  simplex_mode=args.simplex)
     if single_cell:
         alpha, lam = _cell(args)
         kwargs.update(alpha_grid=(alpha,), lambda_grid=(lam,))

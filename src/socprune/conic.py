@@ -5,9 +5,9 @@ of the variables into nonnegative-orthant, quadratic (second-order), and
 rotated quadratic cones, plus free variables.  The main builder turns a
 QuadraticSurrogate into the sparse L1-regularized pruning program: the
 quadratic objective term becomes a single epigraph cone through its
-Cholesky factor, and each free-sign weight gets a 2-dimensional
-absolute-value cone whose head carries the L1 penalty.  Simplex-mode
-weights go straight into the nonnegative orthant.
+Cholesky factor, and the weights lie in the nonnegative orthant, where
+the L1 penalty is a linear term.  Simplex mode adds one row: the weights
+sum to one.
 """
 
 from __future__ import annotations
@@ -277,14 +277,10 @@ class ProgramBuilder:
 
 @dataclass(frozen=True)
 class VariableMap:
-    """Where the pruning program's named quantities live in the variable array.
-
-    ``u_abs_indices`` is empty in simplex mode, which has no L1 variables.
-    """
+    """Where the pruning program's named quantities live in the variable array."""
 
     x_indices: tuple
     t_index: int
-    u_abs_indices: tuple
 
 
 def build_pruning_socp(
@@ -295,51 +291,48 @@ def build_pruning_socp(
 ):
     """Sparse pruning program for a quadratic surrogate at trade-off alpha.
 
-    Minimizes ``alpha*t + (alpha*lin_accuracy + (1-alpha)*lin_diversity) @ x
-    + lam*sum(u_abs)`` subject to t >= x' (quad + ridge*I) x (one epigraph
-    cone through the Cholesky factor), |x_i| <= u_abs_i (2-dim cones) and
-    t >= 0.
+    Minimizes ``alpha*t + (c + lam*lambda_max) @ x`` over weights x >= 0
+    and t >= x' (quad + ridge*I) x (one epigraph cone through the Cholesky
+    factor), where ``c = surrogate.combined_linear(alpha)``; on x >= 0 the
+    L1 penalty is that linear term.  ``lam`` is a fraction in [0, 1] of
+    ``lambda_max = max(0, max_i -c_i)``, the smallest penalty at which
+    x = 0 is optimal: lam = 1 gives x = 0, and where no c_i is negative
+    lambda_max is 0 and x = 0 at every lam.
 
-    With ``simplex=True`` the weights lie on the probability simplex
-    instead: x >= 0 and sum(x) = 1.  There ||x||_1 = 1, so the L1 term is
-    the constant lam; the program drops it and has no u_abs variables, and
+    With ``simplex=True`` the weights also sum to one.  There
+    ||x||_1 = 1, so the L1 term is a constant; the program drops it, and
     lam (still validated) does not change the program.  Returns
     (program, variable map).
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    if not 0.0 <= lam < np.inf:
-        raise DomainError(f"lambda must be finite and nonnegative, got {lam}")
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lambda must lie in [0, 1] (a fraction of lambda_max), got {lam}")
     m = surrogate.num_models
     root = cholesky_lower(surrogate.quad, surrogate.ridge).T
-    # variables: x = 0..m-1, t = m, u_abs (free mode only), aux (m + 2);
+    # variables: x = 0..m-1, t = m, aux = m+1..2m+2;
     # rows: aux = (1 + t, 2 R x, 1 - t), then sum(x) = 1 in simplex mode
     t = m
-    u_abs = range(m + 1, m + 1 + (0 if simplex else m))
-    aux = np.arange(len(u_abs) + m + 1, len(u_abs) + 2 * m + 3)
-    objective = np.zeros(aux[-1] + 1)
+    aux = np.arange(m + 1, 2 * m + 3)
+    objective = np.zeros(2 * m + 3)
     objective[:m] = surrogate.combined_linear(alpha)
+    if not simplex:  # the L1 term, lam * lambda_max on each weight
+        objective[:m] += lam * max(0.0, -objective[:m].min())
     objective[t] = alpha
-    objective[u_abs] = lam
     A = np.zeros((m + 2 + int(simplex), objective.size))
     A[np.arange(m + 2), aux] = 1.0
     A[[0, m + 1], t] = -1.0, 1.0
     A[1:m + 1, :m] = -2.0 * root
     b = np.zeros(A.shape[0])
     b[[0, m + 1]] = 1.0
-    cones = [Cone(QUADRATIC, aux)]
     if simplex:
         A[m + 2, :m] = 1.0
         b[m + 2] = 1.0
-        cones.append(Cone(NONNEG_ORTHANT, (t, *range(m))))
-    else:
-        cones += [Cone(QUADRATIC, pair) for pair in zip(u_abs, range(m))]
-        cones.append(Cone(NONNEG_ORTHANT, (t,)))
 
     program = ConeProgram(num_vars=objective.size, objective=objective, eq_A=A, eq_b=b,
-                          cones=tuple(cones), free_vars=())
-    var_map = VariableMap(x_indices=tuple(range(m)), t_index=t, u_abs_indices=tuple(u_abs))
-    return program, var_map
+                          cones=(Cone(QUADRATIC, aux), Cone(NONNEG_ORTHANT, (t, *range(m)))),
+                          free_vars=())
+    return program, VariableMap(x_indices=tuple(range(m)), t_index=t)
 
 
 @dataclass(eq=False)

@@ -83,12 +83,12 @@ def entropy_term(z):
     [0, 1] beyond a 1e-12 slack.
     """
     arr = np.asarray(z, dtype=np.float64)
-    if np.any(arr < -ENTROPY_DOMAIN_SLACK) or np.any(arr > 1.0 + ENTROPY_DOMAIN_SLACK):
-        raise DomainError(
-            f"entropy argument outside [0, 1]: range [{arr.min()}, {arr.max()}]"
-        )
-    clipped = np.clip(arr, 0.0, 1.0)
-    # one output array beside the clipped copy: log, times z, negated, then 0 at z = 0
+    lo, hi = arr.min(initial=0.0), arr.max(initial=1.0)
+    if lo < -ENTROPY_DOMAIN_SLACK or hi > 1.0 + ENTROPY_DOMAIN_SLACK:
+        raise DomainError(f"entropy argument outside [0, 1]: range [{arr.min()}, {arr.max()}]")
+    # a clipped copy only where the slack is used; then one output array:
+    # log, times z, negated, then 0 at z = 0
+    clipped = arr if 0.0 <= lo and hi <= 1.0 else np.clip(arr, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(clipped, out=np.empty_like(clipped))
         out *= clipped
@@ -154,10 +154,10 @@ def build_surrogate(t: PredictionTensor, y: LabelVector, samples=None) -> Quadra
     1e-12 inside the logarithm to tolerate one-hot member rows.
 
     ``samples`` selects the samples it is fitted on, all of them by
-    default.  Selected samples are read from ``t`` in blocks of about 1 MiB
+    default.  They are read from ``t`` in blocks of about 1 MiB
     (``PredictionTensor.blocks``), each renormalized as ``t.subset(samples)``
-    would be, so no copy of the selection is held whole; the Gram is one
-    matrix product per block.
+    would be, so no copy of the selection is held whole; the Gram and the
+    member entropy are one call per block.
 
     ``ridge`` is ``1e-8 * trace(quad) / M``, recorded for the Cholesky
     factorization performed by the cone-program builder.
@@ -165,11 +165,8 @@ def build_surrogate(t: PredictionTensor, y: LabelVector, samples=None) -> Quadra
     if y.num_samples != t.num_samples or y.num_classes != t.num_classes:
         raise ShapeMismatch("labels do not match the prediction tensor")
     num_models, num_classes = t.num_models, t.num_classes
-    if samples is None:
-        labels, blocks = y.labels, [(slice(None), t.probs)]
-    else:
-        samples = np.asarray(samples, dtype=np.int64)
-        labels, blocks = y.labels[samples], t.blocks(samples)
+    samples = np.arange(t.num_samples) if samples is None else np.asarray(samples, dtype=np.int64)
+    labels = y.labels[samples]
     if labels.size == 0:
         raise ShapeMismatch("need at least 1 sample to fit the surrogate on")
     scale = 1.0 / (labels.size * num_classes)
@@ -179,19 +176,19 @@ def build_surrogate(t: PredictionTensor, y: LabelVector, samples=None) -> Quadra
     label_mass = np.zeros(num_models)
     log_mix_mass = np.zeros(num_models)
     entropy = np.zeros(num_models)
-    for span, block in blocks:
+    for span, block in t.blocks(samples):
         flat = block.reshape(num_models, -1)
         gram += flat @ flat.T
         block_labels = labels[span]
         one_hot = np.zeros((block_labels.size, num_classes))
         one_hot[np.arange(block_labels.size), block_labels] = 1.0
         label_mass += np.einsum("nj,inj->i", one_hot, block)
-        # log(mix) + 1 built in place, entropy summed a model at a time
+        # log(mix) + 1 built in place
         log_mix_1 = _mixture(uniform, block)
         np.log(np.clip(log_mix_1, LOG_CLAMP, None, out=log_mix_1), out=log_mix_1)
         log_mix_1 += 1.0
         log_mix_mass += np.einsum("nj,inj->i", log_mix_1, block)
-        entropy += [np.sum(entropy_term(model)) for model in block]
+        entropy += entropy_term(block).sum(axis=(1, 2))
 
     quad = gram * scale
     quad = 0.5 * (quad + quad.T)

@@ -34,7 +34,7 @@ from .errors import (
 from .loss import build_surrogate, entropy_term, exact_loss
 from .solver import STATUS_OPTIMAL, solve
 
-_DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
+_DEFAULT_ALPHA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _DEFAULT_LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _AUTO = "auto"
 _ORACLE_LIMIT = 14
@@ -90,7 +90,10 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class PruneConfig:
-    """Grid and thresholding options; every cell solves with ``SolverSettings()``."""
+    """Grid and thresholding options; every cell solves with ``SolverSettings()``.
+
+    Each lambda is a fraction of its cell's lambda_max (``build_pruning_socp``).
+    """
 
     alpha_grid: tuple = _DEFAULT_ALPHA_GRID
     lambda_grid: tuple = _DEFAULT_LAMBDA_GRID
@@ -104,8 +107,9 @@ class PruneConfig:
             raise DomainError("alpha and lambda grids must be non-empty")
         if not all(0 <= a <= 1 for a in self.alpha_grid):
             raise DomainError("alpha grid values must lie in [0, 1]")
-        if not all(0 <= lam < np.inf for lam in self.lambda_grid):
-            raise DomainError("lambda grid values must be finite and nonnegative")
+        if not all(0 <= lam <= 1 for lam in self.lambda_grid):
+            raise DomainError(f"lambda grid values must lie in [0, 1] (fractions of "
+                              f"lambda_max), got {self.lambda_grid}")
         if self.threshold != _AUTO:
             h = float(self.threshold)
             if not 0 <= h < np.inf:
@@ -132,9 +136,9 @@ class CellDiagnostic:
     status: str
 
     def __post_init__(self):
-        if not (0 <= self.alpha <= 1 and 0 <= self.lam < np.inf):
+        if not (0 <= self.alpha <= 1 and 0 <= self.lam <= 1):
             raise DomainError(f"cell alpha {self.alpha} must lie in [0, 1] and "
-                              f"lambda {self.lam} must be finite and nonnegative")
+                              f"lambda {self.lam} in [0, 1]")
         if self.status == "ok":
             valid = (0 <= self.threshold < np.inf and 0 <= self.accuracy <= 1
                      and self.num_pruned >= 1)
@@ -342,13 +346,15 @@ def auto_threshold(w, casts, yv, candidates=None):
     """Pick the |w| cutoff maximizing voting accuracy on a validation split.
 
     ``casts`` and ``yv`` are the split's class table and labels.  Default
-    candidates are 20 quantiles of |w|; each distinct candidate is voted
-    once.  Ties break toward the larger threshold, i.e. the smaller
-    ensemble.  Returns (threshold, its validation accuracy).
+    candidates are 20 quantiles of the nonzero |w| (0 alone when w = 0);
+    each distinct candidate is voted once.  Ties break toward the larger
+    threshold, i.e. the smaller ensemble.  Returns (threshold, its
+    validation accuracy).
     """
     w = np.asarray(w, dtype=np.float64)
     if candidates is None:
-        candidates = np.quantile(np.abs(w), np.linspace(0.0, 1.0, 20))
+        nonzero = np.abs(w[w != 0])
+        candidates = np.quantile(nonzero, np.linspace(0.0, 1.0, 20)) if nonzero.size else [0.0]
     candidates = np.unique(np.asarray(candidates, dtype=np.float64))
     if candidates.size == 0:
         raise DomainError("candidate list must be non-empty")
@@ -374,9 +380,11 @@ def _run_grid(t, y, splits, config):
     at a time; ``w`` and ``h`` are the winning cell's weights and
     threshold.  Cells that build the same program share one solve and one
     threshold search: the constraints depend only on the surrogate and the
-    mode, so the program is keyed by its objective.  In simplex mode the objective does
-    not depend on lambda, so each alpha is solved once.  A fixed threshold
-    is the search's one candidate.
+    mode, so the program is keyed by its objective.  Lambda drops out of
+    the objective in simplex mode and wherever lambda_max is 0, so each
+    such alpha is solved once.  A fixed threshold is the search's one
+    candidate.  A grid whose every solved cell has w = 0 would prune
+    nothing and is a DomainError.
     """
     splits.validate_against(t.num_samples)
     splits.require("train", "valid")
@@ -417,6 +425,10 @@ def _run_grid(t, y, splits, config):
                 best = (alpha, lam, w, h)
     if best is None:
         raise AllCellsFailed("every grid cell failed to fit")
+    if not any(w is not None and w.any() for w, *_ in outcomes.values()):
+        raise DomainError(f"every grid cell solved to w = 0 and would prune nothing, at "
+                          f"alpha {config.alpha_grid} and lambda {config.lambda_grid}: "
+                          "choose an alpha nearer 1 or a lambda below 1")
     return best[0], best[1], tuple(cells), best[2], best[3]
 
 

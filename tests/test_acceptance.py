@@ -37,7 +37,7 @@ from socprune.solver import STATUS_OPTIMAL, SolverSettings, kkt_residuals, solve
 
 from conftest import random_instance
 
-ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
+ALPHA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
@@ -80,7 +80,7 @@ def test_solver_matches_separable_and_dense_closed_forms():
         m = 2 + k % 6
         diag = rng.uniform(0.5, 2.0, size=m)
         c = rng.normal(scale=1.0, size=m)
-        lam = float(rng.uniform(0.05, 1.2))
+        lam = float(rng.uniform(0.05, 1.0))
         surrogate = QuadraticSurrogate(
             quad=np.diag(diag), lin_accuracy=c,
             lin_diversity=np.zeros(m), constant=0.0, ridge=0.0)
@@ -88,7 +88,9 @@ def test_solver_matches_separable_and_dense_closed_forms():
         sol = solve(program, tight)
         assert sol.status == STATUS_OPTIMAL
         x = sol.x[np.asarray(vmap.x_indices)]
-        expected = -np.sign(c) * np.maximum(np.abs(c) - lam, 0.0) / (2.0 * diag)
+        # nonnegative soft threshold at the penalty lam * lambda_max
+        penalty = lam * max(0.0, -c.min())
+        expected = np.maximum(-c - penalty, 0.0) / (2.0 * diag)
         worst_soft = max(worst_soft, float(np.abs(x - expected).max()))
 
     worst_dense = 0.0
@@ -96,7 +98,9 @@ def test_solver_matches_separable_and_dense_closed_forms():
         m = 2 + k % 5
         B = rng.normal(size=(m, m))
         Q = B.T @ B / m + np.diag(rng.uniform(0.3, 1.0, size=m))
-        c = rng.normal(scale=0.5, size=m)
+        # a positive unconstrained minimizer, so x >= 0 does not bind
+        x_star = rng.uniform(0.2, 1.0, size=m)
+        c = -2.0 * Q @ x_star
         surrogate = QuadraticSurrogate(
             quad=Q, lin_accuracy=c,
             lin_diversity=np.zeros(m), constant=0.0, ridge=0.0)
@@ -104,8 +108,7 @@ def test_solver_matches_separable_and_dense_closed_forms():
         sol = solve(program, tight)
         assert sol.status == STATUS_OPTIMAL
         x = sol.x[np.asarray(vmap.x_indices)]
-        expected = -np.linalg.solve(Q, c) / 2.0
-        worst_dense = max(worst_dense, float(np.abs(x - expected).max()))
+        worst_dense = max(worst_dense, float(np.abs(x - x_star).max()))
 
     ok = worst_soft <= 1e-6 and worst_dense <= 1e-5
     report_line(ok, (
@@ -242,7 +245,7 @@ def test_l1_norm_non_increasing_along_lambda_path():
         t, y = random_instance(rng, m, 40, 3)
         norms = []
         for lam in LAMBDA_GRID:
-            w = fit_weights(t, y, alpha=0.5, lam=lam)
+            w = fit_weights(t, y, alpha=0.9, lam=lam)
             norms.append(float(np.abs(w).sum()))
         for a, b in zip(norms, norms[1:]):
             worst_rise = max(worst_rise, b - a)
@@ -284,6 +287,34 @@ def test_scaled_benchmark_prunes_without_accuracy_loss():
         f"scaled pruning benchmark: {successes}/{runs} seeds pruned >=40% of "
         f"40 models within 0.02 accuracy drop (need >=18), slowest seed "
         f"{worst_seconds:.1f}s (budget 60s)"))
+
+
+def test_default_config_prunes_without_accuracy_loss():
+    # the defaults: free mode, the 5x5 grid of alpha and lambda / lambda_max
+    successes = 0
+    runs = 0
+    details = []
+    for num_classes in (10, 100):
+        for seed in range(10):
+            spec = SyntheticSpec(
+                num_models=40, num_samples=4000, num_classes=num_classes,
+                base_accuracy_range=(0.55, 0.85), correlation=0.5,
+                sharpness=6.0, seed=seed)
+            report = run_pipeline(spec, PruneConfig())
+            runs += 1
+            frac_pruned = 1.0 - report.num_models_pruned / report.num_models_full
+            drop = report.full_accuracy - report.pruned_accuracy
+            if frac_pruned >= 0.40 and drop <= 0.02:
+                successes += 1
+            details.append(
+                f"C={num_classes} seed={seed}: kept {report.num_models_pruned}/40 at "
+                f"alpha {report.best_alpha}, lambda {report.best_lambda}, drop {drop:+.4f}")
+    ok = successes >= 18
+    for line in details:
+        print("  " + line)
+    report_line(ok, (
+        f"default pruning: {successes}/{runs} seeds pruned >=40% of 40 models "
+        f"within 0.02 accuracy drop with PruneConfig() (need >=18)"))
 
 
 def test_pruned_subset_loss_near_enumeration_oracle():

@@ -109,14 +109,14 @@ class TestBuildPruningSocp:
         s = random_surrogate(rng, 2)
         program, vmap = build_pruning_socp(s, alpha=0.5, lam=0.3)
         m = 2
-        # x(2) + t + u_abs(2) + cone auxiliaries (m + 2); m + 2 aux rows
-        assert program.num_vars == 3 * m + 3
+        # x(2) + t + cone auxiliaries (m + 2); m + 2 aux rows
+        assert program.num_vars == 2 * m + 3
         assert program.num_eqs == m + 2
         quads = [c for c in program.cones if c.kind == QUADRATIC]
-        assert len(quads) == m + 1
-        assert sorted(c.dim for c in quads) == [2, 2, m + 2]
+        assert [c.dim for c in quads] == [m + 2]
         assert len(vmap.x_indices) == m
-        assert len(vmap.u_abs_indices) == m
+        orthant = next(c for c in program.cones if c.kind == NONNEG_ORTHANT)
+        assert set(orthant.var_indices) == {vmap.t_index, *vmap.x_indices}
 
     def test_simplex_structure(self, rng):
         m = 5
@@ -125,7 +125,6 @@ class TestBuildPruningSocp:
         assert program.num_vars == 2 * m + 3
         assert program.num_eqs == m + 3
         assert all(c.dim != 2 for c in program.cones)
-        assert vmap.u_abs_indices == ()
         orthant = next(c for c in program.cones if c.kind == NONNEG_ORTHANT)
         assert set(orthant.var_indices) == {vmap.t_index, *vmap.x_indices}
 
@@ -139,22 +138,31 @@ class TestBuildPruningSocp:
         assert a.cones == b.cones
 
     def test_free_mode_zero_at_lambda_max(self):
-        # lasso optimality: w = 0 once lambda >= ||c(alpha)||_inf.  At exactly
-        # lambda_max the objective is flat to second order along the binding
-        # coordinate, so the solver's tolerance shows (~1e-4); test just above.
+        # optimality on x >= 0: x = 0 once lam * lambda_max >= max_i -c_i,
+        # that is at lam = 1, and at every lam when no c_i is negative
+        # (lambda_max = 0).  At lam = 1 the objective is flat to second order
+        # along the binding coordinate, so the solver's tolerance shows in x
+        # (~1e-4); there the optimal value 0 is checked instead.
         for seed in range(4):
             s = random_surrogate(np.random.default_rng(seed), 5)
             alpha = 0.2 + 0.2 * seed
-            lam_max = float(np.abs(s.combined_linear(alpha)).max())
-            for lam in (1.001 * lam_max, 2.0 * lam_max):
-                program, vmap = build_pruning_socp(s, alpha, lam)
-                sol = solve(program)
-                assert sol.status == STATUS_OPTIMAL
-                assert np.abs(sol.x[list(vmap.x_indices)]).max() <= 1e-8
-            program, vmap = build_pruning_socp(s, alpha, 0.5 * lam_max)
+            assert s.combined_linear(alpha).min() < 0
+            program, vmap = build_pruning_socp(s, alpha, 1.0)
+            sol = solve(program)
+            assert sol.status == STATUS_OPTIMAL
+            assert abs(program.objective @ sol.x) <= 1e-8
+            program, vmap = build_pruning_socp(s, alpha, 0.5)
             sol = solve(program)
             assert sol.status == STATUS_OPTIMAL
             assert np.abs(sol.x[list(vmap.x_indices)]).max() > 1e-3
+            nonneg = QuadraticSurrogate(
+                quad=s.quad, lin_accuracy=np.abs(s.lin_accuracy),
+                lin_diversity=np.abs(s.lin_diversity), constant=0.0, ridge=s.ridge)
+            for lam in (0.0, 0.5, 1.0):
+                program, vmap = build_pruning_socp(nonneg, alpha, lam)
+                sol = solve(program)
+                assert sol.status == STATUS_OPTIMAL
+                assert np.abs(sol.x[list(vmap.x_indices)]).max() <= 1e-8
 
     def test_simplex_weights_match_exact_oracle(self):
         rng = np.random.default_rng(2024)
@@ -213,8 +221,7 @@ class TestBuildPruningSocp:
             assert sol.status == STATUS_OPTIMAL
             x = sol.x[list(vmap.x_indices)]
             t = sol.x[vmap.t_index]
-            u_abs = sol.x[list(vmap.u_abs_indices)]
-            assert np.abs(u_abs - np.abs(x)).max() < 1e-7
+            assert x.min() >= 0.0 and x.max() > 1e-3
             q_eff = s.quad + s.ridge * np.eye(3)
             assert abs(t - x @ q_eff @ x) < 1e-6
 

@@ -733,7 +733,8 @@ class TestReportIO:
          "'failed: max_iters' cell with threshold 0.0, accuracy 0.5 and 3 kept"),
         (lambda d: d["cells"][2].update(status="ok"), "'ok' cell with threshold -1.0"),
         (lambda d: d["cells"][1].update(alpha=7.0), "cell alpha 7.0 must lie in"),
-        (lambda d: d["cells"][1].update(lam=-3.0), "lambda -3.0 must be finite"),
+        (lambda d: d["cells"][1].update(lam=-3.0), r"lambda -3.0 in \[0, 1\]"),
+        (lambda d: d["cells"][1].update(lam=1.5), r"lambda 1.5 in \[0, 1\]"),
         (lambda d: d.update(cells=[]), "are those of no ok grid cell"),
         (lambda d: d.update(selected=[], num_models_pruned=0),
          r"selected models \(\) must be non-empty"),
@@ -747,7 +748,7 @@ class TestReportIO:
             "best_alpha_above_one", "best_lambda_negative", "cell_keeps_too_many",
             "cell_unknown_status", "cell_accuracy_above_one", "ok_cell_relabelled_failed",
             "failed_cell_relabelled_ok", "cell_alpha_above_one", "cell_lambda_negative",
-            "no_cells", "nothing_selected", "unknown_key", "unknown_cell_key"])
+            "cell_lambda_above_one", "no_cells", "nothing_selected", "unknown_key", "unknown_cell_key"])
     def test_value_never_written_is_parse_error(self, tmp_path, content, message):
         payload = json.loads(render_report(sample_report()))
         content(payload)
@@ -1070,6 +1071,28 @@ class TestCli:
         assert code == 2
         assert err.startswith("error:") and "probability" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["run", "prune", "cv", "fit"])
+    @pytest.mark.parametrize("lam", ["1.5", "-0.1"])
+    def test_lambda_outside_unit_interval_exit_2(self, tmp_path, capsys, command, lam):
+        run_cli(gen_args(tmp_path / "d"), capsys)
+        code, out, err = run_cli([command, str(tmp_path / "d"), "--lambda", lam], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{float(lam)}" in err and "[0, 1]" in err
+
+    @pytest.mark.parametrize("argv", [["run", "DATA", "--alpha", "0.1"],
+                                      ["prune", "DATA", "--alpha", "0.1"]],
+                             ids=["run", "prune"])
+    def test_grid_of_zero_weights_exit_2(self, tmp_path, capsys, argv):
+        # at alpha 0.1 no entry of this dataset's linear term is negative:
+        # lambda_max is 0 and every cell solves to w = 0
+        run_cli(gen_args(tmp_path / "DATA"), capsys)
+        argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: every grid cell solved to w = 0") and "alpha (0.1,)" in err
+        code, out, _ = run_cli(argv[:2] + ["--format", "csv-summary"], capsys)
+        assert code == 0 and out.splitlines()[1].split(",")[3] != "6"
 
     def test_missing_dataset_exit_4(self, tmp_path, capsys):
         code, _, err = run_cli(["check", str(tmp_path / "absent")], capsys)

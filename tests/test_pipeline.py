@@ -20,6 +20,7 @@ from socprune.errors import (
 from socprune.conic import build_pruning_socp
 from socprune.loss import QuadraticSurrogate, build_surrogate, exact_loss
 from socprune.pipeline import (
+    CellDiagnostic,
     PruneConfig,
     SyntheticSpec,
     accuracy,
@@ -107,6 +108,20 @@ def test_non_finite_setting_rejected(make, error):
         make()
 
 
+@pytest.mark.parametrize("lam", [-0.1, 1.5])
+@pytest.mark.parametrize("make", [
+    lambda lam: PruneConfig(lambda_grid=(0.5, lam)),
+    lambda lam: build_pruning_socp(UNIT_SURROGATE, 0.3, lam),
+    lambda lam: build_pruning_socp(UNIT_SURROGATE, 0.3, lam, simplex=True),
+    lambda lam: CellDiagnostic(alpha=0.3, lam=lam, threshold=0.0, accuracy=0.5,
+                               num_pruned=2, status="ok"),
+], ids=["config", "socp", "socp_simplex", "cell"])
+def test_lambda_outside_unit_interval_rejected(make, lam):
+    # lambda is a fraction of lambda_max
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        make(lam)
+
+
 class TestGenerator:
     def test_deterministic(self):
         spec = small_spec(seed=7)
@@ -172,7 +187,7 @@ class TestFitWeights:
 
     def test_huge_lambda_all_zero(self, rng):
         t, y = random_instance(rng, 3, 30, 3)
-        w = fit_weights(t, y, alpha=0.5, lam=50.0)
+        w = fit_weights(t, y, alpha=0.5, lam=1.0)
         assert np.abs(w).max() < 1e-7
 
     def test_simplex_mode_constraints(self, rng):
@@ -368,25 +383,34 @@ class TestCrossValidate:
         splits = SplitSpec(train_indices=np.arange(30),
                            valid_indices=np.arange(30, 40),
                            test_indices=np.arange(40, 50))
-        config = PruneConfig(alpha_grid=(0.4,), lambda_grid=(0.3,))
+        config = PruneConfig(alpha_grid=(0.9,), lambda_grid=(0.3,))
         best_alpha, best_lambda, cells = cross_validate(t, y, splits, config)
-        assert (best_alpha, best_lambda) == (0.4, 0.3)
+        assert (best_alpha, best_lambda) == (0.9, 0.3)
         assert len(cells) == 1 and cells[0].status == "ok"
 
     def test_dominating_subset_wins(self):
-        # model 0 is always right, 1 and 2 always wrong; the cell whose
-        # pruned set is {0} dominates any cell keeping the bad majority
+        # model 0 is right on 16 of the 20 train samples and on every later
+        # one; models 1 and 2 are right on 12 train samples, among them the
+        # ones model 0 misses, and wrong on every later one.  At lambda 0
+        # all three get weight and the bad pair outvotes model 0; at 0.9
+        # only model 0 is kept, and that cell dominates
         n = 40
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 2, size=n)
-        good = np.stack([0.9 - 0.8 * labels, 0.1 + 0.8 * labels], axis=1)
-        bad = good[:, ::-1].copy()
+        sample = np.arange(n)
+
+        def model(right):  # 0.9 on the true class where right, else 0.1
+            p1 = np.where(right, 0.1 + 0.8 * labels, 0.9 - 0.8 * labels)
+            return np.stack([1.0 - p1, p1], axis=1)
+
+        good = model((sample < 16) | (sample >= 20))
+        bad = model((sample >= 8) & (sample < 20))
         t = PredictionTensor(probs=np.stack([good, bad, bad]))
         y = LabelVector(labels=labels, num_classes=2)
         splits = SplitSpec(train_indices=np.arange(20),
                            valid_indices=np.arange(20, 30),
                            test_indices=np.arange(30, 40))
-        config = PruneConfig(alpha_grid=(0.5,), lambda_grid=(0.0, 0.9),
+        config = PruneConfig(alpha_grid=(0.9,), lambda_grid=(0.0, 0.9),
                              threshold=0.05)
         best_alpha, best_lambda, cells = cross_validate(t, y, splits, config)
         assert best_lambda == 0.9
@@ -394,9 +418,10 @@ class TestCrossValidate:
         assert by_lam[0.9].accuracy == 1.0
         assert by_lam[0.9].num_pruned == 1
         assert by_lam[0.9].accuracy > by_lam[0.0].accuracy
+        assert by_lam[0.0].num_pruned == 3
 
     def test_tie_prefers_smaller_lambda_then_alpha_index(self):
-        # identical models and total shrinkage: every cell behaves the same,
+        # identical models get equal weights: every cell behaves the same,
         # so the documented index order decides
         row = np.array([[0.7, 0.3], [0.2, 0.8]] * 10)
         t = PredictionTensor(probs=np.stack([row, row, row]))
@@ -404,10 +429,11 @@ class TestCrossValidate:
         splits = SplitSpec(train_indices=np.arange(10),
                            valid_indices=np.arange(10, 15),
                            test_indices=np.arange(15, 20))
-        config = PruneConfig(alpha_grid=(0.2, 0.4), lambda_grid=(0.7, 0.9))
-        best_alpha, best_lambda, _ = cross_validate(t, y, splits, config)
+        config = PruneConfig(alpha_grid=(0.8, 0.9), lambda_grid=(0.7, 0.9))
+        best_alpha, best_lambda, cells = cross_validate(t, y, splits, config)
+        assert len({(c.accuracy, c.num_pruned) for c in cells}) == 1
         assert best_lambda == 0.7
-        assert best_alpha == 0.2
+        assert best_alpha == 0.8
 
     def test_all_cells_failed(self, rng, monkeypatch):
         t, y = random_instance(rng, 3, 50, 3)
@@ -444,17 +470,18 @@ class TestRunPipeline:
         assert len(report.cells) == 25
         assert sorted(report.selected) == list(report.selected)
 
-    @pytest.mark.parametrize("simplex, threshold, solves", [
-        pytest.param(True, "auto", 5, id="True-5"),
-        pytest.param(False, "auto", 25, id="False-25"),
-        pytest.param(True, 0.2, 5, id="True-5-fixed_threshold"),
+    @pytest.mark.parametrize("simplex, threshold", [
+        pytest.param(True, "auto", id="True-5"),
+        pytest.param(False, "auto", id="False-distinct"),
+        pytest.param(True, 0.2, id="True-5-fixed_threshold"),
     ])
-    def test_grid_solves_each_distinct_program_once(self, monkeypatch, simplex,
-                                                    threshold, solves):
-        # simplex mode drops lambda from the program, so the default 5x5
-        # grid has one program per alpha; each distinct program gets one
-        # threshold search on the one validation split, and the winner is
-        # not refit or voted again; no split is gathered into a tensor
+    def test_grid_solves_each_distinct_program_once(self, monkeypatch, simplex, threshold):
+        # each distinct objective of the default 5x5 grid is solved once:
+        # simplex mode drops lambda from the program, so there is one per
+        # alpha; each distinct program gets one threshold search on the one
+        # validation split, and the winner is not refit or voted again; no
+        # split is gathered into a tensor
+        built = []
         calls = []
         subsets = []
         votes = []
@@ -462,6 +489,12 @@ class TestRunPipeline:
         real_subset = PredictionTensor.subset
         real_vote = pipeline.vote
         real_threshold = pipeline.auto_threshold
+        real_build = pipeline.build_pruning_socp
+
+        def recording_build(*args, **kwargs):
+            program, vmap = real_build(*args, **kwargs)
+            built.append(program.objective.tobytes())
+            return program, vmap
 
         def counting_solve(program, settings=None):
             calls.append(program)
@@ -476,19 +509,27 @@ class TestRunPipeline:
             return real_vote(casts, *args, **kwargs)
 
         def counting_threshold(w, casts, yv, candidates=None, **kwargs):
-            grid = (np.quantile(np.abs(w), np.linspace(0.0, 1.0, 20))
-                    if candidates is None else candidates)
+            grid = candidates
+            if grid is None:  # the default: quantiles of the nonzero |w|, or 0
+                grid = np.quantile(np.abs(w[w != 0]), np.linspace(0.0, 1.0, 20)) if w.any() else [0.0]
             searched.append(np.unique(grid).size)
             return real_threshold(w, casts, yv, candidates, **kwargs)
 
+        monkeypatch.setattr(pipeline, "build_pruning_socp", recording_build)
         monkeypatch.setattr(pipeline, "solve", counting_solve)
         monkeypatch.setattr(PredictionTensor, "subset", counting_subset)
         monkeypatch.setattr(pipeline, "vote", counting_vote)
         monkeypatch.setattr(pipeline, "auto_threshold", counting_threshold)
         spec = small_spec()
-        report = run_pipeline(spec, PruneConfig(simplex_mode=simplex, threshold=threshold))
-        assert len(calls) == solves
-        assert len(report.cells) == 25
+        config = PruneConfig(simplex_mode=simplex, threshold=threshold)
+        report = run_pipeline(spec, config)
+        assert len(report.cells) == len(built) == 25
+        solves = len(set(built))
+        assert sorted(p.objective.tobytes() for p in calls) == sorted(set(built))
+        if simplex:
+            assert solves == len(config.alpha_grid)
+        else:  # lambda drops out where lambda_max is 0
+            assert solves < len(built)
         # the surrogate and the class tables read the dataset tensor in blocks
         assert subsets == []
         # one vote per distinct candidate of each distinct program, all on
@@ -519,32 +560,57 @@ class TestRunPipeline:
         assert peak < 0.1 * t.probs.nbytes
 
     def test_selected_size_mostly_shrinks_with_lambda(self):
-        # free mode, where lambda enters the program, at fractions of
-        # lambda_max = ||c(alpha)||_inf (w = 0 at and above it): the support
-        # of w must not grow with lambda.  The auto-threshold kept count is
-        # reported only: a threshold of 0 keeps members of weight exactly 0.
-        alpha = 0.4
+        # free mode, where lambda enters the program: the support of w must
+        # not grow with lambda, and no member of weight 0 is kept.  The
+        # auto-threshold kept count is reported only.
+        alpha = 0.7
         trials = 10
         kept_shrinking = 0
         for seed in range(trials):
             t, y, splits = generate_synthetic_ensemble(small_spec(
                 num_models=6, num_samples=200, seed=seed))
-            surrogate = build_surrogate(t, y, splits.train_indices)
-            lam_max = float(np.abs(surrogate.combined_linear(alpha)).max())
             supports = []
             kept = []
-            for frac in (0.1, 0.5, 0.9):
-                config = PruneConfig(alpha_grid=(alpha,),
-                                     lambda_grid=(frac * lam_max,),
+            for lam in (0.1, 0.5, 0.9):
+                config = PruneConfig(alpha_grid=(alpha,), lambda_grid=(lam,),
                                      threshold="auto")
                 report = run_pipeline((t, y, splits), config)
                 supports.append(int(np.count_nonzero(np.abs(report.weights) > 1e-8)))
                 kept.append(report.num_models_pruned)
+                assert all(report.weights[i] != 0 for i in report.selected), (seed, lam)
             assert all(b <= a for a, b in zip(supports, supports[1:])), (seed, supports)
             if all(b <= a for a, b in zip(kept, kept[1:])):
                 kept_shrinking += 1
         print(f"auto-threshold kept count monotone in lambda on "
               f"{kept_shrinking}/{trials} seeds")
+
+    def test_zero_weight_members_are_not_kept(self):
+        # seed 4 at alpha 0.5, lambda 0.5 solves to w with 4 zero entries, and
+        # the full ensemble votes best on validation: candidates from all |w|
+        # (0 among them) would pick h = 0 and keep all 6, zero weights included
+        t, y, splits = generate_synthetic_ensemble(small_spec(
+            num_models=6, num_samples=200, seed=4))
+        report = run_pipeline((t, y, splits),
+                              PruneConfig(alpha_grid=(0.5,), lambda_grid=(0.5,)))
+        w = report.weights
+        assert 0 < np.count_nonzero(w) < 6
+        every_weight = np.quantile(np.abs(w), np.linspace(0.0, 1.0, 20))
+        casts, yv = t.classes(splits.valid_indices), y.subset(splits.valid_indices)
+        assert auto_threshold(w, casts, yv, every_weight)[0] == 0.0
+        assert report.threshold_used > 0
+        assert all(w[i] != 0 for i in report.selected)
+
+    def test_grid_of_zero_weights_is_a_domain_error(self):
+        # lambda = 1 is lambda_max itself, and at alpha 0 the program is
+        # linear with lambda_max = max(0, max_i -c_i(0))
+        t, y, splits = generate_synthetic_ensemble(small_spec())
+        surrogate = build_surrogate(t, y, splits.train_indices)
+        zero_alphas = tuple(a for a in (0.0, 0.05, 0.1, 0.2)
+                            if surrogate.combined_linear(a).min() >= 0)
+        assert zero_alphas
+        config = PruneConfig(alpha_grid=zero_alphas, lambda_grid=(0.1, 0.9))
+        with pytest.raises(DomainError, match=r"w = 0 .* at alpha \(0\.0"):
+            run_pipeline((t, y, splits), config)
 
 
 class TestBruteForceOracle:

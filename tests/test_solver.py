@@ -411,13 +411,14 @@ class TestSolverQuality:
         for _ in range(20):
             m = int(rng.integers(1, 6))
             c = rng.normal(size=m) * 2
-            lam = float(rng.uniform(0.0, 2.0))
+            lam = float(rng.uniform(0.0, 1.0))
             program, vmap = build_pruning_socp(
                 surrogate_from(np.eye(m), c), alpha=1.0, lam=lam
             )
             sol = solve(program)
             assert sol.status == STATUS_OPTIMAL
-            expected = -np.sign(c) * np.maximum(np.abs(c) - lam, 0.0) / 2.0
+            # nonnegative soft threshold at the penalty lam * lambda_max
+            expected = np.maximum(-c - lam * max(0.0, -c.min()), 0.0) / 2.0
             assert np.allclose(sol.x[list(vmap.x_indices)], expected, atol=1e-6)
 
     def test_lambda_path_quick(self, rng):
