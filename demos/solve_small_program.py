@@ -7,23 +7,22 @@ The answer is the distance from (3,4) to the diagonal, |3-4|/sqrt(2).
 
 import math
 
-import numpy as np
-
-from socprune import ProgramBuilder, QUADRATIC, SolverSettings, kkt_residuals, solve
+from socprune import QUADRATIC, Cone, ConeProgram, SolverSettings, kkt_residuals, solve
 
 
 def main():
-    builder = ProgramBuilder()
-    t = builder.add_variable()
-    v = builder.add_variables(2)
-    x = builder.add_variables(2)
-    builder.mark_free(x)
-    builder.add_cone(QUADRATIC, [t, v[0], v[1]])
-    for i, a in enumerate((3.0, 4.0)):
-        builder.add_equality([v[i], x[i]], [1.0, -1.0], -a)
-    builder.add_equality([x[0], x[1]], [1.0, -1.0], 0.0)
-    builder.set_objective(t, 1.0)
-    program = builder.build()
+    # variables: t, v = x - (3, 4), and the free point x
+    t, v, x = 0, (1, 2), (3, 4)
+    program = ConeProgram(
+        num_vars=5,
+        objective=[1.0, 0.0, 0.0, 0.0, 0.0],
+        eq_A=[[0.0, 1.0, 0.0, -1.0, 0.0],   # v0 - x0 = -3
+              [0.0, 0.0, 1.0, 0.0, -1.0],   # v1 - x1 = -4
+              [0.0, 0.0, 0.0, 1.0, -1.0]],  # x0 - x1 = 0
+        eq_b=[-3.0, -4.0, 0.0],
+        cones=(Cone(QUADRATIC, (t, *v)),),
+        free_vars=x,
+    )
 
     print(f"program: {program.num_vars} variables, {program.num_eqs} equalities")
     sol = solve(program, SolverSettings(verbose=True))

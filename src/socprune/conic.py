@@ -213,68 +213,6 @@ def cholesky_lower(Q, ridge: float = 0.0) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from None
 
 
-class ProgramBuilder:
-    """Incremental ConeProgram assembly: variables, triplet equalities, cones."""
-
-    def __init__(self):
-        self._num_vars = 0
-        self._obj = {}
-        # (rows, cols, vals) arrays per equality row; the empty first triple
-        # keeps the index arrays integer when no row is added
-        self._entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-        self._rhs = []
-        self._cones = []
-        self._free = []
-
-    def add_variables(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise MalformedProgram("variable count must be nonnegative")
-        start = self._num_vars
-        self._num_vars += int(count)
-        return np.arange(start, self._num_vars)
-
-    def add_variable(self) -> int:
-        return int(self.add_variables(1)[0])
-
-    def set_objective(self, index: int, coeff: float):
-        self._obj[int(index)] = float(coeff)
-
-    def add_equality(self, cols, vals, rhs: float):
-        cols = np.array(cols, dtype=np.int64, ndmin=1)
-        vals = np.array(vals, dtype=np.float64, ndmin=1)
-        if cols.shape != vals.shape:
-            raise ShapeMismatch("equality columns and values differ in length")
-        row = len(self._rhs)
-        self._entries.append((np.full(cols.size, row), cols, vals))
-        self._rhs.append(float(rhs))
-        return row
-
-    def add_cone(self, kind: str, indices):
-        self._cones.append(Cone(kind=kind, var_indices=tuple(int(i) for i in np.atleast_1d(indices))))
-
-    def mark_free(self, indices):
-        self._free.extend(int(i) for i in np.atleast_1d(indices))
-
-    def build(self) -> ConeProgram:
-        n = self._num_vars
-        objective = np.zeros(n)
-        for i, v in self._obj.items():
-            objective[i] = v
-        rows, cols, vals = (np.concatenate(part) for part in zip(*self._entries))
-        if cols.size and not 0 <= cols.min() <= cols.max() < n:
-            raise MalformedProgram("equality column out of range")
-        eq_A = np.zeros((len(self._rhs), n))
-        np.add.at(eq_A, (rows, cols), vals)
-        return ConeProgram(
-            num_vars=n,
-            objective=objective,
-            eq_A=eq_A,
-            eq_b=np.asarray(self._rhs, dtype=np.float64),
-            cones=tuple(self._cones),
-            free_vars=tuple(self._free),
-        )
-
-
 @dataclass(frozen=True)
 class VariableMap:
     """Where the pruning program's named quantities live in the variable array."""

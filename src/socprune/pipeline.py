@@ -272,11 +272,16 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
     return PredictionTensor._adopt(probs), LabelVector(labels=labels, num_classes=num_c), splits
 
 
-def _solve_weights(program, vmap):
+def _solve_weights(program, vmap, simplex):
+    x = np.asarray(vmap.x_indices)
+    # without the sum row no weight lowers a cost that is >= 0 on every
+    # weight (lambda = 1, or lambda_max = 0), so x = 0, t = 0 is optimal
+    if not simplex and program.objective[x].min() >= 0:
+        return np.zeros(x.size)
     sol = solve(program)
     if sol.status != STATUS_OPTIMAL:
         raise FitFailed(sol.status)
-    return sol.x[np.asarray(vmap.x_indices)]
+    return sol.x[x]
 
 
 def fit_weights(t, y, alpha, lam, *, samples=None, simplex=False):
@@ -286,7 +291,7 @@ def fit_weights(t, y, alpha, lam, *, samples=None, simplex=False):
     """
     surrogate = build_surrogate(t, y, samples)
     program, vmap = build_pruning_socp(surrogate, alpha, lam, simplex=simplex)
-    return _solve_weights(program, vmap)
+    return _solve_weights(program, vmap, simplex)
 
 
 def prune_by_threshold(w, h):
@@ -396,7 +401,7 @@ def _run_grid(t, y, splits, config):
     def evaluate(program, vmap):
         # (w, h, kept, accuracy, status); failed cells carry w=None and -1.0
         try:
-            w = _solve_weights(program, vmap)
+            w = _solve_weights(program, vmap, config.simplex_mode)
         except FitFailed as exc:
             return None, -1.0, 0, -1.0, f"failed: {exc.status}"
         h, acc = auto_threshold(w, casts, yv, candidates)

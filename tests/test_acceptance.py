@@ -16,7 +16,8 @@ from socprune import cli
 from socprune.conic import (
     NONNEG_ORTHANT,
     QUADRATIC,
-    ProgramBuilder,
+    Cone,
+    ConeProgram,
     build_pruning_socp,
     cholesky_lower,
     cone_margin,
@@ -360,13 +361,10 @@ def test_cli_byte_identical_across_repeated_runs(tmp_path, capsys):
         if (data_a / name).read_bytes() != (data_b / name).read_bytes():
             mismatches.append(f"gen:{name}")
 
-    builder = ProgramBuilder()
-    x = builder.add_variables(2)
-    builder.add_cone(NONNEG_ORTHANT, x)
-    builder.add_equality(x, [1.0, 1.0], 1.0)
-    builder.set_objective(x[0], 1.0)
+    program = ConeProgram(num_vars=2, objective=[1, 0], eq_A=[[1, 1]], eq_b=[1],
+                          cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
     program_file = tmp_path / "program.sp"
-    write_cone_program(builder.build(), program_file)
+    write_cone_program(program, program_file)
 
     data = str(data_a)
     argvs = {

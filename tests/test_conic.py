@@ -17,7 +17,6 @@ from socprune.conic import (
     ROTATED_QUADRATIC,
     Cone,
     ConeProgram,
-    ProgramBuilder,
     build_pruning_socp,
     cholesky_lower,
     cone_margin,
@@ -367,14 +366,6 @@ class TestStructuralValidation:
         with pytest.raises(MalformedProgram, match="objective is not a dense numeric"):
             build(objective=[0.0, [1.0]])
 
-    @pytest.mark.parametrize("col", [-1, 2])
-    def test_builder_rejects_equality_column_out_of_range(self, col):
-        builder = ProgramBuilder()
-        builder.add_cone(NONNEG_ORTHANT, builder.add_variables(2))
-        builder.add_equality([col], [1.0], 1.0)
-        with pytest.raises(MalformedProgram):
-            builder.build()
-
     def test_cli_import_leaves_out_sparse_and_special(self):
         # the package's only scipy part is scipy.linalg
         env = {**os.environ, "PYTHONPATH": str(Path(conic.__file__).parents[1])}
@@ -388,8 +379,6 @@ class TestStructuralValidation:
         with pytest.raises(MalformedProgram):
             Cone(kind=ROTATED_QUADRATIC, var_indices=(0, 1))
 
-    def test_builder_rejects_unknown_kind(self):
-        builder = ProgramBuilder()
-        builder.add_variables(2)
-        with pytest.raises(MalformedProgram):
-            builder.add_cone("simplex", [0, 1])
+    def test_cone_rejects_unknown_kind(self):
+        with pytest.raises(MalformedProgram, match="unknown cone kind 'simplex'"):
+            Cone(kind="simplex", var_indices=(0, 1))

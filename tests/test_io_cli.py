@@ -18,7 +18,7 @@ import pytest
 
 from socprune import cli, pipeline
 from socprune import io as dataio
-from socprune.conic import NONNEG_ORTHANT, QUADRATIC, ProgramBuilder, write_cone_program
+from socprune.conic import NONNEG_ORTHANT, QUADRATIC, Cone, ConeProgram, write_cone_program
 from socprune.core import EXACT_FORMAT, LabelVector, PredictionTensor, SplitSpec, format_exact
 from socprune.errors import (
     DomainError,
@@ -835,11 +835,12 @@ def gen_args(out, seed=0):
 
 def program_text(**replace):
     """A two-variable LP file with the named lines replaced."""
-    lines = dict(vars="vars 2", eqs="eqs 1", objective="objective 1\n0 1", cones="cones 1",
+    lines = dict(vars="vars 2", eqs="eqs 1", objective="objective 1\n0 1",
+                 eq_entries="eq_entries 2\n0 0 1\n0 1 1", cones="cones 1",
                  cone="nonneg_orthant 2 0 1", free="free 0", end="end")
     lines.update(replace)
     return (f"socprune-cone-program 1\n{lines['vars']}\n{lines['eqs']}\n"
-            f"{lines['objective']}\neq_entries 2\n0 0 1\n0 1 1\neq_rhs 1\n1\n"
+            f"{lines['objective']}\n{lines['eq_entries']}\neq_rhs 1\n1\n"
             f"{lines['cones']}\n{lines['cone']}\n{lines['free']}\n{lines['end']}\n")
 
 
@@ -897,12 +898,9 @@ class TestCli:
         assert payload["threshold_used"] == 0.05
 
     def test_solve_program_file(self, tmp_path, capsys):
-        builder = ProgramBuilder()
-        x = builder.add_variables(2)
-        builder.add_cone(NONNEG_ORTHANT, x)
-        builder.add_equality(x, [1.0, 1.0], 1.0)
-        builder.set_objective(x[0], 1.0)
-        write_cone_program(builder.build(), tmp_path / "p.sp")
+        program = ConeProgram(num_vars=2, objective=[1, 0], eq_A=[[1, 1]], eq_b=[1],
+                              cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
+        write_cone_program(program, tmp_path / "p.sp")
         code, out, _ = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -910,11 +908,9 @@ class TestCli:
         assert payload["objective"] == pytest.approx(0.0, abs=1e-6)
 
     def test_solve_unbounded_exit_code(self, tmp_path, capsys):
-        builder = ProgramBuilder()
-        x = builder.add_variable()
-        builder.mark_free([x])
-        builder.set_objective(x, -1.0)
-        write_cone_program(builder.build(), tmp_path / "p.sp")
+        program = ConeProgram(num_vars=1, objective=[-1], eq_A=np.zeros((0, 1)), eq_b=[],
+                              cones=(), free_vars=(0,))
+        write_cone_program(program, tmp_path / "p.sp")
         code, out, _ = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         assert code == 3
         assert json.loads(out)["status"] == "unbounded"
@@ -930,12 +926,9 @@ class TestCli:
 
     def test_solve_overflow_exit_3_with_null_for_non_finite(self, tmp_path, capsys):
         # x's overflows: status numerical, and JSON has no NaN, so the gap is null
-        builder = ProgramBuilder()
-        x = builder.add_variables(2)
-        builder.add_cone(NONNEG_ORTHANT, x)
-        builder.set_objective(x[0], 1e200)
-        builder.set_objective(x[1], 2e200)
-        write_cone_program(builder.build(), tmp_path / "p.sp")
+        program = ConeProgram(num_vars=2, objective=[1e200, 2e200], eq_A=np.zeros((0, 2)),
+                              eq_b=[], cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
+        write_cone_program(program, tmp_path / "p.sp")
         code, out, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         assert code == 3 and err == ""
         payload = json.loads(out)
@@ -945,14 +938,10 @@ class TestCli:
 
     def test_tol_reaches_the_solver(self, tmp_path, capsys):
         # min x0 over the cone x0 >= ||(x1, x2)|| with x1 = 1, x2 = 2
-        builder = ProgramBuilder()
-        x = builder.add_variables(3)
-        builder.add_cone(QUADRATIC, x)
-        builder.add_equality([x[1]], [1.0], 1.0)
-        builder.add_equality([x[2]], [1.0], 2.0)
-        builder.set_objective(x[0], 1.0)
+        program = ConeProgram(num_vars=3, objective=[1, 0, 0], eq_A=[[0, 1, 0], [0, 0, 1]],
+                              eq_b=[1, 2], cones=(Cone(QUADRATIC, (0, 1, 2)),), free_vars=())
         path = str(tmp_path / "p.sp")
-        write_cone_program(builder.build(), path)
+        write_cone_program(program, path)
         code, out, _ = run_cli(["solve", path], capsys)
         assert code == 0
         default = json.loads(out)
@@ -1004,6 +993,8 @@ class TestCli:
         ({"objective": "objective 2\n0 1.0\n0 -1.0"}, "line 6: objective index 0 repeated"),
         ({"cone": "nonneg_orthant 2 0 2"}, "line 12: cone index must be in [0, 2)"),
         ({"cone": "nonneg_orthant 2 -1 1"}, "line 12: cone index must be in [0, 2)"),
+        ({"eq_entries": "eq_entries 2\n0 0 1\n0 2 1"}, "line 8: equality column must be in [0, 2)"),
+        ({"eq_entries": "eq_entries 2\n0 0 1\n0 -1 1"}, "line 8: equality column must be in [0, 2)"),
         # more variables than the cones list; must fail before sizing arrays by it
         ({"vars": "vars 1000000000000", "cone": "nonneg_orthant 1 0"},
          "line 2: vars 1000000000000 exceeds"),
@@ -1024,7 +1015,8 @@ class TestCli:
          "line 15: structurally invalid program: variable 1 appears in 0"),
         ({"end": "fin"}, "line 14: expected 'end', got 'fin'"),
     ], ids=["valid", "bare_vars", "negative_vars", "negative_eqs", "repeated_objective",
-            "cone_index_too_large", "negative_cone_index", "vars_beyond_cones",
+            "cone_index_too_large", "negative_cone_index", "eq_column_too_large",
+            "negative_eq_column", "vars_beyond_cones",
             "wrong_keyword", "rhs_count", "field_count", "short_cone_line", "cone_dim",
             "unknown_cone_kind", "repeated_cone_index", "rotated_dim_2", "var_in_two_cones",
             "var_in_no_cone", "missing_end"])
@@ -1080,17 +1072,20 @@ class TestCli:
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"{float(lam)}" in err and "[0, 1]" in err
 
-    @pytest.mark.parametrize("argv", [["run", "DATA", "--alpha", "0.1"],
-                                      ["prune", "DATA", "--alpha", "0.1"]],
-                             ids=["run", "prune"])
-    def test_grid_of_zero_weights_exit_2(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, grid", [
+        (["run", "DATA", "--alpha", "0.1"], "alpha (0.1,)"),
+        (["prune", "DATA", "--alpha", "0.1"], "alpha (0.1,)"),
+        (["prune", "DATA", "--lambda", "1"], "lambda (1.0,)"),
+    ], ids=["run", "prune", "prune_lambda_1"])
+    def test_grid_of_zero_weights_exit_2(self, tmp_path, capsys, argv, grid):
         # at alpha 0.1 no entry of this dataset's linear term is negative:
-        # lambda_max is 0 and every cell solves to w = 0
+        # lambda_max is 0 and every cell is w = 0; at lambda 1 no weight
+        # lowers the cost, so w = 0 exactly, not the noise of a solve
         run_cli(gen_args(tmp_path / "DATA"), capsys)
         argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
-        assert err.startswith("error: every grid cell solved to w = 0") and "alpha (0.1,)" in err
+        assert err.startswith("error: every grid cell solved to w = 0") and grid in err
         code, out, _ = run_cli(argv[:2] + ["--format", "csv-summary"], capsys)
         assert code == 0 and out.splitlines()[1].split(",")[3] != "6"
 
@@ -1214,13 +1209,9 @@ class TestCliDeterminism:
         assert first == second and first
 
     def test_solve_byte_identical(self, tmp_path, capsys):
-        builder = ProgramBuilder()
-        x = builder.add_variables(2)
-        builder.add_cone(NONNEG_ORTHANT, x)
-        builder.add_equality(x, [1.0, 2.0], 2.0)
-        builder.set_objective(x[0], 3.0)
-        builder.set_objective(x[1], 1.0)
-        write_cone_program(builder.build(), tmp_path / "p.sp")
+        program = ConeProgram(num_vars=2, objective=[3, 1], eq_A=[[1, 2]], eq_b=[2],
+                              cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
+        write_cone_program(program, tmp_path / "p.sp")
         _, first, _ = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         _, second, _ = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
         assert first == second and first

@@ -196,11 +196,27 @@ class TestFitWeights:
         assert abs(w.sum() - 1.0) < 1e-7
         assert w.min() >= -1e-7
 
+    def test_lambda_one_free_mode_is_exact_zero_without_a_solve(self, rng, monkeypatch):
+        # no weight has a negative cost at lambda = 1, so x = 0 is optimal
+        # without a solve; in simplex mode the sum row rules x = 0 out, even
+        # at alpha 0.1, where lambda_max is 0 and no weight cost is negative
+        t, y = random_instance(rng, 3, 30, 3)
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda program: calls.append(program))
+        for alpha in (0.1, 0.9):
+            w = fit_weights(t, y, alpha=alpha, lam=1.0)
+            assert w.tolist() == [0.0] * 3
+        assert calls == []
+        monkeypatch.undo()
+        w = fit_weights(t, y, alpha=0.1, lam=1.0, simplex=True)
+        assert abs(w.sum() - 1.0) < 1e-7
+
     def test_fit_failed_surfaces_status(self, rng, monkeypatch):
+        # at alpha 0.9 lambda_max is positive, so lambda 0.1 needs a solve
         t, y = random_instance(rng, 3, 30, 3)
         monkeypatch.setattr(pipeline, "solve", one_iteration_solve)
         with pytest.raises(FitFailed) as exc:
-            fit_weights(t, y, alpha=0.4, lam=0.1)
+            fit_weights(t, y, alpha=0.9, lam=0.1)
         assert "max_iters" in str(exc.value)
 
 
@@ -440,7 +456,8 @@ class TestCrossValidate:
         splits = SplitSpec(train_indices=np.arange(30),
                            valid_indices=np.arange(30, 40),
                            test_indices=np.arange(40, 50))
-        config = PruneConfig(alpha_grid=(0.3,), lambda_grid=(0.5,))
+        # at alpha 0.9 lambda_max is positive, so the cell needs a solve
+        config = PruneConfig(alpha_grid=(0.9,), lambda_grid=(0.5,))
         monkeypatch.setattr(pipeline, "solve", one_iteration_solve)
         with pytest.raises(AllCellsFailed):
             cross_validate(t, y, splits, config)
@@ -478,10 +495,12 @@ class TestRunPipeline:
     def test_grid_solves_each_distinct_program_once(self, monkeypatch, simplex, threshold):
         # each distinct objective of the default 5x5 grid is solved once:
         # simplex mode drops lambda from the program, so there is one per
-        # alpha; each distinct program gets one threshold search on the one
+        # alpha; free mode solves only where a weight has a negative cost;
+        # each distinct program gets one threshold search on the one
         # validation split, and the winner is not refit or voted again; no
         # split is gathered into a tensor
         built = []
+        costly = set()  # objectives with a negative weight cost
         calls = []
         subsets = []
         votes = []
@@ -494,6 +513,8 @@ class TestRunPipeline:
         def recording_build(*args, **kwargs):
             program, vmap = real_build(*args, **kwargs)
             built.append(program.objective.tobytes())
+            if program.objective[list(vmap.x_indices)].min() < 0:
+                costly.add(built[-1])
             return program, vmap
 
         def counting_solve(program, settings=None):
@@ -524,23 +545,25 @@ class TestRunPipeline:
         config = PruneConfig(simplex_mode=simplex, threshold=threshold)
         report = run_pipeline(spec, config)
         assert len(report.cells) == len(built) == 25
-        solves = len(set(built))
-        assert sorted(p.objective.tobytes() for p in calls) == sorted(set(built))
+        distinct = len(set(built))
+        solved = sorted(p.objective.tobytes() for p in calls)
         if simplex:
-            assert solves == len(config.alpha_grid)
-        else:  # lambda drops out where lambda_max is 0
-            assert solves < len(built)
+            assert distinct == len(config.alpha_grid)
+            assert solved == sorted(set(built))
+        else:  # where lambda_max is 0, lambda drops out and w = 0 needs no solve
+            assert distinct < len(built)
+            assert solved == sorted(costly) and 0 < len(costly) < distinct
         # the surrogate and the class tables read the dataset tensor in blocks
         assert subsets == []
         # one vote per distinct candidate of each distinct program, all on
         # one validation class table, then the full and the pruned ensemble
         # on the test split's
-        assert len(searched) == solves
+        assert len(searched) == distinct
         assert len(votes) == sum(searched) + 2
         assert len({id(casts) for casts in votes[:-2]}) == 1
         assert votes[-1] is votes[-2] is not votes[0]
         if threshold != "auto":
-            assert searched == [1] * solves
+            assert searched == [1] * distinct
             assert {c.threshold for c in report.cells} == {threshold}
 
     def test_peak_memory_is_a_fraction_of_the_tensor(self, rng):

@@ -12,8 +12,8 @@ from socprune.conic import (
     Cone,
     ConeProgram,
     ConicSolution,
-    ProgramBuilder,
     build_pruning_socp,
+    cholesky_lower,
     qp_to_socp,
 )
 from socprune.errors import MalformedProgram, ShapeMismatch
@@ -46,28 +46,17 @@ def surrogate_from(quad, lin, ridge=0.0):
 
 def norm_program(pin_x=False):
     """min t  s.t.  ||x - (3,4)|| <= t, optionally with x pinned to 0."""
-    builder = ProgramBuilder()
-    t = builder.add_variable()
-    v = builder.add_variables(2)
-    x = builder.add_variables(2)
-    builder.set_objective(t, 1.0)
-    builder.add_cone(QUADRATIC, [t, int(v[0]), int(v[1])])
-    builder.mark_free([int(x[0]), int(x[1])])
-    builder.add_equality([int(v[0]), int(x[0])], [1.0, -1.0], -3.0)
-    builder.add_equality([int(v[1]), int(x[1])], [1.0, -1.0], -4.0)
-    if pin_x:
-        builder.add_equality([int(x[0])], [1.0], 0.0)
-        builder.add_equality([int(x[1])], [1.0], 0.0)
-    return builder.build()
+    # variables: t, v = x - (3,4), free x
+    rows = [[0, 1, 0, -1, 0], [0, 0, 1, 0, -1]] + [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]] * pin_x
+    return ConeProgram(num_vars=5, objective=[1, 0, 0, 0, 0], eq_A=rows,
+                       eq_b=[-3, -4] + [0, 0] * pin_x,
+                       cones=(Cone(QUADRATIC, (0, 1, 2)),), free_vars=(3, 4))
 
 
 class TestClosedFormCases:
     def test_lp_corner(self):
-        builder = ProgramBuilder()
-        x = builder.add_variable()
-        builder.set_objective(x, 1.0)
-        builder.add_cone(NONNEG_ORTHANT, [x])
-        sol = solve(builder.build())
+        sol = solve(ConeProgram(num_vars=1, objective=[1], eq_A=np.zeros((0, 1)), eq_b=[],
+                                cones=(Cone(NONNEG_ORTHANT, (0,)),), free_vars=()))
         assert sol.status == STATUS_OPTIMAL
         assert abs(sol.x[0]) < 1e-7
 
@@ -96,28 +85,71 @@ class TestClosedFormCases:
 
     def test_rotated_cone_closed_form(self):
         # min u+v  s.t.  2uv >= w^2, w = 1: optimum u=v=1/sqrt(2)
-        builder = ProgramBuilder()
-        u = builder.add_variable()
-        v = builder.add_variable()
-        w = builder.add_variable()
-        builder.set_objective(u, 1.0)
-        builder.set_objective(v, 1.0)
-        builder.add_cone(ROTATED_QUADRATIC, [u, v, w])
-        builder.add_equality([w], [1.0], 1.0)
-        sol = solve(builder.build())
+        program = ConeProgram(num_vars=3, objective=[1, 1, 0], eq_A=[[0, 0, 1]], eq_b=[1],
+                              cones=(Cone(ROTATED_QUADRATIC, (0, 1, 2)),), free_vars=())
+        sol = solve(program)
         assert sol.status == STATUS_OPTIMAL
         root_half = 1.0 / np.sqrt(2.0)
         assert np.allclose(sol.x[:2], [root_half, root_half], atol=1e-6)
 
+    def test_one_dimensional_quadratic_cone(self):
+        # min x0 + x1  s.t.  x0 in Q^1 (x0 >= 0), x1 >= 0, x0 + 2 x1 = 2: x = (0, 1)
+        program = ConeProgram(num_vars=2, objective=[1, 1], eq_A=[[1, 2]], eq_b=[2],
+                              cones=(Cone(QUADRATIC, (0,)), Cone(NONNEG_ORTHANT, (1,))),
+                              free_vars=())
+        sol = solve(program)
+        assert sol.status == STATUS_OPTIMAL
+        assert np.allclose(sol.x, [0.0, 1.0], atol=1e-7)
+
+
+def free_sign_l1_program(quad, lin, alpha, penalty):
+    """min alpha*t + lin'x + penalty*sum(u)  s.t.  t >= x'quad x, u_i >= |x_i|.
+
+    The sign-free L1 pruning program: x is free in sign, each u_i >= |x_i|
+    is a 2-dimensional quadratic cone, and t >= x'quad x is the epigraph
+    cone over aux = (1 + t, 2 R x, 1 - t) with R'R = quad, t >= 0.
+    """
+    m = len(lin)
+    # variables: x = 0..m-1, t = m, u = m+1..2m, aux = 2m+1..3m+2
+    t, u, aux = m, range(m + 1, 2 * m + 1), np.arange(2 * m + 1, 3 * m + 3)
+    objective = np.concatenate((lin, [alpha], np.full(m, penalty), np.zeros(m + 2)))
+    A = np.zeros((m + 2, objective.size))
+    A[np.arange(m + 2), aux] = 1.0
+    A[[0, m + 1], t] = -1.0, 1.0
+    A[1:m + 1, :m] = -2.0 * cholesky_lower(quad).T
+    b = np.zeros(m + 2)
+    b[[0, m + 1]] = 1.0
+    cones = (Cone(QUADRATIC, aux), *(Cone(QUADRATIC, (ui, i)) for i, ui in enumerate(u)),
+             Cone(NONNEG_ORTHANT, (t,)))
+    return ConeProgram(num_vars=objective.size, objective=objective, eq_A=A, eq_b=b,
+                       cones=cones, free_vars=())
+
+
+class TestTwoDimensionalCones:
+    def test_sign_free_l1_programs_solve_to_machine_precision(self):
+        # no pruning program has 2-d quadratic cones, so these user programs
+        # guard the solver's path that puts u >= |x| in the orthant as
+        # u + x >= 0, u - x >= 0; without it some instance ends numerical
+        # and the polish is not adopted (residuals near tol, 1e-8)
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(60):
+            m = int(rng.integers(2, 41))
+            g = rng.normal(size=(m, m))
+            quad = g @ g.T / m + 1e-3 * np.eye(m)
+            lin = rng.normal(size=m)
+            alpha = rng.uniform(0.2, 1.0)
+            program = free_sign_l1_program(quad, alpha * lin, alpha, rng.uniform(0.01, 1.5))
+            sol = solve(program)
+            assert sol.status == STATUS_OPTIMAL
+            worst = max(worst, *kkt_residuals(program, sol))
+        assert worst <= 1e-10
+
 
 def lp_with_stored_zero_row():
     """min x0 over x0 >= 0 with the row 0.0 * x0 = 1 stored explicitly."""
-    builder = ProgramBuilder()
-    x = builder.add_variable()
-    builder.add_cone(NONNEG_ORTHANT, [x])
-    builder.set_objective(x, 1.0)
-    builder.add_equality([x], [0.0], 1.0)
-    return builder.build()
+    return ConeProgram(num_vars=1, objective=[1], eq_A=[[0]], eq_b=[1],
+                       cones=(Cone(NONNEG_ORTHANT, (0,)),), free_vars=())
 
 
 def qp_with_zero_row():
@@ -128,20 +160,14 @@ def qp_with_zero_row():
 
 def infeasible_lp():
     """x0 = -1 over x0 >= 0."""
-    builder = ProgramBuilder()
-    x = builder.add_variable()
-    builder.add_cone(NONNEG_ORTHANT, [x])
-    builder.add_equality([x], [1.0], -1.0)
-    return builder.build()
+    return ConeProgram(num_vars=1, objective=[0], eq_A=[[1]], eq_b=[-1],
+                       cones=(Cone(NONNEG_ORTHANT, (0,)),), free_vars=())
 
 
 def unbounded_lp():
     """min -x0 over x0 >= 0."""
-    builder = ProgramBuilder()
-    x = builder.add_variable()
-    builder.set_objective(x, -1.0)
-    builder.add_cone(NONNEG_ORTHANT, [x])
-    return builder.build()
+    return ConeProgram(num_vars=1, objective=[-1], eq_A=np.zeros((0, 1)), eq_b=[],
+                       cones=(Cone(NONNEG_ORTHANT, (0,)),), free_vars=())
 
 
 def pruning_program():
@@ -153,14 +179,9 @@ def pruning_program():
 
 def free_program(objective, rows=(), rhs=()):
     """min objective'x over free x subject to rows x = rhs."""
-    builder = ProgramBuilder()
-    x = builder.add_variables(len(objective))
-    builder.mark_free(x)
-    for i, coeff in enumerate(objective):
-        builder.set_objective(i, coeff)
-    for row, value in zip(rows, rhs):
-        builder.add_equality(x, row, value)
-    return builder.build()
+    n = len(objective)
+    return ConeProgram(num_vars=n, objective=objective, eq_A=np.reshape(rows, (-1, n)),
+                       eq_b=rhs, cones=(), free_vars=range(n))
 
 
 class TestStatuses:
@@ -226,12 +247,9 @@ class TestStatuses:
     def test_overflowing_iterate_ends_as_numerical(self, scale):
         # x's overflows at the starting point, so the KKT right-hand side is
         # not finite: the solve ends as numerical instead of raising
-        builder = ProgramBuilder()
-        x = builder.add_variables(2)
-        builder.add_cone(NONNEG_ORTHANT, x)
-        builder.set_objective(x[0], scale)
-        builder.set_objective(x[1], 2 * scale)
-        sol = solve(builder.build())
+        sol = solve(ConeProgram(num_vars=2, objective=[scale, 2 * scale],
+                                eq_A=np.zeros((0, 2)), eq_b=[],
+                                cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=()))
         assert (sol.status, sol.iterations) == (STATUS_NUMERICAL, 0)
         assert np.isnan(sol.gap)
 
@@ -327,14 +345,9 @@ class TestKktSolver:
 
 class TestKktResiduals:
     def equality_lp(self):
-        builder = ProgramBuilder()
-        x = builder.add_variables(2)
-        builder.set_objective(int(x[0]), 1.0)
-        builder.set_objective(int(x[1]), 1.0)
-        builder.add_cone(NONNEG_ORTHANT, [int(x[0])])
-        builder.add_cone(NONNEG_ORTHANT, [int(x[1])])
-        builder.add_equality([int(x[0]), int(x[1])], [1.0, -1.0], 0.0)
-        return builder.build()
+        return ConeProgram(num_vars=2, objective=[1, 1], eq_A=[[1, -1]], eq_b=[0],
+                           cones=(Cone(NONNEG_ORTHANT, (0,)), Cone(NONNEG_ORTHANT, (1,))),
+                           free_vars=())
 
     def hand_solution(self, x):
         return ConicSolution(
