@@ -273,67 +273,6 @@ def build_pruning_socp(
     return program, VariableMap(x_indices=tuple(range(m)), t_index=t)
 
 
-@dataclass(eq=False)
-class QpConeForm:
-    """Cone form of a convex QP plus the data needed to map back.
-
-    The program minimizes the epigraph head u0 of ``||R x + v||`` with
-    R'R = Q and v = (1/2) R^{-T} a; the original QP value at the optimum is
-    ``u0^2 + shift`` with ``shift = beta - (1/4) a' Q^{-1} a``.
-    """
-
-    program: ConeProgram
-    x_indices: tuple
-    epigraph_index: int
-    shift: float
-
-    def qp_value(self, solution) -> float:
-        u0 = float(np.asarray(solution.x)[self.epigraph_index])
-        return u0 * u0 + self.shift
-
-    def minimizer(self, solution) -> np.ndarray:
-        return np.asarray(solution.x)[list(self.x_indices)]
-
-
-def qp_to_socp(Q, a, beta: float, A=None, b=None) -> QpConeForm:
-    """Rewrite min x'Qx + a'x + beta s.t. Ax = b as a cone program.
-
-    Q must be symmetric positive definite.  The returned objective is the
-    scalar epigraph head; recover the QP optimum as head^2 + shift (see
-    QpConeForm.qp_value).
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    n = Q.shape[0]
-    a = np.zeros(n) if a is None else np.asarray(a, dtype=np.float64)
-    if a.shape != (n,):
-        raise ShapeMismatch(f"linear term has shape {a.shape}, expected ({n},)")
-    L = cholesky_lower(Q, 0.0)
-    v = scipy.linalg.solve_triangular(L, 0.5 * a, lower=True)
-    shift = float(beta) - float(v @ v)
-
-    if A is None:
-        A = np.zeros((0, n))
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[1] != n:
-        raise ShapeMismatch(f"constraint matrix has shape {A.shape}, expected (*, {n})")
-    b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
-    if b.shape != (A.shape[0],):
-        raise ShapeMismatch(f"rhs has shape {b.shape}, expected ({A.shape[0]},)")
-
-    # variables: x (free), head, tail; R x - tail = -v, so tail = R x + v
-    # and ||tail|| <= head
-    objective = np.zeros(2 * n + 1)
-    objective[n] = 1.0
-    eq_A = np.zeros((n + A.shape[0], 2 * n + 1))
-    eq_A[:n, :n] = L.T  # R
-    eq_A[np.arange(n), np.arange(n + 1, 2 * n + 1)] = -1.0
-    eq_A[n:, :n] = A
-    program = ConeProgram(num_vars=2 * n + 1, objective=objective, eq_A=eq_A,
-                          eq_b=np.concatenate((-v, b)),
-                          cones=(Cone(QUADRATIC, range(n, 2 * n + 1)),), free_vars=range(n))
-    return QpConeForm(program=program, x_indices=tuple(range(n)), epigraph_index=n, shift=shift)
-
-
 def serialize_cone_program(p: ConeProgram) -> str:
     """Versioned newline-delimited text form; round-trips to 1e-12."""
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]

@@ -388,7 +388,8 @@ def _run_grid(t, y, splits, config):
     mode, so the program is keyed by its objective.  Lambda drops out of
     the objective in simplex mode and wherever lambda_max is 0, so each
     such alpha is solved once.  A fixed threshold is the search's one
-    candidate.  A grid whose every solved cell has w = 0 would prune
+    candidate.  A cell with w = 0 is recorded but cannot win: it would
+    keep every member at h = 0.  A grid with no nonzero cell would prune
     nothing and is a DomainError.
     """
     splits.validate_against(t.num_samples)
@@ -425,12 +426,12 @@ def _run_grid(t, y, splits, config):
                 num_pruned=kept, status=status,
             ))
             rank = (-acc, kept, li, ai)
-            if w is not None and (best_key is None or rank < best_key):
+            if w is not None and w.any() and (best_key is None or rank < best_key):
                 best_key = rank
                 best = (alpha, lam, w, h)
-    if best is None:
+    if all(w is None for w, *_ in outcomes.values()):
         raise AllCellsFailed("every grid cell failed to fit")
-    if not any(w is not None and w.any() for w, *_ in outcomes.values()):
+    if best is None:
         raise DomainError(f"every grid cell solved to w = 0 and would prune nothing, at "
                           f"alpha {config.alpha_grid} and lambda {config.lambda_grid}: "
                           "choose an alpha nearer 1 or a lambda below 1")

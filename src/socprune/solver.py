@@ -153,25 +153,17 @@ class _SocScale:
         q = wbar.copy()
         q[1:] = -q[1:]
         self.q = q
-        self.lam = self.mul_winv(x)
+        self.lam = self.mul(x, -1)
 
-    def mul_w(self, z: np.ndarray) -> np.ndarray:
+    def mul(self, z: np.ndarray, sign: int) -> np.ndarray:
+        """W z for sign +1, W^-1 z for sign -1."""
         w0 = self.wbar[0]
         w1 = self.wbar[1:]
         dot = w1 @ z[1:]
         out = np.empty_like(z)
-        out[0] = w0 * z[0] + dot
-        out[1:] = z[1:] + (z[0] + dot / (1.0 + w0)) * w1
-        return self.eta * out
-
-    def mul_winv(self, z: np.ndarray) -> np.ndarray:
-        w0 = self.wbar[0]
-        w1 = self.wbar[1:]
-        dot = w1 @ z[1:]
-        out = np.empty_like(z)
-        out[0] = w0 * z[0] - dot
-        out[1:] = z[1:] + (-z[0] + dot / (1.0 + w0)) * w1
-        return out / self.eta
+        out[0] = w0 * z[0] + sign * dot
+        out[1:] = z[1:] + (sign * z[0] + dot / (1.0 + w0)) * w1
+        return self.eta * out if sign > 0 else out / self.eta
 
     def hessian(self) -> np.ndarray:
         k = self.idx.size
@@ -305,18 +297,13 @@ class _NtScaling:
             self.lam[sc.idx] = sc.lam
             self.H[np.ix_(sc.idx, sc.idx)] = sc.hessian()
 
-    def mul_w(self, z: np.ndarray) -> np.ndarray:
+    def mul(self, z: np.ndarray, sign: int) -> np.ndarray:
+        """W z for sign +1, W^-1 z for sign -1, block by block."""
         out = np.zeros_like(z)
-        out[self.orth] = z[self.orth] * self.orth_w
+        zo = z[self.orth]
+        out[self.orth] = zo * self.orth_w if sign > 0 else zo / self.orth_w
         for sc in self.socs:
-            out[sc.idx] = sc.mul_w(z[sc.idx])
-        return out
-
-    def mul_winv(self, z: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(z)
-        out[self.orth] = z[self.orth] / self.orth_w
-        for sc in self.socs:
-            out[sc.idx] = sc.mul_winv(z[sc.idx])
+            out[sc.idx] = sc.mul(z[sc.idx], sign)
         return out
 
 
@@ -458,10 +445,11 @@ def _polish(structure, A, b, c, x, y, s):
 def solve(program: ConeProgram, settings: SolverSettings | None = None) -> ConicSolution:
     """Solve the cone program; never raises for well-formed inputs.
 
-    Returns status ``optimal`` only when the complementarity gap and both
-    residuals (recomputed in the original variable space) meet the
-    configured relative tolerances.  Runs are bit-deterministic for
-    identical inputs and settings.
+    Status ``optimal`` means the returned ``gap``, ``primal_residual`` and
+    ``dual_residual`` are all <= ``settings.tol``: the stopping test, the
+    best-iterate merit, the polish's acceptance and the verbose trace read
+    the numbers ``kkt_residuals`` recomputes from the returned point.  Runs
+    are bit-deterministic for identical inputs and settings.
     """
     if not isinstance(program, ConeProgram):
         raise MalformedProgram("solve expects a ConeProgram")
@@ -490,40 +478,29 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     _rotate(A.T, structure.rot_pairs)
     _rotate(c, structure.rot_pairs)
 
-    def finish(x, y, s, status, iterations):
-        """Map a working-space point back to the program's space and report it."""
+    def to_program(x, y, s):
+        """A working-space point in the program's space: unrotated, y = 0 on dropped rows."""
         x = x.copy()
         s = s.copy()
         _rotate(x, structure.rot_pairs)
         _rotate(s, structure.rot_pairs)
         y_full = np.zeros(b_full.size)
         y_full[keep_rows] = y
-        return _solution(program, x, y_full, s, status, iterations)
+        return x, y_full, s
+
+    def stats(x, y, s):
+        return _kkt_stats(program, *to_program(x, y, s))
+
+    def finish(x, y, s, status, iterations):
+        return _solution(program, *to_program(x, y, s), status, iterations)
 
     if structure.degree == 0:
-        return finish(*_solve_equality_only(A, b, c, settings.tol), 1)
+        return finish(*_solve_equality_only(A, b, c, settings.tol, stats), 1)
 
     zeta = 1.0 + max(_inf_norm(b), _inf_norm(c))
     x = zeta * structure.e
     s = zeta * structure.e
     y = np.zeros(m)
-
-    b_scale = 1.0 + _inf_norm(b)
-    c_scale = 1.0 + _inf_norm(c)
-
-    def residuals(xv, yv, sv):
-        """(gap, pres, dres, raw) of a working-space point.
-
-        The residuals are relative to the data norms, the dual one taken in
-        the original (unrotated) space; ``raw`` is the sum of the two
-        unscaled residual norms, which the stall test tracks.
-        """
-        p_norm = _inf_norm(b - A @ xv)
-        dual_vec = c - A.T @ yv - sv
-        _rotate(dual_vec, structure.rot_pairs)
-        d_norm = _inf_norm(dual_vec)
-        gap = abs(float(xv @ sv)) / (1.0 + abs(float(c @ xv)))
-        return gap, p_norm / b_scale, d_norm / c_scale, p_norm + d_norm
 
     nu = structure.degree
     merits = []
@@ -535,7 +512,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     best_point = None
 
     for k in range(settings.max_iters + 1):
-        gap, pres, dres, raw = residuals(x, y, s)
+        gap, pres, dres, raw = stats(x, y, s)
         if settings.verbose:
             sys.stderr.write(
                 f"iter={k} gap={gap:.6e} pres={pres:.6e} dres={dres:.6e} step={step:.4f}\n"
@@ -594,8 +571,8 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # corrector: recentering plus the Mehrotra cross term in scaled space
-            u = W.mul_winv(dx_aff)
-            v = W.mul_w(ds_aff)
+            u = W.mul(dx_aff, -1)
+            v = W.mul(ds_aff, 1)
             o = structure.orth
             lam = W.lam
             g = np.zeros(n)
@@ -604,7 +581,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
                 d_blk = -_jordan(sc.lam, sc.lam) - _jordan(u[sc.idx], v[sc.idx])
                 d_blk[0] += sigma * mu
                 g[sc.idx] = _arrow_solve(sc.lam, d_blk)
-            winv_g = W.mul_winv(g)
+            winv_g = W.mul(g, -1)
 
             dx, dy = kkt.solve(r_d - winv_g, r_p)
             ds = winv_g - W.H @ dx
@@ -626,8 +603,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     bx, by, bs, bk = best_point
     polished = _polish(structure, A, b, c, bx, by, bs)
     if polished is not None:
-        gap, pres, dres, _ = residuals(*polished)
-        pm = max(gap, pres, dres) / settings.tol
+        pm = max(stats(*polished)[:3]) / settings.tol
         if np.isfinite(pm) and pm < best_merit:
             bx, by, bs = polished
             best_merit = pm
@@ -637,33 +613,33 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     return finish(bx, by, bs, status, iterations)
 
 
-def _solve_equality_only(A, b, c, tol):
+def _solve_equality_only(A, b, c, tol, stats):
     """All-free program: least squares decides the status.
 
     Optimality for a linear objective over equalities is Ax = b and A'y = c.
     x and y are the least-squares solutions of the two; an equation they
-    leave unmet yields the certificate.  Returns a working-space
-    (x, y, s, status).
+    leave unmet, by the residuals ``stats`` reports, yields the
+    certificate.  Returns a working-space (x, y, s, status).
     """
     n = c.size
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     y, *_ = np.linalg.lstsq(A.T, c, rcond=None)
-    pres_vec = b - A @ x
-    dres_vec = c - A.T @ y
-    if _inf_norm(pres_vec) / (1.0 + _inf_norm(b)) > tol:
+    _, pres, dres, _ = stats(x, y, np.zeros(n))
+    if pres > tol:
         # b has a component outside range(A): A'y_hat = 0 and b'y_hat = 1
+        pres_vec = b - A @ x
         y_hat = pres_vec / max(float(b @ pres_vec), 1e-300)
         return np.zeros(n), y_hat, np.zeros(n), STATUS_INFEASIBLE
-    if _inf_norm(dres_vec) / (1.0 + _inf_norm(c)) > tol:
-        # c has a component outside range(A'): moving along -dres_vec is an
+    if dres > tol:
+        # c has a component outside range(A'): moving along A'y - c is an
         # unbounded descent direction in the null space of A
-        return -dres_vec, np.zeros(y.size), np.zeros(n), STATUS_UNBOUNDED
+        return A.T @ y - c, np.zeros(y.size), np.zeros(n), STATUS_UNBOUNDED
     return x, y, np.zeros(n), STATUS_OPTIMAL
 
 
 def _solution(program, x, y, s, status, iterations) -> ConicSolution:
     """The one way a solve returns: the point with its own gap and residuals."""
-    gap, pres, dres = _kkt_stats(program, x, y, s)
+    gap, pres, dres, _ = _kkt_stats(program, x, y, s)
     return ConicSolution(x=x, y=y, s=s, status=status, iterations=iterations,
                          gap=gap, primal_residual=pres, dual_residual=dres)
 
@@ -682,14 +658,19 @@ def kkt_residuals(program: ConeProgram, solution: ConicSolution):
         raise ShapeMismatch("solution primal/dual cone vectors do not match the program")
     if y.shape != (program.num_eqs,):
         raise ShapeMismatch("solution equality duals do not match the program")
-    return _kkt_stats(program, x, y, s)
+    return _kkt_stats(program, x, y, s)[:3]
 
 
 def _kkt_stats(program: ConeProgram, x, y, s):
+    """(gap, primal, dual, raw) of a program-space point, as ``kkt_residuals``.
+
+    ``raw`` is the sum of the two unscaled residual norms, which the stall
+    test tracks.
+    """
     A = program.eq_A
     b = program.eq_b
     c = program.objective
-    pres = _inf_norm(A @ x - b) / (1.0 + _inf_norm(b))
-    dres = _inf_norm(A.T @ y + s - c) / (1.0 + _inf_norm(c))
+    p_norm = _inf_norm(A @ x - b)
+    d_norm = _inf_norm(A.T @ y + s - c)
     gap = abs(float(x @ s)) / (1.0 + abs(float(c @ x)))
-    return gap, pres, dres
+    return gap, p_norm / (1.0 + _inf_norm(b)), d_norm / (1.0 + _inf_norm(c)), p_norm + d_norm

@@ -21,7 +21,6 @@ from socprune.conic import (
     cholesky_lower,
     cone_margin,
     parse_cone_program,
-    qp_to_socp,
     read_cone_program,
     serialize_cone_program,
     write_cone_program,
@@ -35,6 +34,8 @@ from socprune.errors import (
 )
 from socprune.loss import QuadraticSurrogate
 from socprune.solver import STATUS_OPTIMAL, SolverSettings, solve
+
+from test_acceptance import qp_to_socp
 
 TIGHT = SolverSettings(tol=1e-11, max_iters=200)
 

@@ -623,6 +623,16 @@ class TestRunPipeline:
         assert report.threshold_used > 0
         assert all(w[i] != 0 for i in report.selected)
 
+    def test_zero_weight_cell_never_wins(self):
+        # the full ensemble votes best on validation, so the w = 0 cells at
+        # alpha 0.1 and 0.3, which keep all 4 at h = 0, are recorded with
+        # the best accuracy; the winner is a cell with a nonzero weight
+        report = run_pipeline(small_spec(), PruneConfig())
+        zero_cells = [c for c in report.cells if c.alpha in (0.1, 0.3)]
+        assert {(c.threshold, c.accuracy, c.num_pruned) for c in zero_cells} == {(0.0, 1.0, 4)}
+        assert report.best_alpha not in (0.1, 0.3)
+        assert report.weights.any()
+
     def test_grid_of_zero_weights_is_a_domain_error(self):
         # lambda = 1 is lambda_max itself, and at alpha 0 the program is
         # linear with lambda_max = max(0, max_i -c_i(0))

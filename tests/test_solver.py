@@ -1,5 +1,7 @@
 """Interior-point solver: closed-form cases, statuses, residual certification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,7 @@ from socprune.conic import (
     ConicSolution,
     build_pruning_socp,
     cholesky_lower,
-    qp_to_socp,
+    read_cone_program,
 )
 from socprune.errors import MalformedProgram, ShapeMismatch
 from socprune.loss import QuadraticSurrogate
@@ -31,6 +33,8 @@ from socprune.solver import (
     kkt_residuals,
     solve,
 )
+
+from test_acceptance import qp_to_socp
 
 
 def surrogate_from(quad, lin, ridge=0.0):
@@ -285,6 +289,58 @@ class TestStatuses:
         assert sol.status == STATUS_INFEASIBLE
         assert np.allclose(program.eq_A.T @ sol.y, 0.0, atol=1e-12)
         assert program.eq_b @ sol.y > 0.0
+
+
+def random_feasible_program(rng, kind):
+    """A primal-feasible program: a rotated cone or 2-d quadratic cones, then an orthant.
+
+    The objective is equal on the first two coordinates, where the
+    solver's rotation of the cone pair changes its infinity norm the most;
+    most instances are bounded, some are not.
+    """
+    if kind == "rotated":
+        k = int(rng.integers(3, 5))
+        head = [Cone(ROTATED_QUADRATIC, tuple(range(k)))]
+    else:
+        k = 2 * int(rng.integers(1, 3))
+        head = [Cone(QUADRATIC, (i, i + 1)) for i in range(0, k, 2)]
+    n = k + int(rng.integers(1, 4))
+    A = rng.normal(size=(int(rng.integers(1, 3)), n))
+    x0 = np.abs(rng.normal(size=n)) + 1.0  # inside every cone below
+    if kind == "rotated":
+        x0[2:k] = 0.3 * rng.normal(size=k - 2)
+    else:
+        x0[1:k:2] = rng.uniform(-0.9, 0.9, size=k // 2) * x0[0:k:2]
+    c = rng.normal(size=n)
+    c[:2] = rng.uniform(1.0, 10.0)
+    return ConeProgram(num_vars=n, objective=c, eq_A=A, eq_b=A @ x0,
+                       cones=(*head, Cone(NONNEG_ORTHANT, tuple(range(k, n)))), free_vars=())
+
+
+class TestOptimalMeansReportedWithinTol:
+    # status optimal certifies the gap and residuals the solution reports,
+    # taken in the program's variables, also where the solver works on
+    # rotated cone pairs
+    @staticmethod
+    def assert_certified(sol, tol):
+        worst = max(sol.gap, sol.primal_residual, sol.dual_residual)
+        assert sol.status != STATUS_OPTIMAL or worst <= tol, (sol.status, worst)
+
+    def test_rotated_cone_program_at_loose_tol(self):
+        # unbounded: the dual residual stays near 1.33e-2 while the gap and
+        # the primal residual fall below 1e-2
+        program = read_cone_program(Path(__file__).parent / "golden" / "rotated_cone_tol_1e-2.sp")
+        self.assert_certified(solve(program, SolverSettings(tol=1e-2)), 1e-2)
+
+    @pytest.mark.parametrize("kind", ["rotated", "two_dimensional"])
+    def test_random_rotated_and_two_dimensional_programs(self, kind):
+        rng = np.random.default_rng(0)
+        optimal = 0
+        for _ in range(200):
+            sol = solve(random_feasible_program(rng, kind), SolverSettings(tol=1e-2))
+            self.assert_certified(sol, 1e-2)
+            optimal += sol.status == STATUS_OPTIMAL
+        assert optimal >= 100
 
 
 def random_kkt_blocks(rng):
