@@ -77,18 +77,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[out],
                        help="write a synthetic prediction dataset")
-    p.add_argument("--seed", type=int, default=0,
+    acc_low, acc_high = SyntheticSpec.base_accuracy_range
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed,
                    help="RNG seed of the generator (default 0)")
     p.add_argument("--models", type=int, default=10)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--acc-low", type=float, default=0.5,
+    p.add_argument("--acc-low", type=float, default=acc_low,
                    help="lower end of the per-model accuracy range")
-    p.add_argument("--acc-high", type=float, default=0.9,
+    p.add_argument("--acc-high", type=float, default=acc_high,
                    help="upper end of the per-model accuracy range")
-    p.add_argument("--correlation", type=float, default=0.3,
+    p.add_argument("--correlation", type=float, default=SyntheticSpec.correlation,
                    help="error correlation between models, in [0,1)")
-    p.add_argument("--sharpness", type=float, default=4.0,
+    p.add_argument("--sharpness", type=float, default=SyntheticSpec.sharpness,
                    help="confidence of the generated probability rows")
     p.set_defaults(func=cmd_gen)
 

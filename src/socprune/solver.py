@@ -6,8 +6,11 @@ predictor-corrector: at each iteration the scaled complementarity system is
 reduced to a quasi-definite KKT solve (dense LU of the statically
 regularized matrix, refined in float64 against the unregularized matrix),
 and a single step length is taken along the combined primal-dual
-direction.  Rotated cones are mapped to standard quadratic cones up front
-by the involutive orthogonal transform
+direction.  Every iterate, mapped to the program's variables, is tested
+for optimality and for an infeasibility or unboundedness ray; a program
+with no cone runs the same loop with plain Newton steps.  Rotated cones
+are mapped to standard quadratic cones up front by the involutive
+orthogonal transform
 (x1, x2, rest) -> ((x1+x2)/sqrt2, (x1-x2)/sqrt2, rest).  A terminal
 active-set polish sharpens the returned point when it can verify an
 improvement.
@@ -36,8 +39,7 @@ from .conic import (
 )
 from .errors import DomainError, MalformedProgram, ShapeMismatch
 
-_STALL_WINDOW = 10
-_STALL_PROGRESS = 1e-3
+# residual of an infeasibility or unboundedness ray, relative to ||A|| ||ray||
 _CERT_TOL = 1e-6
 # fraction of the boundary step taken each iteration
 _STEP_FRACTION = 0.99
@@ -448,8 +450,11 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     Status ``optimal`` means the returned ``gap``, ``primal_residual`` and
     ``dual_residual`` are all <= ``settings.tol``: the stopping test, the
     best-iterate merit, the polish's acceptance and the verbose trace read
-    the numbers ``kkt_residuals`` recomputes from the returned point.  Runs
-    are bit-deterministic for identical inputs and settings.
+    the numbers ``kkt_residuals`` recomputes from the returned point.
+    Status ``infeasible`` or ``unbounded`` returns the first iterate that
+    passes ``_certificate``; a program infeasible both ways may end with
+    either.  Runs are bit-deterministic for identical inputs and
+    settings.
     """
     if not isinstance(program, ConeProgram):
         raise MalformedProgram("solve expects a ConeProgram")
@@ -488,31 +493,25 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         y_full[keep_rows] = y
         return x, y_full, s
 
-    def stats(x, y, s):
-        return _kkt_stats(program, *to_program(x, y, s))
-
     def finish(x, y, s, status, iterations):
         return _solution(program, *to_program(x, y, s), status, iterations)
-
-    if structure.degree == 0:
-        return finish(*_solve_equality_only(A, b, c, settings.tol, stats), 1)
 
     zeta = 1.0 + max(_inf_norm(b), _inf_norm(c))
     x = zeta * structure.e
     s = zeta * structure.e
     y = np.zeros(m)
 
+    abs_A = np.abs(program.eq_A)
+    a_norm = float(abs_A.sum(axis=1).max(initial=0.0))
+    at_norm = float(abs_A.sum(axis=0).max(initial=0.0))
     nu = structure.degree
-    merits = []
-    ratios = []
-    status = STATUS_MAX_ITERS
-    iterations = settings.max_iters
     step = 0.0
     best_merit = np.inf
     best_point = None
 
     for k in range(settings.max_iters + 1):
-        gap, pres, dres, raw = stats(x, y, s)
+        point = to_program(x, y, s)
+        gap, pres, dres = _kkt_stats(program, *point)
         if settings.verbose:
             sys.stderr.write(
                 f"iter={k} gap={gap:.6e} pres={pres:.6e} dres={dres:.6e} step={step:.4f}\n"
@@ -520,40 +519,17 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         merit = max(gap, pres, dres) / settings.tol
         if merit < best_merit:
             best_merit = merit
-            best_point = (x.copy(), y.copy(), s.copy(), k)
-        if merit <= 1.0:
-            status = STATUS_OPTIMAL
-            iterations = k
+            best_point = (x.copy(), y.copy(), s.copy())
+        status = STATUS_OPTIMAL if merit <= 1.0 else _certificate(program, a_norm, at_norm, *point)
+        if status is not None:
             break
         if k == settings.max_iters:
-            iterations = k
+            status = STATUS_MAX_ITERS
             break
 
-        inner = float(x @ s)
-        merits.append(merit)
-        ratios.append(raw / max(inner, 1e-300))
-        if len(merits) > _STALL_WINDOW:
-            stalled = merits[-1] > (1.0 - _STALL_PROGRESS) * merits[-1 - _STALL_WINDOW]
-            worsening = ratios[-1] > ratios[-1 - _STALL_WINDOW]
-            if stalled and worsening:
-                by = float(b @ y)
-                if by > 1e-10 * (1.0 + _inf_norm(y)):
-                    y_hat = y / by
-                    s_hat = s / by
-                    cert = _inf_norm(A.T @ y_hat + s_hat)
-                    if cert <= _CERT_TOL * (1.0 + _inf_norm(y_hat)):
-                        status = STATUS_INFEASIBLE
-                        iterations = k
-                        break
-                cx = float(c @ x)
-                if cx < -1e-10 * (1.0 + _inf_norm(x)):
-                    x_hat = x / (-cx)
-                    if _inf_norm(A @ x_hat) <= _CERT_TOL * (1.0 + _inf_norm(x_hat)):
-                        status = STATUS_UNBOUNDED
-                        iterations = k
-                        break
-
-        mu = inner / nu
+        # a program with no cone has x's = 0 throughout: sigma = 0 makes
+        # every step a plain Newton step on the equations
+        mu = float(x @ s) / nu if nu else 0.0
         try:
             W = _NtScaling(structure, x, s)
             kkt = _KktSolver(W.H, A)
@@ -562,13 +538,15 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
             r_d = c - A.T @ y - s
             dx_aff, dy_aff = kkt.solve(r_d + s, r_p)
             ds_aff = -s - W.H @ dx_aff
-            alpha_aff = min(
-                1.0,
-                _max_step(x, dx_aff, structure),
-                _max_step(s, ds_aff, structure),
-            )
-            mu_aff = max(0.0, float((x + alpha_aff * dx_aff) @ (s + alpha_aff * ds_aff))) / nu
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+            sigma = 0.0
+            if nu:
+                alpha_aff = min(
+                    1.0,
+                    _max_step(x, dx_aff, structure),
+                    _max_step(s, ds_aff, structure),
+                )
+                mu_aff = max(0.0, float((x + alpha_aff * dx_aff) @ (s + alpha_aff * ds_aff))) / nu
+                sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
             # corrector: recentering plus the Mehrotra cross term in scaled space
             u = W.mul(dx_aff, -1)
@@ -587,7 +565,6 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
             ds = winv_g - W.H @ dx
         except (FloatingPointError, OverflowError, scipy.linalg.LinAlgError, ZeroDivisionError):
             status = STATUS_NUMERICAL
-            iterations = k
             break
         alpha_max = min(_max_step(x, dx, structure), _max_step(s, ds, structure))
         step = min(1.0, _STEP_FRACTION * alpha_max)
@@ -597,49 +574,46 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         s = s + step * ds
 
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED) or best_point is None:
-        return finish(x, y, s, status, iterations)
+        return finish(x, y, s, status, k)
 
     # return the best iterate seen; late iterations can degrade numerically
-    bx, by, bs, bk = best_point
+    bx, by, bs = best_point
     polished = _polish(structure, A, b, c, bx, by, bs)
     if polished is not None:
-        pm = max(stats(*polished)[:3]) / settings.tol
+        pm = max(_kkt_stats(program, *to_program(*polished))) / settings.tol
         if np.isfinite(pm) and pm < best_merit:
             bx, by, bs = polished
             best_merit = pm
     if best_merit <= 1.0:
         status = STATUS_OPTIMAL
-        iterations = max(iterations, bk)
-    return finish(bx, by, bs, status, iterations)
+    return finish(bx, by, bs, status, k)
 
 
-def _solve_equality_only(A, b, c, tol, stats):
-    """All-free program: least squares decides the status.
+def _certificate(program, a_norm, at_norm, x, y, s):
+    """``infeasible`` or ``unbounded`` if a program-space point certifies it, else None.
 
-    Optimality for a linear objective over equalities is Ax = b and A'y = c.
-    x and y are the least-squares solutions of the two; an equation they
-    leave unmet, by the residuals ``stats`` reports, yields the
-    certificate.  Returns a working-space (x, y, s, status).
+    Infeasible: b'y > 0 and ||A'y + s||_inf <= _CERT_TOL (||A'|| ||y|| + ||s||).
+    Unbounded: c'x < 0 and ||A x||_inf <= _CERT_TOL ||A|| ||x||.  ``a_norm``
+    and ``at_norm`` are the induced inf-norms of A and A'.  Both tests are
+    homogeneous in the ray and free of b and c, so scaling the objective or
+    the right-hand side cannot pass them; the iterate's s and x lie inside
+    their cones, so the rays do too.  A non-finite b'y, c'x or bound
+    certifies nothing: an overflowed iterate would pass as a ray.
     """
-    n = c.size
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    y, *_ = np.linalg.lstsq(A.T, c, rcond=None)
-    _, pres, dres, _ = stats(x, y, np.zeros(n))
-    if pres > tol:
-        # b has a component outside range(A): A'y_hat = 0 and b'y_hat = 1
-        pres_vec = b - A @ x
-        y_hat = pres_vec / max(float(b @ pres_vec), 1e-300)
-        return np.zeros(n), y_hat, np.zeros(n), STATUS_INFEASIBLE
-    if dres > tol:
-        # c has a component outside range(A'): moving along A'y - c is an
-        # unbounded descent direction in the null space of A
-        return A.T @ y - c, np.zeros(y.size), np.zeros(n), STATUS_UNBOUNDED
-    return x, y, np.zeros(n), STATUS_OPTIMAL
+    A = program.eq_A
+    if 0.0 < float(program.eq_b @ y) < np.inf:
+        scale = _CERT_TOL * (at_norm * _inf_norm(y) + _inf_norm(s))
+        if _inf_norm(A.T @ y + s) <= scale < np.inf:
+            return STATUS_INFEASIBLE
+    if -np.inf < float(program.objective @ x) < 0.0:
+        if _inf_norm(A @ x) <= _CERT_TOL * a_norm * _inf_norm(x) < np.inf:
+            return STATUS_UNBOUNDED
+    return None
 
 
 def _solution(program, x, y, s, status, iterations) -> ConicSolution:
     """The one way a solve returns: the point with its own gap and residuals."""
-    gap, pres, dres, _ = _kkt_stats(program, x, y, s)
+    gap, pres, dres = _kkt_stats(program, x, y, s)
     return ConicSolution(x=x, y=y, s=s, status=status, iterations=iterations,
                          gap=gap, primal_residual=pres, dual_residual=dres)
 
@@ -658,19 +632,15 @@ def kkt_residuals(program: ConeProgram, solution: ConicSolution):
         raise ShapeMismatch("solution primal/dual cone vectors do not match the program")
     if y.shape != (program.num_eqs,):
         raise ShapeMismatch("solution equality duals do not match the program")
-    return _kkt_stats(program, x, y, s)[:3]
+    return _kkt_stats(program, x, y, s)
 
 
 def _kkt_stats(program: ConeProgram, x, y, s):
-    """(gap, primal, dual, raw) of a program-space point, as ``kkt_residuals``.
-
-    ``raw`` is the sum of the two unscaled residual norms, which the stall
-    test tracks.
-    """
+    """(gap, primal, dual) of a program-space point, as ``kkt_residuals``."""
     A = program.eq_A
     b = program.eq_b
     c = program.objective
     p_norm = _inf_norm(A @ x - b)
     d_norm = _inf_norm(A.T @ y + s - c)
     gap = abs(float(x @ s)) / (1.0 + abs(float(c @ x)))
-    return gap, p_norm / (1.0 + _inf_norm(b)), d_norm / (1.0 + _inf_norm(c)), p_norm + d_norm
+    return gap, p_norm / (1.0 + _inf_norm(b)), d_norm / (1.0 + _inf_norm(c))

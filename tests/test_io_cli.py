@@ -897,6 +897,20 @@ class TestCli:
         assert len(payload["cells"]) == 1
         assert payload["threshold_used"] == 0.05
 
+    def test_weights_far_below_their_dual_slack_are_zero(self, tmp_path, capsys):
+        # at lambda 0.99 the interior point leaves five weights of 7e-9 to
+        # 2.3e-8, each below 1e-2 times its dual slack (1.8e-2 to 6.2e-2):
+        # they are zeros, so the threshold search cannot keep members by them
+        run_cli(gen_args(tmp_path / "d"), capsys)
+        code, out, _ = run_cli(["fit", str(tmp_path / "d"), "--lambda", "0.99"], capsys)
+        assert code == 0
+        assert np.count_nonzero(json.loads(out)["weights"]) == 1
+        code, out, _ = run_cli(["prune", str(tmp_path / "d"), "--lambda", "0.99"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["selected"] == [0]
+        assert report["pruned_accuracy"] == 0.875
+
     def test_solve_program_file(self, tmp_path, capsys):
         program = ConeProgram(num_vars=2, objective=[1, 0], eq_A=[[1, 1]], eq_b=[1],
                               cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
@@ -1191,6 +1205,14 @@ class TestCliDeterminism:
         for name in ("manifest.txt", "predictions.csv", "labels.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_gen_defaults_are_the_spec_defaults(self, tmp_path, capsys):
+        assert run_cli(["gen", "--out", str(tmp_path / "cli")], capsys)[0] == 0
+        spec = SyntheticSpec(num_models=10, num_samples=200, num_classes=4)
+        write_predictions(tmp_path / "spec", *generate_synthetic_ensemble(spec))
+        for name in ("predictions.csv", "labels.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "spec" / name).read_bytes()
 
     def test_gen_predictions_digest_at_benchmark_scale(self, tmp_path, capsys):
         # sha256 of the table that one '%.17g' format per value wrote for

@@ -1,5 +1,6 @@
 """Interior-point solver: closed-form cases, statuses, residual certification."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,13 @@ from socprune.conic import (
     ConicSolution,
     build_pruning_socp,
     cholesky_lower,
+    cone_margin,
     read_cone_program,
 )
 from socprune.errors import MalformedProgram, ShapeMismatch
 from socprune.loss import QuadraticSurrogate
 from socprune.solver import (
+    _CERT_TOL,
     _REGULARIZATION,
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERS,
@@ -30,6 +33,7 @@ from socprune.solver import (
     SolverSettings,
     _KktSolver,
     _SocScale,
+    _inf_norm,
     kkt_residuals,
     solve,
 )
@@ -341,6 +345,154 @@ class TestOptimalMeansReportedWithinTol:
             self.assert_certified(sol, 1e-2)
             optimal += sol.status == STATUS_OPTIMAL
         assert optimal >= 100
+
+
+def cone_interior(rng, cones, n):
+    """A point strictly inside every cone, 0 off the cones."""
+    v = np.zeros(n)
+    for cone in cones:
+        idx = np.asarray(cone.var_indices)
+        k = idx.size
+        if cone.kind == NONNEG_ORTHANT or k == 1:
+            v[idx] = rng.uniform(0.5, 2.0, k)
+        elif cone.kind == QUADRATIC:
+            tail = rng.normal(size=k - 1)
+            v[idx] = np.concatenate(([np.linalg.norm(tail) + rng.uniform(0.5, 2.0)], tail))
+        else:
+            rest = rng.normal(size=k - 2)
+            head = rng.uniform(0.5, 2.0)
+            v[idx] = np.concatenate(([head, 0.5 * rest @ rest / head + rng.uniform(0.5, 2.0)], rest))
+    return v
+
+
+def constructed_program(rng, family):
+    """A program of every cone kind whose status is known by construction.
+
+    ``feasible``: b = A x0 and c = A'y0 + s0 with x0 and s0 interior, so
+    both sides are strictly feasible and the program has an optimum.
+    ``farkas``: A is shifted so that A'y0 = -s0 and b so that b'y0 = 1, so
+    (y0, s0) proves the program infeasible; it has no free variables.
+    ``recession``: A d = 0 for an interior d, b = A x0 and c'd = -1, so d
+    is a ray along which the objective falls without bound.
+    """
+    cones, n = [], 0
+    for _ in range(int(rng.integers(1, 4))):
+        kind = (NONNEG_ORTHANT, QUADRATIC, ROTATED_QUADRATIC)[int(rng.integers(3))]
+        k = int(rng.integers(3, 5)) if kind == ROTATED_QUADRATIC else int(rng.integers(1, 5))
+        cones.append(Cone(kind, tuple(range(n, n + k))))
+        n += k
+    num_free = 0 if family == "farkas" else int(rng.integers(0, 3))
+    free = np.arange(n, n + num_free)
+    n += num_free
+    m = int(rng.integers(max(1, num_free), max(2, n)))
+    A = rng.normal(size=(m, n))
+    c = rng.normal(size=n)
+    x0 = cone_interior(rng, cones, n)
+    x0[free] = rng.normal(size=num_free)
+    b = A @ x0
+    if family == "feasible":
+        c = A.T @ rng.normal(size=m) + cone_interior(rng, cones, n)
+    elif family == "farkas":
+        y0 = rng.normal(size=m)
+        A -= np.outer(y0, A.T @ y0 + cone_interior(rng, cones, n)) / (y0 @ y0)
+        b = rng.normal(size=m)
+        b += (1.0 - b @ y0) * y0 / (y0 @ y0)
+    else:
+        d = cone_interior(rng, cones, n)
+        d[free] = rng.normal(size=num_free)
+        A -= np.outer(A @ d, d) / (d @ d)
+        if n == 1:
+            # A d = 0 makes A zero; its rounding residue would pin x to x0
+            A[:] = 0.0
+        b = A @ x0
+        c -= (c @ d + 1.0) * d / (d @ d)
+    return ConeProgram(num_vars=n, objective=c, eq_A=A, eq_b=b, cones=tuple(cones),
+                       free_vars=tuple(free))
+
+
+def assert_certified(program, sol):
+    """The returned point proves ``sol.status`` in the program's variables.
+
+    A ray's equations hold to _CERT_TOL relative to ||A|| ||ray|| (induced
+    inf-norms), and the ray lies in every cone (the dual cone for s; every
+    cone here is self-dual).
+    """
+    A, b, c = program.eq_A, program.eq_b, program.objective
+    if sol.status == STATUS_OPTIMAL:
+        assert max(sol.gap, sol.primal_residual, sol.dual_residual) <= 1e-8
+        return
+    if sol.status == STATUS_INFEASIBLE:
+        # b'y > 0 with A'y + s = 0 and s in the dual cone
+        assert b @ sol.y > 0
+        in_cone = sol.s
+        residual = _inf_norm(A.T @ sol.y + sol.s)
+        bound = np.abs(A).sum(axis=0).max() * _inf_norm(sol.y) + _inf_norm(sol.s)
+    else:
+        # c'x < 0 with A x = 0 and x in the cones
+        assert sol.status == STATUS_UNBOUNDED
+        assert c @ sol.x < 0
+        in_cone = sol.x
+        residual = _inf_norm(A @ sol.x)
+        bound = np.abs(A).sum(axis=1).max(initial=0.0) * _inf_norm(sol.x)
+    assert residual <= _CERT_TOL * bound
+    for cone in program.cones:
+        part = in_cone[list(cone.var_indices)]
+        # only the margin's sign is meaningful; allow rounding at its own scale
+        assert cone_margin(cone.kind, part) >= -1e-12 * (1.0 + part @ part)
+
+
+class TestEveryIterateExit:
+    # the solver tests optimality and both certificates on every iterate,
+    # so a program with a known answer ends with it
+    @pytest.mark.parametrize("family, status", [
+        ("feasible", STATUS_OPTIMAL),
+        ("farkas", STATUS_INFEASIBLE),
+        ("recession", STATUS_UNBOUNDED),
+    ])
+    def test_constructed_programs_end_with_their_status(self, family, status):
+        rng = np.random.default_rng(2)
+        for i in range(100):
+            program = constructed_program(rng, family)
+            sol = solve(program)
+            assert sol.status == status, (i, sol.status, sol.iterations)
+            assert_certified(program, sol)
+
+    def test_cone_free_unbounded_ray(self):
+        # with no cone the loop takes plain Newton steps along the null space
+        program = free_program([1.0, 0.0], [[0.0, 1.0]], [1.0])
+        sol = solve(program)
+        assert sol.status == STATUS_UNBOUNDED
+        assert_certified(program, sol)
+
+    def test_unbounded_ray_at_the_starting_point(self):
+        # min -x0 over x0 >= 0: the starting point is already a ray
+        sol = solve(unbounded_lp())
+        assert (sol.status, sol.iterations) == (STATUS_UNBOUNDED, 0)
+
+    @pytest.mark.parametrize("objective, rhs", [(-1e7, 1.0), (1.0, 1e7)])
+    def test_scaled_one_variable_program_is_optimal(self, objective, rhs):
+        # min objective * x0 over x0 = rhs, x0 >= 0 has the one point x0 = rhs;
+        # a large c shrinks x/(-c'x) and a large b shrinks y/b'y, so a ray
+        # test with an absolute term would pass either at the start
+        program = ConeProgram(num_vars=1, objective=[objective], eq_A=[[1.0]], eq_b=[rhs],
+                              cones=(Cone(NONNEG_ORTHANT, (0,)),), free_vars=())
+        sol = solve(program)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.x[0] == pytest.approx(rhs, rel=1e-7)
+
+    # a large b slows convergence: 2 of these 100 end max_iters
+    @pytest.mark.parametrize("field, min_optimal", [("objective", 100), ("eq_b", 98)])
+    def test_scaling_c_or_b_certifies_nothing(self, field, min_optimal):
+        # the ray tests are homogeneous in the ray and read neither b nor c,
+        # so a feasible, bounded program scaled by 1e7 is never a ray
+        rng = np.random.default_rng(3)
+        statuses = []
+        for _ in range(100):
+            program = constructed_program(rng, "feasible")
+            scaled = dataclasses.replace(program, **{field: 1e7 * getattr(program, field)})
+            statuses.append(solve(scaled).status)
+        assert STATUS_INFEASIBLE not in statuses and STATUS_UNBOUNDED not in statuses
+        assert statuses.count(STATUS_OPTIMAL) >= min_optimal
 
 
 def random_kkt_blocks(rng):
