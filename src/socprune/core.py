@@ -292,11 +292,19 @@ def read_text(path) -> str:
         return fh.read()
 
 
+def _ascii_number(token: str) -> str:
+    """``token``; ValueError for the digit separators ('1_0') and non-ASCII
+    digits that ``int`` and ``float`` take and no text file here holds."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return token
+
+
 def parse_int(token: str, line: int, what: str, lo: int | None = None,
               hi: int | None = None) -> int:
     """Integer text field, optionally bounded to [lo, hi); ParseError names the line."""
     try:
-        value = int(token)
+        value = int(_ascii_number(token))
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line=line) from None
     if (lo is not None and value < lo) or (hi is not None and value >= hi):
@@ -308,6 +316,6 @@ def parse_int(token: str, line: int, what: str, lo: int | None = None,
 def parse_float(token: str, line: int, what: str) -> float:
     """Float text field; ParseError names the line."""
     try:
-        return float(token)
+        return float(_ascii_number(token))
     except ValueError:
         raise ParseError(f"{what} must be a number, got {token!r}", line=line) from None

@@ -27,7 +27,11 @@ exactly 1 (like the shipped fixture) round-trip bit-for-bit.
 Dataset reads and writes use every CPU in the process's affinity mask
 (``taskset`` restricts them): a forked worker per CPU parses a table's spans
 of whole lines, decoded as text mode decodes them, or formats ranges of
-models.  The reading process holds the tensor once and finds where spans
+models.  A plain span of the predictions table (LF lines of the bytes
+'0-9.,eE+-', canonical integer keys) is parsed in one ``np.loadtxt`` call;
+any other span (the labels table, CRLF or CR lines, empty lines, padded
+fields, every defect) line by line, so each ParseError is the line
+parser's.  The reading process holds the tensor once and finds where spans
 end in small windows read with ``os.pread``, never mapping the file.  The
 library forks, which matters to a caller that holds threads: the child gets
 only the forking thread.  On one CPU, for one span or range, or without
@@ -43,6 +47,7 @@ import os
 import re
 import shutil
 import tempfile
+import warnings
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from functools import cache, partial
@@ -504,10 +509,13 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
 
 def _parse_floats(tokens, line, names):
     """A row's floats, converted in C; a bad token gets parse_float's ParseError."""
-    try:
-        return list(map(float, tokens))
-    except ValueError:
-        return [parse_float(tok, line, name) for tok, name in zip(tokens, names)]
+    joined = "".join(tokens)  # float() also takes '1_0' and non-ASCII digits
+    if joined.isascii() and "_" not in joined:
+        try:
+            return list(map(float, tokens))
+        except ValueError:
+            pass
+    return [parse_float(tok, line, name) for tok, name in zip(tokens, names)]
 
 
 class _Table:
@@ -543,19 +551,67 @@ class _Table:
         return ", ".join(f"{name} {k}" for name, k in zip(self.names, key))
 
 
+def _parse_plain(data, table, out):
+    """``_parse_chunk``'s result for a plain predictions span, else None.
+
+    Plain: LF lines, none empty, of the bytes '0-9.,eE+-', that np.loadtxt
+    reads (as ``float()`` does, bit for bit) into rows of ``len(table.names)``
+    fields, each key an in-range integer in canonical decimal: rows the line
+    parser accepts as they are.  ``out`` exists only if the file backs every
+    row, so each bound is far below 2**53 and the float keys are exact.
+    """
+    if (out is None or table.parse_values is not _parse_floats or data[-1:] != b"\n"
+            or data.translate(None, b"0123456789.,eE+-\n")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(BytesIO(data), delimiter=",", dtype=np.float64, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    num_keys = len(table.bounds)
+    keys = rows[:, :num_keys]
+    # of these bytes' lines loadtxt skips only empty ones: a row per line means none
+    if (rows.shape[1] != len(table.names) or len(rows) != ends.size
+            or not (keys < table.bounds).all()):
+        return None
+    # canonical: each key's text is as many digits as its value has, then a
+    # comma; so no sign, point, exponent or leading zero, and the value is an integer
+    digits = np.searchsorted(np.cumprod(np.full(16, 10.0)), keys, side="right") + 1
+    commas = np.cumsum(digits + 1, axis=1) - 1  # offset of the comma after each key
+    starts = np.r_[0, ends[:-1] + 1]
+    at = np.arange(commas[:, -1].max() + 1)
+    text = buf[np.minimum(starts[:, None] + at, buf.size - 1)]
+    comma = np.zeros(text.shape, dtype=bool)
+    np.put_along_axis(comma, commas, True, axis=1)
+    if not np.where(comma, text == ord(","), (at > commas[:, -1:]) | (text - ord("0") < 10)).all():
+        return None
+    flat = np.ravel_multi_index(tuple(keys.astype(np.int64).T), table.bounds)
+    out[flat] = rows[:, num_keys:]
+    pairs = np.column_stack((flat, np.arange(1, len(rows) + 1))).astype(np.int64)
+    return len(rows), pairs.tobytes(), None
+
+
 def _parse_chunk(state, span):
     """Parse the lines of one byte span of a table, decoded as text mode decodes them.
 
     Each row's values go into the shared buffer ``out``, if there is one.
     Returns the span's line count, its rows' (key, line in the span) pairs
     as int64 bytes, and its first bad line (None if none) or the
-    UnicodeDecodeError that ends its text early, where it stops.
+    UnicodeDecodeError that ends its text early, where it stops.  A plain
+    predictions span is parsed by numpy (``_parse_plain``), any other line
+    by line.
     """
     path, table, out = state
     start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
+    plain = _parse_plain(data, table, out)
+    if plain is not None:
+        return plain
     rows = array.array("q")
     lineno = 0
     with TextIOWrapper(BytesIO(data)) as lines:

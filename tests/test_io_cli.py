@@ -26,6 +26,7 @@ from socprune.errors import (
     OutOfRange,
     ParseError,
     RowNotNormalized,
+    SocpruneError,
     VersionMismatch,
 )
 from socprune.io import (
@@ -473,6 +474,109 @@ class TestSpanEnds:
         assert int(out.stdout) <= 1.3 * t.probs.nbytes
 
 
+def read_outcome(target):
+    """The tensor's bytes that reading a dataset gives, or its error's type, message and line."""
+    try:
+        return read_predictions(target)[0].probs.tobytes()
+    except SocpruneError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def plain_dataset(target, rng, num_samples=8):
+    """A gen-shaped dataset whose table also holds 0, 1, 5e-324 and 1e-300."""
+    t, y, splits = generate_synthetic_ensemble(SyntheticSpec(
+        num_models=3, num_samples=num_samples, num_classes=4, seed=int(rng.integers(10**6))))
+    probs = t.probs.copy()
+    probs[0, :3] = [[0.0, 0.0, 1.0, 0.0], [5e-324, 1e-300, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]]
+    write_predictions(target, PredictionTensor(probs=probs), y, splits)
+    return target
+
+
+class TestPlainSpans:
+    """np.loadtxt parses a plain LF span of the predictions table; every
+    other span goes line by line, and both give the same tensor or error."""
+
+    # field texts that float() or int() takes, that np.loadtxt may parse
+    # otherwise or not at all, and that are no number
+    FORMS = ["1.", ".5", "+.5", "1E5", "1e400", "5e-324", "1e-300", "0", "1", "-0", "00",
+             "+1", "1.0", "1e0", "01", " 1", "1 ", "", "e5", "-", "0x1", "1_0", "nan", "inf",
+             "1#x"]
+
+    def variants(self, tmp_path, rng):
+        """The seeded table, and copies with a field, a byte or line ends changed."""
+        base = plain_dataset(tmp_path / "base", rng)
+        text = (base / "predictions.csv").read_bytes()
+        lines = text.split(b"\n")
+        edits = [text]
+        # an empty line, no line end after the last row and a missing row,
+        # which names the table's last line
+        edits.append(b"\n".join([*lines[:3], b"", *lines[3:-2]]))
+        for line in (1, len(lines) // 2, len(lines) - 2):  # the first, a middle and the last row
+            fields = lines[line].split(b",")
+            for field in (0, 1, 2, len(fields) - 1):
+                for form in self.FORMS:
+                    edited = fields.copy()
+                    edited[field] = form.encode()
+                    edits.append(b"\n".join([*lines[:line], b",".join(edited),
+                                             *lines[line + 1:]]))
+        start = text.index(b"\n") + 1  # the header stays
+        for _ in range(60):
+            at = int(rng.integers(start, len(text)))
+            byte = bytes([rng.choice(list(b"0123456789.,eE+-\n\r _x"))])
+            edits.append(rng.choice([text[:at] + byte + text[at + 1:],  # replaced
+                                     text[:at] + byte + text[at:],  # inserted
+                                     text[:at] + text[at + 1:]]))  # deleted
+        edits += [text.replace(b"\n", b"\r\n"), text[:-1], text + b"\n", text.replace(
+            b"\n", b"\n\n", 2)]
+        edits = [(base, edit) for edit in edits]
+        # sample ids whose text is as long as their value's digits: '1e2' is 100
+        wide = plain_dataset(tmp_path / "wide", rng, num_samples=120)
+        text = (wide / "predictions.csv").read_bytes()
+        edits += [(wide, text.replace(b"\n1,100,", b"\n1,%s," % form))
+                  for form in (b"100", b"1e2", b"1E2", b"1.e2", b"+1e2")]
+        targets = []
+        for k, (source, edit) in enumerate(edits):
+            targets.append(tmp_path / f"v{k}")
+            shutil.copytree(source, targets[-1])
+            (targets[-1] / "predictions.csv").write_bytes(edit)
+        return targets
+
+    @pytest.mark.parametrize("spans", ["one", "per_line", "forked"])
+    def test_numpy_and_line_parser_agree(self, tmp_path, monkeypatch, spans):
+        targets = self.variants(tmp_path, np.random.default_rng(23))
+        if spans != "one":
+            Forked(monkeypatch)  # a span per line
+        if spans == "per_line":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        if spans == "forked":  # three workers fork for each table: a sample of the variants
+            targets = targets[::10]
+        plain = [read_outcome(target) for target in targets]
+        monkeypatch.setattr(dataio, "_parse_plain", lambda data, table, out: None)
+        assert [read_outcome(target) for target in targets] == plain
+        assert isinstance(plain[0], bytes)
+        if spans != "forked":  # the variants hold good tables and each kind of error
+            assert sum(isinstance(outcome, bytes) for outcome in plain) > 20
+            assert {outcome[0] for outcome in plain if not isinstance(outcome, bytes)} == {
+                ParseError, OutOfRange, RowNotNormalized}
+
+    @pytest.mark.parametrize("chunk", [4, 1 << 12, 1 << 18])
+    def test_plain_table_never_reaches_the_line_parser(self, tmp_path, monkeypatch, chunk):
+        t, y, splits = generate_synthetic_ensemble(
+            SyntheticSpec(num_models=4, num_samples=300, num_classes=10, seed=1009))
+        write_predictions(tmp_path, t, y, splits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_parse_plain", lambda data, table, out: None)
+            expected = probs_bytes(tmp_path)
+        forked = Forked(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
+        assert probs_bytes(tmp_path) == expected
+        assert forked.reads == [1, 1]
+        # only the labels table's 300 rows were parsed line by line
+        assert len(forked.parsed) == 300
+        assert all(line.count(",") == 1 for line, _ in forked.parsed)
+
+
 class TestDatasetErrors:
     def test_unnormalized_row(self, tmp_path):
         target = corrupted_copy(
@@ -560,6 +664,12 @@ class TestDatasetErrors:
         ("predictions.csv", "1,0,0.125,0.875", "-1,0,0.125,0.875", 5),  # negative id
         ("predictions.csv", "0,1,0.5,0.5", "0,1.0,0.5,0.5", 3),  # non-integer id
         ("predictions.csv", "0,2,1,0", "0,2,1,zero", 4),  # non-numeric probability
+        # Python literal forms that are no CSV number: int() and float() take them
+        ("predictions.csv", "0,1,0.5,0.5", "0,0_1,0.5,0.5", 3),  # digit separator in an id
+        ("predictions.csv", "0,1,0.5,0.5", "0,\uff11,0.5,0.5", 3),  # full-width digit id
+        ("predictions.csv", "0,1,0.5,0.5", "0,1,0.5_0,0.5", 3),  # separator in a probability
+        ("labels.csv", "1,0", "1,0_0", 3),  # digit separator in a label
+        ("manifest.txt", "test_indices 2", "test_indices \uff12", 9),  # full-width index
         ("labels.csv", "2,1", "1,1", 4),  # duplicate label
         ("labels.csv", "2,1", "3,1", 4),  # sample_id out of range
         ("labels.csv", "1,0", "1,zero", 3),  # non-integer label
@@ -1028,12 +1138,18 @@ class TestCli:
         ({"vars": "vars 3", "cone": "nonneg_orthant 2 0 2", "free": "free 1\n2"},
          "line 15: structurally invalid program: variable 1 appears in 0"),
         ({"end": "fin"}, "line 14: expected 'end', got 'fin'"),
+        # Python literal forms that are no number here: int() and float() take them
+        ({"vars": "vars 1_0"}, "line 2: vars count must be an integer, got '1_0'"),
+        ({"objective": "objective 1\n0 1_0"},
+         "line 5: objective coefficient must be a number, got '1_0'"),
+        ({"cone": "nonneg_orthant \uff12 0 1"}, "line 12: cone dim must be an integer"),
     ], ids=["valid", "bare_vars", "negative_vars", "negative_eqs", "repeated_objective",
             "cone_index_too_large", "negative_cone_index", "eq_column_too_large",
             "negative_eq_column", "vars_beyond_cones",
             "wrong_keyword", "rhs_count", "field_count", "short_cone_line", "cone_dim",
             "unknown_cone_kind", "repeated_cone_index", "rotated_dim_2", "var_in_two_cones",
-            "var_in_no_cone", "missing_end"])
+            "var_in_no_cone", "missing_end", "separator_count", "separator_coefficient",
+            "full_width_dim"])
     def test_malformed_program_exit_2(self, tmp_path, capsys, replace, error):
         (tmp_path / "p.sp").write_text(program_text(**replace))
         code, _, err = run_cli(["solve", str(tmp_path / "p.sp")], capsys)
