@@ -26,21 +26,22 @@ exactly 1 (like the shipped fixture) round-trip bit-for-bit.
 
 Dataset reads and writes use every CPU in the process's affinity mask
 (``taskset`` restricts them): a forked worker per CPU parses a table's spans
-of whole lines, decoded as text mode decodes them, or formats ranges of
-models.  A plain span of the predictions table (LF lines of the bytes
-'0-9.,eE+-', canonical integer keys) is parsed in one ``np.loadtxt`` call;
-any other span (the labels table, CRLF or CR lines, empty lines, padded
-fields, every defect) line by line, so each ParseError is the line
-parser's.  The reading process holds the tensor once and finds where spans
-end in small windows read with ``os.pread``, never mapping the file.  The
-library forks, which matters to a caller that holds threads: the child gets
-only the forking thread.  On one CPU, for one span or range, or without
+of whole lines or formats ranges of models.  A worker parses only a plain
+span of the predictions table (LF or CRLF lines, none empty, of the bytes
+'0-9.,eE+-', with in-range integer keys), in one ``np.loadtxt`` call.  If
+every span is plain, the reading process names a repeated or missing row
+from the keys; otherwise it parses the whole table line by line, in file
+order (the labels table, lone-CR lines, empty lines, padded fields, every
+defect), so each ParseError is the line parser's and the first in the file.
+The reading process holds the tensor once and finds where spans end in
+small windows read with ``os.pread``, never mapping the file.  The library
+forks, which matters to a caller that holds threads: the child gets only
+the forking thread.  On one CPU, for one span or range, or without
 ``fork``, the same functions run inline, so files and errors are the same.
 """
 
 from __future__ import annotations
 
-import array
 import json
 import math
 import os
@@ -51,7 +52,7 @@ import warnings
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from functools import cache, partial
-from io import BytesIO, TextIOWrapper
+from io import BytesIO
 from itertools import pairwise
 
 import numpy as np
@@ -129,10 +130,11 @@ def _fork_map(fn, state, tasks, workers: int) -> list:
     Forked, so ``state`` (a shared buffer, open files, a tensor) is
     inherited rather than pickled; only the results come back through a
     pipe, so they must stay small.  Each worker takes the next task nobody
-    has taken.  No thread is started here: a pool's threads would add
-    their allocator arenas to the reader's peak.  A worker's exception is
-    raised here; a worker that exits without a result (a signal, the OOM
-    killer, ``os._exit``) is an IoError naming its exit code.
+    has taken, so one on a slower CPU takes fewer.  No thread is started
+    here: a pool's threads would add their allocator arenas to the reader's
+    peak.  A worker's exception is raised here; a worker that exits without
+    a result (a signal, the OOM killer, ``os._exit``) is an IoError naming
+    its exit code.
     """
     if workers == 1:
         return [fn(state, task) for task in tasks]
@@ -144,7 +146,8 @@ def _fork_map(fn, state, tasks, workers: int) -> list:
     try:
         for _ in range(workers):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_fork_worker, args=(fn, state, tasks, taken, send))
+            reads = [r for _, r in procs] + [recv]  # the read ends the worker inherits
+            proc = ctx.Process(target=_fork_worker, args=(fn, state, tasks, taken, reads, send))
             proc.start()
             procs.append((proc, recv))
             send.close()  # so a worker that dies is an EOFError, not a hang
@@ -169,7 +172,9 @@ def _fork_map(fn, state, tasks, workers: int) -> list:
     return results
 
 
-def _fork_worker(fn, state, tasks, taken, send) -> None:
+def _fork_worker(fn, state, tasks, taken, reads, send) -> None:
+    for recv in reads:  # else a worker whose reader died would block in a full pipe forever
+        recv.close()
     pairs = []
     try:
         while True:
@@ -552,109 +557,67 @@ class _Table:
 
 
 def _parse_plain(data, table, out):
-    """``_parse_chunk``'s result for a plain predictions span, else None.
+    """A plain predictions span's flat keys as int64 bytes, its values put in ``out``; else None.
 
-    Plain: LF lines, none empty, of the bytes '0-9.,eE+-', that np.loadtxt
-    reads (as ``float()`` does, bit for bit) into rows of ``len(table.names)``
-    fields, each key an in-range integer in canonical decimal: rows the line
-    parser accepts as they are.  ``out`` exists only if the file backs every
-    row, so each bound is far below 2**53 and the float keys are exact.
+    Plain: LF or CRLF lines, none empty, of the bytes '0-9.,eE+-', that
+    np.loadtxt reads into rows of ``len(table.bounds)`` integer keys, as
+    ``int()`` reads them, each in range, and the values, as ``float()``
+    reads them, bit for bit: rows the line parser accepts as they are.
     """
-    if (out is None or table.parse_values is not _parse_floats or data[-1:] != b"\n"
-            or data.translate(None, b"0123456789.,eE+-\n")):
+    if data[-1:] != b"\n" or data.translate(None, b"0123456789.,eE+-\r\n"):
         return None
+    num_keys = len(table.bounds)
+    dtype = np.dtype([("keys", np.int64, num_keys),
+                      ("values", np.float64, len(table.names) - num_keys)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(BytesIO(data), delimiter=",", dtype=np.float64, ndmin=2)
-    except (ValueError, Warning):
+            rows = np.loadtxt(BytesIO(data), delimiter=",", dtype=dtype, ndmin=1)
+    except (ValueError, Warning):  # a lone '\r' too: loadtxt takes only '\r\n' with it
         return None
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    num_keys = len(table.bounds)
-    keys = rows[:, :num_keys]
+    keys = rows["keys"]
     # of these bytes' lines loadtxt skips only empty ones: a row per line means none
-    if (rows.shape[1] != len(table.names) or len(rows) != ends.size
-            or not (keys < table.bounds).all()):
+    if len(rows) != data.count(b"\n") or not ((keys >= 0) & (keys < table.bounds)).all():
         return None
-    # canonical: each key's text is as many digits as its value has, then a
-    # comma; so no sign, point, exponent or leading zero, and the value is an integer
-    digits = np.searchsorted(np.cumprod(np.full(16, 10.0)), keys, side="right") + 1
-    commas = np.cumsum(digits + 1, axis=1) - 1  # offset of the comma after each key
-    starts = np.r_[0, ends[:-1] + 1]
-    at = np.arange(commas[:, -1].max() + 1)
-    text = buf[np.minimum(starts[:, None] + at, buf.size - 1)]
-    comma = np.zeros(text.shape, dtype=bool)
-    np.put_along_axis(comma, commas, True, axis=1)
-    if not np.where(comma, text == ord(","), (at > commas[:, -1:]) | (text - ord("0") < 10)).all():
-        return None
-    flat = np.ravel_multi_index(tuple(keys.astype(np.int64).T), table.bounds)
-    out[flat] = rows[:, num_keys:]
-    pairs = np.column_stack((flat, np.arange(1, len(rows) + 1))).astype(np.int64)
-    return len(rows), pairs.tobytes(), None
+    flat = np.ravel_multi_index(tuple(keys.T), table.bounds)
+    out[flat] = rows["values"]
+    return flat.tobytes()
 
 
 def _parse_chunk(state, span):
-    """Parse the lines of one byte span of a table, decoded as text mode decodes them.
-
-    Each row's values go into the shared buffer ``out``, if there is one.
-    Returns the span's line count, its rows' (key, line in the span) pairs
-    as int64 bytes, and its first bad line (None if none) or the
-    UnicodeDecodeError that ends its text early, where it stops.  A plain
-    predictions span is parsed by numpy (``_parse_plain``), any other line
-    by line.
-    """
+    """``_parse_plain`` on one byte span of the predictions table; None for
+    the labels table or if the file is too small to back the buffer ``out``."""
     path, table, out = state
+    if out is None or table.parse_values is not _parse_floats:
+        return None
     start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    plain = _parse_plain(data, table, out)
-    if plain is not None:
-        return plain
-    rows = array.array("q")
-    lineno = 0
-    with TextIOWrapper(BytesIO(data)) as lines:
-        try:
-            for lineno, line in enumerate(lines, start=1):
-                line = line.rstrip("\n")
-                try:
-                    row = table.parse_row(line, lineno)
-                except ParseError:
-                    return lineno, rows.tobytes(), line
-                if row is not None:
-                    flat, values = row
-                    if out is not None:  # None: the file is too small, so a row is missing
-                        out[flat] = values
-                    rows.extend((flat, lineno))
-        except UnicodeDecodeError as exc:  # after the lines decoded before it, as text mode does
-            return lineno, rows.tobytes(), exc
-    return lineno, rows.tobytes(), None
+    return _parse_plain(data, table, out)
 
 
-def _raise_first_defect(table, parts, total):
-    """Raise the ParseError that reading the table line by line meets first.
+def _parse_lines(fh, table, total, out):
+    """Parse the lines after a table's header, read from ``fh`` in file order.
 
-    ``parts`` are ``_parse_chunk``'s results for the spans after the
-    header, in file order: a repeated row, a bad line or an undecodable
-    byte, whichever comes first, else the first missing row, named at the
-    table's last line.
-    """
-    last, rows = 1, set()  # the header is line 1
-    for count, pairs, bad in parts:
-        for key, line in np.frombuffer(pairs, np.int64).reshape(-1, 2).tolist():
-            if key in rows:
-                raise ParseError(f"duplicate {table.what} row for {table.key_text(key)}",
-                                 line=last + line)
-            rows.add(key)
-        last += count
-        if isinstance(bad, UnicodeDecodeError):
-            raise bad  # the caller's open_text names the file
-        if bad is not None:  # the span's parse stopped at its last line
-            table.parse_row(bad, last)  # raises the line's own error
-    # so the search ends within len(rows) + 1 steps, whatever total is
-    missing = next(k for k in range(total) if k not in rows)
-    raise ParseError(f"no {table.what} row for {table.key_text(missing)}", line=last)
+    Each row's values go into ``out``, if there is one (None: the file is
+    too small, so a row is missing).  Raises the first defect: a bad line,
+    a repeated row or an undecodable byte (open_text names the file), else
+    the first missing row, named at the table's last line."""
+    rows, lineno = set(), 1  # the header is line 1
+    for lineno, line in enumerate(fh, start=2):
+        row = table.parse_row(line.rstrip("\n"), lineno)
+        if row is not None:
+            flat, values = row
+            if flat in rows:
+                raise ParseError(f"duplicate {table.what} row for {table.key_text(flat)}",
+                                 line=lineno)
+            rows.add(flat)
+            if out is not None:
+                out[flat] = values
+    if len(rows) < total:  # so the search ends within len(rows) + 1 steps
+        missing = next(k for k in range(total) if k not in rows)
+        raise ParseError(f"no {table.what} row for {table.key_text(missing)}", line=lineno)
 
 
 def _line_end(fd, pos, size):
@@ -701,14 +664,21 @@ def _read_table(path, header, width, bounds, parse_values, dtype, what):
             ends.append(_line_end(fh.fileno(), pos, size))
             pos = min(ends[-1] + _CHUNK_BYTES, size) - 1
         spans = list(pairwise(ends[1:]))
-        parts = _fork_map(_parse_chunk, (path, table, out), spans, _workers(len(spans)))
-        keys = np.frombuffer(b"".join([rows for _, rows, _ in parts]), np.int64)[::2]
-        if out is not None and keys.size == total and all(bad is None for *_, bad in parts):
-            seen = np.zeros(total, dtype=bool)
-            seen[keys] = True
-            if seen.all():
-                return out.reshape(*bounds, width)
-        _raise_first_defect(table, parts, total)
+        keys = _fork_map(_parse_chunk, (path, table, out), spans, _workers(len(spans)))
+        if out is None or None in keys:
+            _parse_lines(fh, table, total, out)  # raises if out is None
+            return out.reshape(*bounds, width)
+        # every line after the header is a row: the k-th key's is line k + 2
+        keys = np.frombuffer(b"".join(keys), np.int64)
+        seen = np.zeros(total, dtype=bool)
+        seen[keys] = True
+        distinct = np.count_nonzero(seen)
+        if distinct == keys.size == total:
+            return out.reshape(*bounds, width)
+        if distinct < keys.size:  # the first row whose key an earlier row has
+            k = int(np.setdiff1d(np.arange(keys.size), np.unique(keys, return_index=True)[1])[0])
+            raise ParseError(f"duplicate {what} row for {table.key_text(keys[k])}", line=k + 2)
+        raise ParseError(f"no {what} row for {table.key_text(seen.argmin())}", line=keys.size + 1)
 
 
 def read_predictions(path):

@@ -7,8 +7,10 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -189,6 +191,30 @@ before = status("VmRSS:")
 io.read_predictions(sys.argv[1])
 print(status("VmHWM:") - before)
 """
+
+
+# reads the dataset in argv[1] with three forked workers, prints their PIDs
+# once all have started, then sleeps where it would receive their results
+STALLED_READ_SCRIPT = """
+import multiprocessing, os, sys, time
+from multiprocessing.connection import Connection
+from socprune import io
+def stall(self):
+    print(*[proc.pid for proc in multiprocessing.active_children()], flush=True)
+    time.sleep(600)
+Connection.recv = stall
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+io.read_predictions(sys.argv[1])
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def with_line_ends(source, target, newline, final):
@@ -563,18 +589,21 @@ class TestPlainSpans:
     def test_plain_table_never_reaches_the_line_parser(self, tmp_path, monkeypatch, chunk):
         t, y, splits = generate_synthetic_ensemble(
             SyntheticSpec(num_models=4, num_samples=300, num_classes=10, seed=1009))
-        write_predictions(tmp_path, t, y, splits)
+        write_predictions(tmp_path / "lf", t, y, splits)
+        crlf = with_line_ends(tmp_path / "lf", tmp_path / "crlf", "\r\n", True)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "_parse_plain", lambda data, table, out: None)
-            expected = probs_bytes(tmp_path)
+            expected = probs_bytes(tmp_path / "lf")
         forked = Forked(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
-        assert probs_bytes(tmp_path) == expected
-        assert forked.reads == [1, 1]
-        # only the labels table's 300 rows were parsed line by line
-        assert len(forked.parsed) == 300
-        assert all(line.count(",") == 1 for line, _ in forked.parsed)
+        for target in (tmp_path / "lf", crlf):
+            forked.parsed.clear()
+            assert probs_bytes(target) == expected
+            # only the labels table's 300 rows were parsed line by line
+            assert len(forked.parsed) == 300
+            assert all(line.count(",") == 1 for line, _ in forked.parsed)
+        assert forked.reads == [1, 1] * 2
 
 
 class TestDatasetErrors:
@@ -697,8 +726,8 @@ class TestDatasetErrors:
         assert read_error(target) == error
         if filename != "manifest.txt":  # the bad table's forked read met the defect
             assert forked.reads == [3] * (1 + (filename == "predictions.csv"))
-            # this process parses only a bad line, to raise its error
-            assert forked.parsed == ([] if "row for" in error[1] else [(new, line)])
+            # this process's line parser stops at the line at fault
+            assert forked.parsed[-1] == (new, line)
 
     @pytest.mark.parametrize("text, message", [
         ("socprune-datasets\nformat_version 1\n", "not a dataset manifest"),
@@ -731,7 +760,8 @@ class TestDatasetErrors:
         forked = Forked(monkeypatch)
         assert read_error(tmp_path) == error
         assert forked.reads == [3, 3]  # labels, then predictions
-        assert forked.parsed == []  # the workers' keys and lines named the defect
+        # the workers' keys named the defect: only labels rows were parsed in this process
+        assert [text.count(",") for text, _ in forked.parsed] == [1] * 5
 
     def test_row_count_beyond_int64_is_parse_error(self, tmp_path):
         # this row's key would not fit the int64 keys that a table's spans return
@@ -915,6 +945,31 @@ class TestReportIO:
         assert forked.maps == 1
         if direction == "write":
             assert sorted(p.name for p in target.iterdir()) == ["manifest.txt"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads the workers' states from /proc")
+    def test_killed_reader_leaves_no_worker(self, tmp_path, capsys):
+        # each worker's keys (about 160 KB) overfill a 64 KiB pipe buffer, so a
+        # worker that still held a read end of its pipe would block in write forever
+        argv = ["gen", "--models", "60", "--samples", "1000", "--classes", "10",
+                "--out", str(tmp_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(dataio.__file__).parents[1])}
+        reader = subprocess.Popen([sys.executable, "-c", STALLED_READ_SCRIPT, str(tmp_path)],
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                  text=True)
+        with reader:
+            pids = [int(pid) for pid in reader.stdout.readline().split()]
+            reader.kill()
+        assert len(pids) == 3
+        deadline = time.monotonic() + 30
+        try:
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(running, pids))
+        finally:
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_written_file_mode_follows_umask(self, tmp_path, rng, monkeypatch, umask, mode):
