@@ -25,14 +25,14 @@ into, which can move entries by one ulp; values that already sum to
 exactly 1 (like the shipped fixture) round-trip bit-for-bit.
 
 Dataset reads and writes use every CPU in the process's affinity mask
-(``taskset`` restricts them): a forked worker per CPU parses a table's spans
-of whole lines or formats ranges of models.  A worker parses only a plain
-span of the predictions table (LF or CRLF lines, none empty, of the bytes
-'0-9.,eE+-', with in-range integer keys), in one ``np.loadtxt`` call.  If
-every span is plain, the reading process names a repeated or missing row
-from the keys; otherwise it parses the whole table line by line, in file
-order (the labels table, lone-CR lines, empty lines, padded fields, every
-defect), so each ParseError is the line parser's and the first in the file.
+(``taskset`` restricts them): a forked worker per CPU parses the predictions
+table's spans of whole lines or formats ranges of models.  A worker parses
+only a plain span (LF or CRLF lines, none empty, of the bytes '0-9.,eE+-',
+with in-range integer keys), in one ``np.loadtxt`` call.  The reading
+process parses the labels table line by line, and the predictions table
+too when a span is not plain (lone-CR lines, empty lines, padded fields, a
+bad field) or the keys are not one per row.  That line parser, in file
+order, names every defect, so each ParseError is the first in the file.
 The reading process holds the tensor once and finds where spans end in
 small windows read with ``os.pread``, never mapping the file.  The library
 forks, which matters to a caller that holds threads: the child gets only
@@ -48,7 +48,6 @@ import os
 import re
 import shutil
 import tempfile
-import warnings
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from functools import cache, partial
@@ -512,30 +511,19 @@ def write_predictions(path, t: PredictionTensor, y: LabelVector, splits: SplitSp
     atomic_write_text(os.path.join(path, LABELS_NAME), ["sample_id,label\n" + labels])
 
 
-def _parse_floats(tokens, line, names):
-    """A row's floats, converted in C; a bad token gets parse_float's ParseError."""
-    joined = "".join(tokens)  # float() also takes '1_0' and non-ASCII digits
-    if joined.isascii() and "_" not in joined:
-        try:
-            return list(map(float, tokens))
-        except ValueError:
-            pass
-    return [parse_float(tok, line, name) for tok, name in zip(tokens, names)]
-
-
 class _Table:
     """The layout of one dataset CSV table and the parser of its rows.
 
     ``names`` are the header's fields: ``len(bounds)`` integer keys, the k-th
-    in [0, bounds[k]), then values that ``parse_values(tokens, line, names)``
-    converts.  A table holds one row per key tuple.
+    in [0, bounds[k]), then values, each converted by
+    ``parse_value(token, line, name)``.  A table holds one row per key tuple.
     """
 
-    def __init__(self, what, names, bounds, parse_values):
+    def __init__(self, what, names, bounds, parse_value):
         self.what = what
         self.names = names
         self.bounds = bounds
-        self.parse_values = parse_values
+        self.parse_value = parse_value
 
     def parse_row(self, line, lineno):
         """(flat key, values) of one line without its newline; None if it is empty."""
@@ -549,7 +537,8 @@ class _Table:
         flat = 0
         for tok, name, bound in zip(parts, self.names, self.bounds):
             flat = flat * bound + parse_int(tok, lineno, name, 0, bound)
-        return flat, self.parse_values(parts[num_keys:], lineno, self.names[num_keys:])
+        return flat, [self.parse_value(tok, lineno, name)
+                      for tok, name in zip(parts[num_keys:], self.names[num_keys:])]
 
     def key_text(self, flat):
         key = np.unravel_index(flat, self.bounds)
@@ -564,16 +553,15 @@ def _parse_plain(data, table, out):
     ``int()`` reads them, each in range, and the values, as ``float()``
     reads them, bit for bit: rows the line parser accepts as they are.
     """
-    if data[-1:] != b"\n" or data.translate(None, b"0123456789.,eE+-\r\n"):
+    # a span with no row starts with an empty line; loadtxt would warn on it
+    if data[-1:] != b"\n" or data[0] in b"\r\n" or data.translate(None, b"0123456789.,eE+-\r\n"):
         return None
     num_keys = len(table.bounds)
     dtype = np.dtype([("keys", np.int64, num_keys),
                       ("values", np.float64, len(table.names) - num_keys)])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(BytesIO(data), delimiter=",", dtype=dtype, ndmin=1)
-    except (ValueError, Warning):  # a lone '\r' too: loadtxt takes only '\r\n' with it
+        rows = np.loadtxt(BytesIO(data), delimiter=",", dtype=dtype, ndmin=1)
+    except ValueError:  # a lone '\r' too: loadtxt takes only '\r\n' with it
         return None
     keys = rows["keys"]
     # of these bytes' lines loadtxt skips only empty ones: a row per line means none
@@ -585,11 +573,8 @@ def _parse_plain(data, table, out):
 
 
 def _parse_chunk(state, span):
-    """``_parse_plain`` on one byte span of the predictions table; None for
-    the labels table or if the file is too small to back the buffer ``out``."""
+    """``_parse_plain`` on one byte span of the predictions table."""
     path, table, out = state
-    if out is None or table.parse_values is not _parse_floats:
-        return None
     start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
@@ -631,7 +616,24 @@ def _line_end(fd, pos, size):
     return size
 
 
-def _read_table(path, header, width, bounds, parse_values, dtype, what):
+def _parse_spans(path, fd, size, table, out) -> bool:
+    """Whether numpy parsed every span of the predictions table into ``out``,
+    the rows' keys one per row of ``out``."""
+    # each span ends just past a line end, so none splits a line or a
+    # '\r\n'; the first end found is the header's
+    ends, pos = [0], 0
+    while ends[-1] < size:
+        ends.append(_line_end(fd, pos, size))
+        pos = min(ends[-1] + _CHUNK_BYTES, size) - 1
+    spans = list(pairwise(ends[1:]))
+    keys = _fork_map(_parse_chunk, (path, table, out), spans, _workers(len(spans)))
+    if None in keys:
+        return False
+    keys = np.frombuffer(b"".join(keys), np.int64)
+    return bool((np.bincount(keys, minlength=len(out)) == 1).all())
+
+
+def _read_table(path, header, width, bounds, parse_value, dtype, what, spans=False):
     """One dataset CSV table as an array shaped (*bounds, width).
 
     The first line must have ``len(bounds) + width`` fields, then equal
@@ -639,7 +641,9 @@ def _read_table(path, header, width, bounds, parse_values, dtype, what):
     allocated only if the file is large enough to hold every row, at two
     bytes or more per field (its text and the comma or newline after it),
     so nothing is sized by a claimed count that the file cannot back.
-    Empty lines are skipped; each ParseError names the line at fault.
+    With ``spans`` (the predictions table) numpy parses the spans first.
+    The line parser reads the table unless every span is plain and holds
+    each row once; it skips empty lines and names the line of each ParseError.
     """
     total = math.prod(bounds)
     with open_text(path) as fh:
@@ -651,34 +655,15 @@ def _read_table(path, header, width, bounds, parse_values, dtype, what):
             raise ParseError(f"{what} header must be {header()!r}", line=1)
         if total >= 2**63:  # keys are int64, and no file holds that many rows
             raise ParseError(f"{what} table cannot have {total} rows")
-        table = _Table(what, names, bounds, parse_values)
+        table = _Table(what, names, bounds, parse_value)
         size = os.fstat(fh.fileno()).st_size
-        out = None
-        if total * 2 * len(names) <= size:
-            # shared, so forked workers write the rows in place
-            out = mapped_zeros((total, width), dtype)
-        # each span ends just past a line end, so none splits a line or a
-        # '\r\n'; the first end found is the header's
-        ends, pos = [0], 0
-        while ends[-1] < size:
-            ends.append(_line_end(fh.fileno(), pos, size))
-            pos = min(ends[-1] + _CHUNK_BYTES, size) - 1
-        spans = list(pairwise(ends[1:]))
-        keys = _fork_map(_parse_chunk, (path, table, out), spans, _workers(len(spans)))
-        if out is None or None in keys:
-            _parse_lines(fh, table, total, out)  # raises if out is None
-            return out.reshape(*bounds, width)
-        # every line after the header is a row: the k-th key's is line k + 2
-        keys = np.frombuffer(b"".join(keys), np.int64)
-        seen = np.zeros(total, dtype=bool)
-        seen[keys] = True
-        distinct = np.count_nonzero(seen)
-        if distinct == keys.size == total:
-            return out.reshape(*bounds, width)
-        if distinct < keys.size:  # the first row whose key an earlier row has
-            k = int(np.setdiff1d(np.arange(keys.size), np.unique(keys, return_index=True)[1])[0])
-            raise ParseError(f"duplicate {what} row for {table.key_text(keys[k])}", line=k + 2)
-        raise ParseError(f"no {what} row for {table.key_text(seen.argmin())}", line=keys.size + 1)
+        if total * 2 * len(names) > size:
+            _parse_lines(fh, table, total, None)  # raises: a row is missing
+        # shared, so forked workers write the rows in place
+        out = mapped_zeros((total, width), dtype)
+        if not (spans and _parse_spans(path, fh.fileno(), size, table, out)):
+            _parse_lines(fh, table, total, out)
+        return out.reshape(*bounds, width)
 
 
 def read_predictions(path):
@@ -695,16 +680,15 @@ def read_predictions(path):
     num_samples = manifest["num_samples"]
     num_classes = manifest["num_classes"]
 
-    def parse_labels(tokens, line, names):
-        return [parse_int(tokens[0], line, names[0], lo=0, hi=num_classes)]
-
     labels = _read_table(os.path.join(path, LABELS_NAME), lambda: "sample_id,label", 1,
-                         (num_samples,), parse_labels, np.int64, "labels")
+                         (num_samples,), partial(parse_int, lo=0, hi=num_classes), np.int64,
+                         "labels")
     taken = np.zeros(num_samples, dtype=bool)
     splits = SplitSpec(**{key: _parse_ranges(*manifest[key], taken) for key in _SPLIT_KEYS})
     probs = _read_table(os.path.join(path, PREDICTIONS_NAME),
                         partial(_predictions_header, num_classes), num_classes,
-                        (num_models, num_samples), _parse_floats, np.float64, "predictions")
+                        (num_models, num_samples), parse_float, np.float64, "predictions",
+                        spans=True)
 
     t = PredictionTensor._adopt(probs)
     y = LabelVector(labels=labels[:, 0], num_classes=num_classes)

@@ -19,7 +19,6 @@ improvement.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,14 +245,14 @@ class _KktSolver:
         K_reg = K.copy()
         K_reg[np.arange(n), np.arange(n)] -= _REGULARIZATION
         K_reg[np.arange(n, n + m), np.arange(n, n + m)] += _REGULARIZATION
-        # lu_factor only warns on an exactly zero pivot; the caller handles
-        # a singular KKT matrix through LinAlgError
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                self.lu = scipy.linalg.lu_factor(K_reg)
-            except scipy.linalg.LinAlgWarning as exc:
-                raise scipy.linalg.LinAlgError(str(exc)) from exc
+        # getrf, which lu_factor calls, reports an exactly zero pivot of U; the
+        # caller handles a singular KKT matrix through LinAlgError
+        getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (K_reg,))
+        lu, piv, info = getrf(K_reg)
+        if info > 0:
+            raise scipy.linalg.LinAlgError(
+                f"Diagonal number {info} is exactly zero. Singular matrix.")
+        self.lu = lu, piv
 
     def solve(self, rhs_x: np.ndarray, rhs_y: np.ndarray):
         rhs = np.concatenate((rhs_x, rhs_y))

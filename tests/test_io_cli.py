@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -170,6 +171,10 @@ class Forked:
         return sum(workers > 1 for workers in self.reads + self.writes)
 
 
+def refuse_warning_filters(*args, **kwargs):
+    raise AssertionError("warnings.catch_warnings was called")
+
+
 def probs_bytes(path):
     return read_predictions(path)[0].probs.tobytes()
 
@@ -298,7 +303,7 @@ class TestDatasetRoundTrip:
                 t, y, _ = read_predictions(target)
             assert np.array_equal(t.probs, TINY_PROBS)
             assert np.array_equal(y.labels, [1, 0, 1])
-            assert forked.reads == [3, 3]
+            assert forked.reads == [3]
 
     def test_writer_matches_per_value_reference(self, tmp_path, rng):
         special = [0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1]
@@ -401,8 +406,8 @@ class TestDatasetRoundTrip:
         assert t2.probs.tobytes() == t1.probs.tobytes()
         assert y2.labels.tobytes() == y1.labels.tobytes()
         # one CPU: every table inline, no worker forked
-        assert forked.maps == (0 if len(cpus) == 1 else 3)
-        assert forked.writes == [len(cpus)] and forked.reads == [len(cpus)] * 2
+        assert forked.maps == (0 if len(cpus) == 1 else 2)
+        assert forked.writes == [len(cpus)] and forked.reads == [len(cpus)]
 
     def test_daemon_process_reads_inline(self, tmp_path, rng, monkeypatch):
         t, y = random_instance(rng, 5, 9, 3)
@@ -414,7 +419,25 @@ class TestDatasetRoundTrip:
             pool.close()
             pool.join()
         assert read == probs_bytes(tmp_path)
-        assert forked.reads == [3, 3]  # in this process only
+        assert forked.reads == [3]  # in this process only
+
+    def test_labels_table_is_read_without_forking(self, tmp_path, rng, monkeypatch):
+        t, y = random_instance(rng, 3, 40, 2)
+        write_predictions(tmp_path, t, y, splits_of(t))
+        forked = Forked(monkeypatch)
+        spread, tables = dataio._fork_map, []
+
+        def record(fn, state, tasks, workers):
+            tables.append(os.path.basename(state[0]))
+            return spread(fn, state, tasks, workers)
+
+        monkeypatch.setattr(dataio, "_fork_map", record)
+        assert read_predictions(tmp_path)[1].labels.tobytes() == y.labels.tobytes()
+        # the labels table is dozens of 4-byte chunks, yet only the
+        # predictions table forks; this process parses every labels row
+        assert (tmp_path / "labels.csv").stat().st_size > 40 * 4
+        assert tables == ["predictions.csv"] and forked.reads == [3]
+        assert sum(line.count(",") == 1 for line, _ in forked.parsed) == 40
 
     def test_write_rejects_inconsistent_shapes(self, tmp_path, rng):
         t, y = random_instance(rng, 2, 10, 3)
@@ -603,7 +626,20 @@ class TestPlainSpans:
             # only the labels table's 300 rows were parsed line by line
             assert len(forked.parsed) == 300
             assert all(line.count(",") == 1 for line, _ in forked.parsed)
-        assert forked.reads == [1, 1] * 2
+        assert forked.reads == [1, 1]
+
+    def test_inline_read_sets_no_warning_filter(self, tmp_path, rng, monkeypatch):
+        # a span of empty lines is declined before np.loadtxt, whose one
+        # warning, "input contained no data", it would be: no filter hides it
+        target = plain_dataset(tmp_path / "d", rng)
+        expected = probs_bytes(target)
+        rewrite(target / "predictions.csv", lambda s: s.replace("\n", "\n" * 6))
+        Forked(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(warnings, "catch_warnings", refuse_warning_filters)
+            assert probs_bytes(target) == expected
 
 
 class TestDatasetErrors:
@@ -709,6 +745,8 @@ class TestDatasetErrors:
         # shape claims no row confirms: the table's last line, with nothing sized by the claim
         ("manifest.txt", "num_samples 3", "num_samples 1000000000000", 4),
         ("manifest.txt", "num_models 2", "num_models 1000000000000", 7),
+        # a class count no header confirms: line 1, with no header built from the claim
+        ("manifest.txt", "num_classes 2", "num_classes 1000000000000", 1),
         ("manifest.txt", "num_classes 2", "num_classes 2\nnum_classes 2", 6),  # duplicate key
         ("manifest.txt", "num_classes 2", "", 10),  # missing key: the manifest's last line
     ])
@@ -724,8 +762,8 @@ class TestDatasetErrors:
         # a table read in chunks by forked workers reports the same error
         forked = Forked(monkeypatch)
         assert read_error(target) == error
-        if filename != "manifest.txt":  # the bad table's forked read met the defect
-            assert forked.reads == [3] * (1 + (filename == "predictions.csv"))
+        if filename != "manifest.txt":  # only the predictions table's read forks
+            assert forked.reads == [3] * (filename == "predictions.csv")
             # this process's line parser stops at the line at fault
             assert forked.parsed[-1] == (new, line)
 
@@ -749,8 +787,8 @@ class TestDatasetErrors:
         # row (1, 4) is in a middle chunk
         (lambda rows: rows[:9] + rows[10:], "no predictions row for model_id 1, sample_id 4"),
     ], ids=["duplicate", "missing"])
-    def test_chunked_read_defect_found_in_one_pass(self, tmp_path, rng, monkeypatch, edit,
-                                                   message):
+    def test_chunked_read_defect_named_by_the_line_parser(self, tmp_path, rng, monkeypatch,
+                                                          edit, message):
         t, y = random_instance(rng, 3, 5, 2)
         write_predictions(tmp_path, t, y, splits_of(t))
         header, *rows = (tmp_path / "predictions.csv").read_text().splitlines()
@@ -759,9 +797,12 @@ class TestDatasetErrors:
         assert error[1] == f"line {len(edit(rows)) + 1}: {message}"
         forked = Forked(monkeypatch)
         assert read_error(tmp_path) == error
-        assert forked.reads == [3, 3]  # labels, then predictions
-        # the workers' keys named the defect: only labels rows were parsed in this process
-        assert [text.count(",") for text, _ in forked.parsed] == [1] * 5
+        assert forked.reads == [3]  # the predictions table only
+        # every span was plain, but the workers' keys were not one per row: this
+        # process's line parser read the 5 labels rows, then the predictions
+        # table up to the line at fault
+        assert [text.count(",") for text, _ in forked.parsed[:5]] == [1] * 5
+        assert [lineno for _, lineno in forked.parsed[5:]] == list(range(2, error[2] + 1))
 
     def test_row_count_beyond_int64_is_parse_error(self, tmp_path):
         # this row's key would not fit the int64 keys that a table's spans return
@@ -1149,7 +1190,7 @@ class TestCli:
             with pytest.MonkeyPatch.context() as mp:
                 forked = Forked(mp)
                 assert read_error(tmp_path / name) == error
-            assert forked.reads == ([] if name == "labels.csv" else [3, 3])
+            assert forked.reads == ([] if name == "labels.csv" else [3])
         # a bad row before the undecodable byte is named first, as reading line by line names it
         table = tmp_path / "predictions.csv" / "predictions.csv"
         table.write_bytes(table.read_bytes().replace(b"\n0,1,", b"\n0,1,x", 1))

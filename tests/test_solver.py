@@ -1,6 +1,7 @@
 """Interior-point solver: closed-form cases, statuses, residual certification."""
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,19 @@ class TestKktSolver:
         with pytest.raises(scipy.linalg.LinAlgError):
             _KktSolver(H, np.zeros((1, 2)))
 
+    def test_zero_pivot_solve_sets_no_warning_filter(self, monkeypatch):
+        # unregularized, two equal equality rows make the KKT matrix exactly
+        # singular: its LU meets a zero pivot, and solve() ends as numerical
+        def refuse(*args, **kwargs):
+            raise AssertionError("warnings.catch_warnings was called")
+
+        monkeypatch.setattr("socprune.solver._REGULARIZATION", 0.0)
+        program = ConeProgram(num_vars=2, objective=[1, 1], eq_A=[[1, 1], [1, 1]], eq_b=[1, 1],
+                              cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(warnings, "catch_warnings", refuse)
+            assert solve(program).status == STATUS_NUMERICAL
 
     def test_non_finite_system_raises_linalg_error(self):
         # an iterate that overflowed; solve() maps this to status numerical
