@@ -559,7 +559,7 @@ def _parse_plain(data, table, out):
     num_keys = len(table.bounds)
     dtype = np.dtype([("keys", np.int64, num_keys),
                       ("values", np.float64, len(table.names) - num_keys)])
-    try:
+    try:  # numpy >= 2.4 raises on a key like '1.5' or '1e2'; before, it warned and truncated
         rows = np.loadtxt(BytesIO(data), delimiter=",", dtype=dtype, ndmin=1)
     except ValueError:  # a lone '\r' too: loadtxt takes only '\r\n' with it
         return None

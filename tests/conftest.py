@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,16 @@ def random_instance(rng, num_models, num_samples, num_classes):
 def one_iteration_solve(program):
     """A stand-in for the pipeline's ``solve``: one iteration, status max_iters."""
     return solve(program, SolverSettings(max_iters=1))
+
+
+@contextlib.contextmanager
+def no_warning_filter():
+    """Every warning raises, and a call to ``warnings.catch_warnings`` fails the test."""
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        mp.setattr(warnings, "catch_warnings",
+                   lambda *args, **kwargs: pytest.fail("warnings.catch_warnings was called"))
+        yield
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from socprune.pipeline import (
 )
 from socprune.solver import SolverSettings
 
-from conftest import one_iteration_solve, random_instance
+from conftest import no_warning_filter, one_iteration_solve, random_instance
 from test_solver import lp_with_stored_zero_row
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_dataset"
@@ -169,10 +168,6 @@ class Forked:
     def maps(self):
         """The number of reads and writes that forked workers."""
         return sum(workers > 1 for workers in self.reads + self.writes)
-
-
-def refuse_warning_filters(*args, **kwargs):
-    raise AssertionError("warnings.catch_warnings was called")
 
 
 def probs_bytes(path):
@@ -636,9 +631,7 @@ class TestPlainSpans:
         rewrite(target / "predictions.csv", lambda s: s.replace("\n", "\n" * 6))
         Forked(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            monkeypatch.setattr(warnings, "catch_warnings", refuse_warning_filters)
+        with no_warning_filter():
             assert probs_bytes(target) == expected
 
 

@@ -1,7 +1,6 @@
 """Interior-point solver: closed-form cases, statuses, residual certification."""
 
 import dataclasses
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,7 @@ from socprune.solver import (
     solve,
 )
 
+from conftest import no_warning_filter
 from test_acceptance import qp_to_socp
 
 
@@ -544,15 +544,10 @@ class TestKktSolver:
     def test_zero_pivot_solve_sets_no_warning_filter(self, monkeypatch):
         # unregularized, two equal equality rows make the KKT matrix exactly
         # singular: its LU meets a zero pivot, and solve() ends as numerical
-        def refuse(*args, **kwargs):
-            raise AssertionError("warnings.catch_warnings was called")
-
         monkeypatch.setattr("socprune.solver._REGULARIZATION", 0.0)
         program = ConeProgram(num_vars=2, objective=[1, 1], eq_A=[[1, 1], [1, 1]], eq_b=[1, 1],
                               cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            monkeypatch.setattr(warnings, "catch_warnings", refuse)
+        with no_warning_filter():
             assert solve(program).status == STATUS_NUMERICAL
 
     def test_non_finite_system_raises_linalg_error(self):
