@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import atomic_write_text, format_exact, parse_float, parse_int, read_text
 from .errors import (
@@ -208,8 +207,8 @@ def cholesky_lower(Q, ridge: float = 0.0) -> np.ndarray:
         raise DomainError("ridge must be nonnegative")
     shifted = Q + ridge * np.eye(Q.shape[0])
     try:
-        return scipy.linalg.cholesky(shifted, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
 
 

@@ -3,8 +3,8 @@
 Handles nonnegative-orthant, quadratic, and rotated quadratic cones plus
 free variables.  The algorithm is a Nesterov-Todd scaled Mehrotra
 predictor-corrector: at each iteration the scaled complementarity system is
-reduced to a quasi-definite KKT solve (dense LU of the statically
-regularized matrix, refined in float64 against the unregularized matrix),
+reduced to the full augmented KKT system, solved by numpy's partial-pivot
+LU (with a statically regularized, refined fallback, see ``_KktSolver``),
 and a single step length is taken along the combined primal-dual
 direction.  Every iterate, mapped to the program's variables, is tested
 for optimality and for an infeasibility or unboundedness ray; a program
@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .conic import (
     NONNEG_ORTHANT,
@@ -44,6 +43,9 @@ _CERT_TOL = 1e-6
 _STEP_FRACTION = 0.99
 # static KKT regularization: -delta on the H block, +delta on the zero block
 _REGULARIZATION = 1e-9
+# relative residual above which a plain LU solve of the KKT system falls back
+# to the regularized, refined solve
+_SOLVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,11 @@ class SolverSettings:
     """Termination tolerance, iteration limit and progress trace.
 
     ``tol`` bounds the relative gap and both relative residuals at once.
-    The step fraction (0.99) and the static KKT regularization (1e-9) are
-    module constants; each KKT solve is a dense LU of the regularized
-    matrix with float64 refinement against the unregularized matrix.
+    The step fraction (0.99), the KKT solve's residual bound (1e-10) and
+    its static regularization (1e-9) are module constants: each KKT solve
+    is a dense partial-pivot LU of the unregularized matrix, and only a
+    zero pivot or a residual above the bound falls back to an LU of the
+    regularized matrix, refined in float64 against the unregularized one.
     """
 
     tol: float = 1e-8
@@ -224,41 +228,60 @@ def _max_step(z: np.ndarray, dz: np.ndarray, structure: _Structure) -> float:
 
 
 class _KktSolver:
-    """Dense LU of the regularized KKT matrix, refined in float64.
+    """The augmented KKT system K = [[-H, A'], [A, 0]], solved by LU.
 
-    K = [[-H, A'], [A, 0]] is factored once as K + diag(-delta, +delta);
-    each solve refines against the unregularized K, so the result solves K
-    and the regularization only keeps the pivots away from zero.
+    K is allocated once per program and ``set_hessian`` rewrites only its
+    -H block.  Each ``solve`` is one partial-pivot LU solve of K (LAPACK's
+    gesv through numpy).  When that meets an exactly zero pivot, or leaves
+    a relative residual ||r - K z|| / (||K|| ||z|| + ||r||) (inf-norms)
+    above ``_SOLVE_TOL``, the solve falls back to the statically
+    regularized K + diag(-delta, +delta), refined against K: the result
+    solves K, and the regularization only keeps the pivots away from zero.
     """
 
     def __init__(self, H: np.ndarray, A: np.ndarray):
-        n = H.shape[0]
-        m = A.shape[0]
+        m, n = A.shape
         self.n = n
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = -H
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-        if not np.isfinite(K).all():  # an iterate that overflowed
-            raise scipy.linalg.LinAlgError("the KKT matrix is not finite")
-        self.K = K
-        K_reg = K.copy()
-        K_reg[np.arange(n), np.arange(n)] -= _REGULARIZATION
-        K_reg[np.arange(n, n + m), np.arange(n, n + m)] += _REGULARIZATION
-        # getrf, which lu_factor calls, reports an exactly zero pivot of U; the
-        # caller handles a singular KKT matrix through LinAlgError
-        getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (K_reg,))
-        lu, piv, info = getrf(K_reg)
-        if info > 0:
-            raise scipy.linalg.LinAlgError(
-                f"Diagonal number {info} is exactly zero. Singular matrix.")
-        self.lu = lu, piv
+        self.K = np.zeros((n + m, n + m))
+        self.K[:n, n:] = A.T
+        self.K[n:, :n] = A
+        abs_A = np.abs(A)
+        # row sums of |A'| and the largest row sum of |A|: with H's row sums
+        # they give ||K||_inf without a pass over |K|
+        self._at_rows = abs_A.sum(axis=0)
+        self._a_norm = float(abs_A.sum(axis=1).max(initial=0.0))
+        self.set_hessian(H)
+
+    def set_hessian(self, H: np.ndarray) -> None:
+        # a non-finite H or A (an iterate or a rotated column that overflowed)
+        # makes this row sum inf or nan
+        top = float((np.abs(H).sum(axis=1) + self._at_rows).max(initial=0.0))
+        if not np.isfinite(top):
+            raise np.linalg.LinAlgError("the KKT matrix is not finite")
+        np.negative(H, out=self.K[: self.n, : self.n])
+        self.k_norm = max(top, self._a_norm)
 
     def solve(self, rhs_x: np.ndarray, rhs_y: np.ndarray):
         rhs = np.concatenate((rhs_x, rhs_y))
         if not np.isfinite(rhs).all():
-            raise scipy.linalg.LinAlgError("the KKT right-hand side is not finite")
-        z = scipy.linalg.lu_solve(self.lu, rhs)
+            raise np.linalg.LinAlgError("the KKT right-hand side is not finite")
+        try:
+            z = np.linalg.solve(self.K, rhs)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            z = self._regularized_solve(rhs)
+        else:
+            scale = self.k_norm * _inf_norm(z) + _inf_norm(rhs)
+            if not _inf_norm(rhs - self.K @ z) <= _SOLVE_TOL * scale:
+                z = self._regularized_solve(rhs)
+        return z[: self.n], z[self.n :]
+
+    def _regularized_solve(self, rhs: np.ndarray) -> np.ndarray:
+        n = self.n
+        size = self.K.shape[0]
+        K_reg = self.K.copy()
+        K_reg[np.arange(n), np.arange(n)] -= _REGULARIZATION
+        K_reg[np.arange(n, size), np.arange(n, size)] += _REGULARIZATION
+        z = np.linalg.solve(K_reg, rhs)
         # refine against the unregularized matrix; extra passes matter once
         # the barrier parameter drops below the first pass's solve error
         best_norm = np.inf
@@ -268,8 +291,8 @@ class _KktSolver:
             if not np.isfinite(norm) or norm >= 0.5 * best_norm:
                 break
             best_norm = norm
-            z = z + scipy.linalg.lu_solve(self.lu, residual)
-        return z[: self.n], z[self.n :]
+            z = z + np.linalg.solve(K_reg, residual)
+        return z
 
 
 class _NtScaling:
@@ -507,6 +530,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     step = 0.0
     best_merit = np.inf
     best_point = None
+    kkt = None
 
     for k in range(settings.max_iters + 1):
         point = to_program(x, y, s)
@@ -531,7 +555,10 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         mu = float(x @ s) / nu if nu else 0.0
         try:
             W = _NtScaling(structure, x, s)
-            kkt = _KktSolver(W.H, A)
+            if kkt is None:
+                kkt = _KktSolver(W.H, A)
+            else:
+                kkt.set_hessian(W.H)
             # predictor: drive the scaled complementarity to zero
             r_p = b - A @ x
             r_d = c - A.T @ y - s
@@ -562,7 +589,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
 
             dx, dy = kkt.solve(r_d - winv_g, r_p)
             ds = winv_g - W.H @ dx
-        except (FloatingPointError, OverflowError, scipy.linalg.LinAlgError, ZeroDivisionError):
+        except (FloatingPointError, OverflowError, np.linalg.LinAlgError, ZeroDivisionError):
             status = STATUS_NUMERICAL
             break
         alpha_max = min(_max_step(x, dx, structure), _max_step(s, ds, structure))

@@ -2,10 +2,6 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,15 +362,6 @@ class TestStructuralValidation:
             build(eq_A=[[1.0, 0.0], [1.0]])
         with pytest.raises(MalformedProgram, match="objective is not a dense numeric"):
             build(objective=[0.0, [1.0]])
-
-    def test_cli_import_leaves_out_sparse_and_special(self):
-        # the package's only scipy part is scipy.linalg
-        env = {**os.environ, "PYTHONPATH": str(Path(conic.__file__).parents[1])}
-        code = ("import sys, socprune.cli; print(sorted(m for m in sys.modules"
-                " if m.startswith(('scipy.sparse', 'scipy.special'))))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert out.stdout == "[]\n"
 
     def test_rotated_cone_min_dim(self):
         with pytest.raises(MalformedProgram):

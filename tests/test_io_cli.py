@@ -208,6 +208,25 @@ io.read_predictions(sys.argv[1])
 """
 
 
+# blocks scipy from import, then runs each command that solves: gen, run,
+# prune, and solve on a pruning program the library wrote, in argv[1]
+NO_SCIPY_SCRIPT = """
+import os, sys
+sys.modules["scipy"] = None
+from socprune import (SyntheticSpec, build_pruning_socp, build_surrogate, cli,
+                      generate_synthetic_ensemble, write_cone_program)
+os.chdir(sys.argv[1])
+t, y, _ = generate_synthetic_ensemble(SyntheticSpec(num_models=8, num_samples=200, num_classes=4))
+program, _ = build_pruning_socp(build_surrogate(t, y), alpha=0.5, lam=0.05)
+write_cone_program(program, "prune.sp")
+print([cli.main(argv) for argv in (
+    ["gen", "--models", "4", "--samples", "60", "--classes", "3", "--out", "d"],
+    ["run", "d", "--simplex", "--format", "csv-summary", "--out", "run.csv"],
+    ["prune", "d", "--out", "prune.json"],
+    ["solve", "prune.sp", "--out", "sol.json"])])
+"""
+
+
 def running(pid):
     """Whether process ``pid`` exists and is no zombie."""
     try:
@@ -1109,6 +1128,20 @@ class TestCli:
         report = json.loads(out)
         assert report["selected"] == [0]
         assert report["pruned_accuracy"] == 0.875
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the one runtime dependency: importing the CLI loads no
+        # scipy module, and every solving command runs with scipy blocked
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        code = ("import sys, socprune.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout == "[]\n"
+        out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout == "[0, 0, 0, 0]\n"
+        assert json.loads((tmp_path / "sol.json").read_text())["status"] == "optimal"
 
     def test_solve_program_file(self, tmp_path, capsys):
         program = ConeProgram(num_vars=2, objective=[1, 0], eq_A=[[1, 1]], eq_b=[1],

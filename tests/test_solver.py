@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from socprune.conic import (
     NONNEG_ORTHANT,
@@ -535,11 +534,30 @@ class TestKktSolver:
         assert worst <= 1e-10
 
     def test_zero_pivot_raises_linalg_error(self):
-        # -H - delta vanishes, so the regularized matrix has a zero pivot;
-        # solve() maps LinAlgError to status numerical
+        # K has a zero row, and -H - delta vanishes, so the regularized matrix
+        # has a zero pivot too; solve() maps LinAlgError to status numerical
         H = -_REGULARIZATION * np.eye(2)
-        with pytest.raises(scipy.linalg.LinAlgError):
-            _KktSolver(H, np.zeros((1, 2)))
+        kkt = _KktSolver(H, np.zeros((1, 2)))
+        with pytest.raises(np.linalg.LinAlgError):
+            kkt.solve(np.ones(2), np.ones(1))
+
+    def test_repeated_equality_row_solves_through_the_fallback(self, monkeypatch):
+        # two equal rows make K exactly singular at every iterate: each
+        # direction comes from the regularized, refined solve
+        regularized = _KktSolver._regularized_solve
+        calls = []
+
+        def counted(self, rhs):
+            calls.append(rhs.size)
+            return regularized(self, rhs)
+
+        monkeypatch.setattr(_KktSolver, "_regularized_solve", counted)
+        program = ConeProgram(num_vars=2, objective=[1, 2], eq_A=[[1, 1], [1, 1]], eq_b=[1, 1],
+                              cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
+        sol = solve(program)
+        assert sol.status == STATUS_OPTIMAL
+        assert np.allclose(sol.x, [1.0, 0.0], atol=1e-7)
+        assert calls
 
     def test_zero_pivot_solve_sets_no_warning_filter(self, monkeypatch):
         # unregularized, two equal equality rows make the KKT matrix exactly
@@ -553,10 +571,10 @@ class TestKktSolver:
     def test_non_finite_system_raises_linalg_error(self):
         # an iterate that overflowed; solve() maps this to status numerical
         H = np.diag([1.0, np.inf])
-        with pytest.raises(scipy.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError):
             _KktSolver(H, np.ones((1, 2)))
         kkt = _KktSolver(np.eye(2), np.ones((1, 2)))
-        with pytest.raises(scipy.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError):
             kkt.solve(np.array([1.0, np.nan]), np.zeros(1))
 
 
