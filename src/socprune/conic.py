@@ -173,22 +173,6 @@ class ConicSolution:
             raise DomainError(f"unknown solver status {self.status!r}")
 
 
-def cone_margin(kind: str, values) -> float:
-    """Smallest membership slack of a value vector; >= 0 iff inside the cone.
-
-    Debugging helper; the slacks mix scales (linear for heads, quadratic for
-    the rotated product), so only the sign is meaningful.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if kind == NONNEG_ORTHANT:
-        return float(v.min())
-    if kind == QUADRATIC:
-        return float(v[0] - np.linalg.norm(v[1:]))
-    if kind == ROTATED_QUADRATIC:
-        return float(min(v[0], v[1], 2.0 * v[0] * v[1] - v[2:] @ v[2:]))
-    raise MalformedProgram(f"unknown cone kind {kind!r}")
-
-
 def cholesky_lower(Q, ridge: float = 0.0) -> np.ndarray:
     """Lower-triangular L with (Q + ridge*I) = L @ L.T and positive diagonal.
 
@@ -229,12 +213,16 @@ def build_pruning_socp(
     """Sparse pruning program for a quadratic surrogate at trade-off alpha.
 
     Minimizes ``alpha*t + (c + lam*lambda_max) @ x`` over weights x >= 0
-    and t >= x' (quad + ridge*I) x (one epigraph cone through the Cholesky
-    factor), where ``c = surrogate.combined_linear(alpha)``; on x >= 0 the
-    L1 penalty is that linear term.  ``lam`` is a fraction in [0, 1] of
-    ``lambda_max = max(0, max_i -c_i)``, the smallest penalty at which
-    x = 0 is optimal: lam = 1 gives x = 0, and where no c_i is negative
-    lambda_max is 0 and x = 0 at every lam.
+    and t >= k x' (quad + ridge*I) x (one epigraph cone through the
+    Cholesky factor), where ``c = k * surrogate.combined_linear(alpha)``;
+    on x >= 0 the L1 penalty is that linear term.  ``lam`` is a fraction
+    in [0, 1] of ``lambda_max = max(0, max_i -c_i)``, the smallest penalty
+    at which x = 0 is optimal: lam = 1 gives x = 0, and where no c_i is
+    negative lambda_max is 0 and x = 0 at every lam.
+
+    ``k = M / trace(quad + ridge*I)`` leaves the minimizer in place (the
+    objective is positively homogeneous in the quadratic and c) and makes
+    the program independent of the surrogate's scale, such as its 1/(n*C).
 
     With ``simplex=True`` the weights also sum to one.  There
     ||x||_1 = 1, so the L1 term is a constant; the program drops it, and
@@ -246,13 +234,16 @@ def build_pruning_socp(
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [0, 1] (a fraction of lambda_max), got {lam}")
     m = surrogate.num_models
-    root = cholesky_lower(surrogate.quad, surrogate.ridge).T
+    trace = float(np.trace(surrogate.quad)) + m * surrogate.ridge
+    # a trace that is not positive leaves k = 1: the factorization rejects it
+    k = m / trace if trace > 0 else 1.0
+    root = cholesky_lower(k * surrogate.quad, k * surrogate.ridge).T
     # variables: x = 0..m-1, t = m, aux = m+1..2m+2;
     # rows: aux = (1 + t, 2 R x, 1 - t), then sum(x) = 1 in simplex mode
     t = m
     aux = np.arange(m + 1, 2 * m + 3)
     objective = np.zeros(2 * m + 3)
-    objective[:m] = surrogate.combined_linear(alpha)
+    objective[:m] = k * surrogate.combined_linear(alpha)
     if not simplex:  # the L1 term, lam * lambda_max on each weight
         objective[:m] += lam * max(0.0, -objective[:m].min())
     objective[t] = alpha

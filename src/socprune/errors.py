@@ -88,7 +88,3 @@ class EmptyEnsemble(SocpruneError):
 
 class InvalidSpec(SocpruneError):
     """A synthetic-data specification is inconsistent."""
-
-
-class TooLarge(SocpruneError):
-    """An exhaustive operation was asked to run beyond its size cap."""

@@ -1,9 +1,6 @@
 """End-to-end ensemble pruning: generate or ingest predictions, tune the
 accuracy/sparsity grid on the validation split, solve the cone program,
 threshold the weights, and vote.
-
-Also provides the exhaustive subset oracle used to sanity-check the convex
-relaxation at desk scale.
 """
 
 from __future__ import annotations
@@ -29,15 +26,13 @@ from .errors import (
     FitFailed,
     InvalidSpec,
     ShapeMismatch,
-    TooLarge,
 )
-from .loss import build_surrogate, entropy_term, exact_loss
+from .loss import build_surrogate
 from .solver import STATUS_OPTIMAL, solve
 
 _DEFAULT_ALPHA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _DEFAULT_LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _AUTO = "auto"
-_ORACLE_LIMIT = 14
 # a failed grid cell's status names the status of its solve
 _FAILED_STATUSES = tuple(f"failed: {s}" for s in SOLVE_STATUSES if s != STATUS_OPTIMAL)
 
@@ -451,59 +446,6 @@ def cross_validate(t, y, splits, config: PruneConfig):
     smaller alpha index.
     """
     return _run_grid(t, y, splits, config)[:3]
-
-
-def brute_force_subset_oracle(t, y, alpha):
-    """Exhaustive minimum of the exact loss over uniform-weight subsets.
-
-    Returns (subset index list, loss).  Ties go to the lexicographically
-    smallest subset.  Capped at 14 models: the enumeration is 2^M - 1
-    subsets.
-    """
-    m = t.num_models
-    if m > _ORACLE_LIMIT:
-        raise TooLarge(f"{m} models exceed the enumeration limit {_ORACLE_LIMIT}")
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    n, num_c = t.num_samples, t.num_classes
-    flat = t.probs.reshape(m, n * num_c)
-    # a model at a time: no tensor-sized temporary
-    ent_flat = np.array([np.sum(entropy_term(model)) for model in t.probs])
-    one_hot = y.one_hot().ravel()
-    scale = 1.0 / (n * num_c)
-
-    total = (1 << m) - 1
-    masks = np.arange(1, total + 1, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.float64)
-    sizes = bits.sum(axis=1)
-
-    best_loss = np.inf
-    best_subset = None
-    chunk = max(1, (1 << 22) // (n * num_c))
-    for start in range(0, total, chunk):
-        sel = bits[start:start + chunk]
-        sz = sizes[start:start + chunk][:, None]
-        mix = (sel @ flat) / sz
-        acc = ((mix - one_hot) ** 2).sum(axis=1) * scale
-        jensen = entropy_term(mix).sum(axis=1) - (sel @ ent_flat) / sz[:, 0]
-        losses = alpha * acc + (1.0 - alpha) * (1.0 - jensen * scale)
-        chunk_min = float(losses.min())
-        if chunk_min > best_loss:
-            continue
-        tied = np.nonzero(losses == chunk_min)[0]
-        candidate = min(
-            tuple(int(i) for i in np.nonzero(sel[j])[0]) for j in tied
-        )
-        if chunk_min < best_loss or candidate < best_subset:
-            best_loss = chunk_min
-            best_subset = candidate
-
-    # report the winner's value through the reference evaluator so the
-    # returned number is bitwise the same thing callers would compute
-    uniform = np.full(len(best_subset), 1.0 / len(best_subset))
-    members = PredictionTensor(probs=t.probs[list(best_subset)])
-    value = exact_loss(uniform, members, y, alpha).total
-    return list(best_subset), float(value)
 
 
 def run_pipeline(source, config: PruneConfig | None = None) -> PruneReport:

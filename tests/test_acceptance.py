@@ -13,25 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import nnls
 
 from socprune import cli
 from socprune.conic import (
     NONNEG_ORTHANT,
     QUADRATIC,
+    ROTATED_QUADRATIC,
     Cone,
     ConeProgram,
     build_pruning_socp,
     cholesky_lower,
-    cone_margin,
     write_cone_program,
 )
 from socprune.core import PredictionTensor
-from socprune.errors import ShapeMismatch
+from socprune.errors import DomainError, MalformedProgram, ShapeMismatch
 from socprune.loss import QuadraticSurrogate, build_surrogate, entropy_term, exact_loss
 from socprune.pipeline import (
     PruneConfig,
     SyntheticSpec,
-    brute_force_subset_oracle,
+    _solve_weights,
     fit_weights,
     generate_synthetic_ensemble,
     run_pipeline,
@@ -118,6 +119,22 @@ def test_solver_matches_separable_and_dense_closed_forms():
         f"closed-form agreement: soft-threshold error {worst_soft:.2e} over "
         f"100 separable programs (budget 1e-6), unregularized minimum error "
         f"{worst_dense:.2e} over 50 dense programs (budget 1e-5)"))
+
+
+def cone_margin(kind: str, values) -> float:
+    """Smallest membership slack of a value vector; >= 0 iff inside the cone.
+
+    Debugging helper; the slacks mix scales (linear for heads, quadratic for
+    the rotated product), so only the sign is meaningful.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if kind == NONNEG_ORTHANT:
+        return float(v.min())
+    if kind == QUADRATIC:
+        return float(v[0] - np.linalg.norm(v[1:]))
+    if kind == ROTATED_QUADRATIC:
+        return float(min(v[0], v[1], 2.0 * v[0] * v[1] - v[2:] @ v[2:]))
+    raise MalformedProgram(f"unknown cone kind {kind!r}")
 
 
 def test_epigraph_membership_matches_quadratic_inequality():
@@ -320,6 +337,14 @@ def test_l1_norm_non_increasing_along_lambda_path():
         f"{paths} paths over lambda grid {LAMBDA_GRID} (budget 1e-7)"))
 
 
+def benchmark_spec(num_classes, seed):
+    """One of the 20 acceptance datasets: 40 models, 4000 samples."""
+    return SyntheticSpec(
+        num_models=40, num_samples=4000, num_classes=num_classes,
+        base_accuracy_range=(0.55, 0.85), correlation=0.5,
+        sharpness=6.0, seed=seed)
+
+
 def test_scaled_benchmark_prunes_without_accuracy_loss():
     config = PruneConfig(threshold="auto", simplex_mode=True)
     successes = 0
@@ -328,10 +353,7 @@ def test_scaled_benchmark_prunes_without_accuracy_loss():
     details = []
     for num_classes in (10, 100):
         for seed in range(10):
-            spec = SyntheticSpec(
-                num_models=40, num_samples=4000, num_classes=num_classes,
-                base_accuracy_range=(0.55, 0.85), correlation=0.5,
-                sharpness=6.0, seed=seed)
+            spec = benchmark_spec(num_classes, seed)
             start = time.perf_counter()
             report = run_pipeline(spec, config)
             seconds = time.perf_counter() - start
@@ -360,10 +382,7 @@ def test_default_config_prunes_without_accuracy_loss():
     details = []
     for num_classes in (10, 100):
         for seed in range(10):
-            spec = SyntheticSpec(
-                num_models=40, num_samples=4000, num_classes=num_classes,
-                base_accuracy_range=(0.55, 0.85), correlation=0.5,
-                sharpness=6.0, seed=seed)
+            spec = benchmark_spec(num_classes, seed)
             report = run_pipeline(spec, PruneConfig())
             runs += 1
             frac_pruned = 1.0 - report.num_models_pruned / report.num_models_full
@@ -379,6 +398,62 @@ def test_default_config_prunes_without_accuracy_loss():
     report_line(ok, (
         f"default pruning: {successes}/{runs} seeds pruned >=40% of 40 models "
         f"within 0.02 accuracy drop with PruneConfig() (need >=18)"))
+
+
+_ORACLE_LIMIT = 14
+
+
+def brute_force_subset_oracle(t, y, alpha):
+    """Exhaustive minimum of the exact loss over uniform-weight subsets.
+
+    Returns (subset index list, loss).  Ties go to the lexicographically
+    smallest subset.  Capped at 14 models: the enumeration is 2^M - 1
+    subsets.
+    """
+    m = t.num_models
+    if m > _ORACLE_LIMIT:
+        raise ValueError(f"{m} models exceed the enumeration limit {_ORACLE_LIMIT}")
+    if not 0 <= alpha <= 1:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
+    n, num_c = t.num_samples, t.num_classes
+    flat = t.probs.reshape(m, n * num_c)
+    # a model at a time: no tensor-sized temporary
+    ent_flat = np.array([np.sum(entropy_term(model)) for model in t.probs])
+    one_hot = y.one_hot().ravel()
+    scale = 1.0 / (n * num_c)
+
+    total = (1 << m) - 1
+    masks = np.arange(1, total + 1, dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.float64)
+    sizes = bits.sum(axis=1)
+
+    best_loss = np.inf
+    best_subset = None
+    chunk = max(1, (1 << 22) // (n * num_c))
+    for start in range(0, total, chunk):
+        sel = bits[start:start + chunk]
+        sz = sizes[start:start + chunk][:, None]
+        mix = (sel @ flat) / sz
+        acc = ((mix - one_hot) ** 2).sum(axis=1) * scale
+        jensen = entropy_term(mix).sum(axis=1) - (sel @ ent_flat) / sz[:, 0]
+        losses = alpha * acc + (1.0 - alpha) * (1.0 - jensen * scale)
+        chunk_min = float(losses.min())
+        if chunk_min > best_loss:
+            continue
+        tied = np.nonzero(losses == chunk_min)[0]
+        candidate = min(
+            tuple(int(i) for i in np.nonzero(sel[j])[0]) for j in tied
+        )
+        if chunk_min < best_loss or candidate < best_subset:
+            best_loss = chunk_min
+            best_subset = candidate
+
+    # report the winner's value through the reference evaluator so the
+    # returned number is bitwise the same thing callers would compute
+    uniform = np.full(len(best_subset), 1.0 / len(best_subset))
+    members = PredictionTensor(probs=t.probs[list(best_subset)])
+    value = exact_loss(uniform, members, y, alpha).total
+    return list(best_subset), float(value)
 
 
 def test_pruned_subset_loss_near_enumeration_oracle():
@@ -409,6 +484,94 @@ def test_pruned_subset_loss_near_enumeration_oracle():
         f"enumeration oracle: lower bound held on {bound_ok}/20 seeds; "
         f"pruned-subset loss within 10% relative gap on {within}/20 "
         f"(reported, target >=16), worst gap {worst_gap:.3f}"))
+
+
+def active_set_weights(surrogate, alpha, lam, simplex=False):
+    """Exact weights of a pruning-program cell, by an active set (Lawson & Hanson).
+
+    The cell minimizes alpha x'Px + c'x over x >= 0 with P = quad + ridge*I
+    = R'R and c its linear cost (``build_pruning_socp``): in free mode that
+    is NNLS on (R, -R^{-T} c / (2 alpha)).  In simplex mode (1'x = 1) a
+    heavy sum row appended to the NNLS guesses the support.  An exact KKT
+    solve on the support gives the weights, and the dual slacks off it must
+    be nonnegative: that certifies the optimum.
+    """
+    m = surrogate.num_models
+    q = surrogate.quad + surrogate.ridge * np.eye(m)
+    c = surrogate.combined_linear(alpha)
+    if not simplex:
+        c = c + lam * max(0.0, -c.min())
+    root = cholesky_lower(q).T
+    target = -scipy.linalg.solve_triangular(root, c, trans="T") / (2.0 * alpha)
+    if simplex:
+        heavy = 1e4 * np.abs(root).max()
+        guess, _ = nnls(np.vstack((root, np.full(m, heavy))), np.append(target, heavy))
+    else:
+        guess, _ = nnls(root, target)
+    support = np.nonzero(guess > 0)[0]
+    size = support.size
+    # [2 alpha P_SS, 1; 1', 0] [x_S; nu] = [-c_S; 1] in simplex mode
+    kkt = np.zeros((size + simplex, size + simplex))
+    kkt[:size, :size] = 2.0 * alpha * q[np.ix_(support, support)]
+    rhs = -c[support]
+    if simplex:
+        kkt[:size, size] = kkt[size, :size] = 1.0
+        rhs = np.append(rhs, 1.0)
+    solution = np.linalg.solve(kkt, rhs) if rhs.size else rhs
+    w = np.zeros(m)
+    w[support] = solution[:size]
+    slack = 2.0 * alpha * q @ w + c + (solution[size] if simplex else 0.0)
+    slack[support] = 0.0
+    scale = np.abs(c).max() + 2.0 * alpha * np.abs(q).max()
+    assert w.min() >= 0.0 and slack.min() >= -1e-12 * scale, "support guess not optimal"
+    return w
+
+
+def oracle_errors(spec, alphas, modes):
+    """(same support, max |w - w*|) of each grid cell of the spec's train split.
+
+    Free mode runs every (alpha, lambda) cell; lambda leaves the simplex
+    program, so simplex mode runs one cell per alpha.
+    """
+    t, y, splits = generate_synthetic_ensemble(spec)
+    surrogate = build_surrogate(t, y, splits.train_indices)
+    errors = []
+    for simplex in modes:
+        for alpha, lam in itertools.product(alphas, LAMBDA_GRID[:1] if simplex else LAMBDA_GRID):
+            program, vmap = build_pruning_socp(surrogate, alpha, lam, simplex=simplex)
+            w = _solve_weights(program, vmap, simplex)
+            expected = active_set_weights(surrogate, alpha, lam, simplex)
+            errors.append((np.array_equal(w != 0, expected != 0),
+                           float(np.abs(w - expected).max())))
+    return errors
+
+
+def test_grid_weights_match_active_set_oracle():
+    # the shapes, seeds and grids of the benchmark's three workloads
+    # (grid-simplex-m60, grid-free-m40, and alphas around ingest-c100's 0.4),
+    # drawn by the generator without the dataset files' round trip
+    workloads = (
+        (60, 1000, 10, ALPHA_GRID, (True,)),
+        (40, 4000, 10, ALPHA_GRID, (False,)),
+        (20, 2000, 100, (0.1, 0.3, 0.4, 0.5, 0.7, 0.9), (True,)),
+    )
+    workload = []
+    for seed in (1009, 2027):
+        for models, samples, classes, alphas, modes in workloads:
+            spec = SyntheticSpec(models, samples, classes, seed=seed)
+            workload += oracle_errors(spec, alphas, modes)
+    accept = []
+    for num_classes in (10, 100):
+        for seed in range(10):
+            accept += oracle_errors(benchmark_spec(num_classes, seed), ALPHA_GRID, (False, True))
+    failed = [sum(not same or error > 1e-9 for same, error in cells)
+              for cells in (workload, accept)]
+    ok = failed == [0, 0] and (len(workload), len(accept)) == (72, 600)
+    report_line(ok, (
+        f"active-set oracle: {failed[0]}/{len(workload)} workload cells and "
+        f"{failed[1]}/{len(accept)} acceptance cells differ in support or by more "
+        f"than 1e-9 (budget 0); worst |w - w*| {max(e for _, e in workload):.2e} "
+        f"and {max(e for _, e in accept):.2e}"))
 
 
 def test_cli_byte_identical_across_repeated_runs(tmp_path, capsys):

@@ -15,7 +15,6 @@ from socprune.conic import (
     ConeProgram,
     build_pruning_socp,
     cholesky_lower,
-    cone_margin,
     parse_cone_program,
     read_cone_program,
     serialize_cone_program,
@@ -28,10 +27,11 @@ from socprune.errors import (
     ParseError,
     VersionMismatch,
 )
-from socprune.loss import QuadraticSurrogate
+from socprune.loss import QuadraticSurrogate, build_surrogate
 from socprune.solver import STATUS_OPTIMAL, SolverSettings, solve
 
-from test_acceptance import qp_to_socp
+from conftest import random_instance
+from test_acceptance import cone_margin, qp_to_socp
 
 TIGHT = SolverSettings(tol=1e-11, max_iters=200)
 
@@ -219,7 +219,36 @@ class TestBuildPruningSocp:
             t = sol.x[vmap.t_index]
             assert x.min() >= 0.0 and x.max() > 1e-3
             q_eff = s.quad + s.ridge * np.eye(3)
-            assert abs(t - x @ q_eff @ x) < 1e-6
+            # the epigraph carries the program's scale k = M / trace
+            k = 3 / np.trace(q_eff)
+            assert abs(t - k * (x @ q_eff @ x)) < 1e-6
+
+    @pytest.mark.parametrize("simplex", [False, True], ids=["free", "simplex"])
+    @pytest.mark.parametrize("factor", [2.0 ** -20, 2.0 ** 20])
+    def test_program_is_scale_free(self, factor, simplex):
+        # scaling the quadratic, both linear terms and the ridge by a power
+        # of two is exact, and the program's scale k absorbs it exactly
+        t, y = random_instance(np.random.default_rng(5), 8, 200, 10)
+        s = build_surrogate(t, y)
+        scaled = QuadraticSurrogate(
+            quad=s.quad * factor, lin_accuracy=s.lin_accuracy * factor,
+            lin_diversity=s.lin_diversity * factor, constant=s.constant,
+            ridge=s.ridge * factor)
+        a, vmap = build_pruning_socp(s, 0.4, 0.3, simplex=simplex)
+        b, _ = build_pruning_socp(scaled, 0.4, 0.3, simplex=simplex)
+        for name in ("objective", "eq_A", "eq_b"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        x = list(vmap.x_indices)
+        assert np.array_equal(solve(a).x[x], solve(b).x[x])
+
+    @pytest.mark.parametrize("quad", [np.zeros((2, 2)), -np.eye(2)], ids=["zero", "negative"])
+    def test_quadratic_without_positive_trace_rejected(self, quad):
+        # the scale k is never taken from such a trace: -I scaled by
+        # M / trace = -1 would factor as I
+        s = QuadraticSurrogate(quad=quad, lin_accuracy=np.ones(2),
+                               lin_diversity=np.ones(2), constant=0.0, ridge=0.0)
+        with pytest.raises(NotPositiveDefinite):
+            build_pruning_socp(s, 0.5, 0.5)
 
     def test_simplex_rows(self, rng):
         s = random_surrogate(rng, 3)

@@ -15,7 +15,6 @@ from socprune.errors import (
     FitFailed,
     InvalidSpec,
     ShapeMismatch,
-    TooLarge,
 )
 from socprune.conic import build_pruning_socp
 from socprune.loss import QuadraticSurrogate, build_surrogate, exact_loss
@@ -25,7 +24,6 @@ from socprune.pipeline import (
     SyntheticSpec,
     accuracy,
     auto_threshold,
-    brute_force_subset_oracle,
     cross_validate,
     fit_weights,
     generate_synthetic_ensemble,
@@ -37,6 +35,8 @@ from socprune import pipeline
 from socprune.solver import SolverSettings, solve
 
 from conftest import one_iteration_solve, random_instance
+import test_acceptance
+from test_acceptance import brute_force_subset_oracle
 
 
 def small_spec(**overrides):
@@ -687,11 +687,11 @@ class TestBruteForceOracle:
         def enumerated(probs):
             raise AssertionError("subsets enumerated before alpha was checked")
 
-        monkeypatch.setattr(pipeline, "entropy_term", enumerated)
+        monkeypatch.setattr(test_acceptance, "entropy_term", enumerated)
         with pytest.raises(DomainError, match="alpha"):
             brute_force_subset_oracle(t, y, alpha)
 
     def test_too_large_guard(self, rng):
         t, y = random_instance(rng, 15, 5, 2)
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="enumeration limit"):
             brute_force_subset_oracle(t, y, 0.5)

@@ -16,7 +16,6 @@ from socprune.conic import (
     ConicSolution,
     build_pruning_socp,
     cholesky_lower,
-    cone_margin,
     read_cone_program,
 )
 from socprune.errors import MalformedProgram, ShapeMismatch
@@ -38,7 +37,7 @@ from socprune.solver import (
 )
 
 from conftest import no_warning_filter
-from test_acceptance import qp_to_socp
+from test_acceptance import cone_margin, qp_to_socp
 
 
 def surrogate_from(quad, lin, ridge=0.0):
@@ -236,7 +235,7 @@ class TestStatuses:
         (lp_with_stored_zero_row, 100, STATUS_INFEASIBLE),
         (infeasible_lp, 100, STATUS_INFEASIBLE),
         (unbounded_lp, 100, STATUS_UNBOUNDED),
-        (pruning_program, 2, STATUS_MAX_ITERS),
+        (pruning_program, 1, STATUS_MAX_ITERS),
         (pruning_program, 100, STATUS_OPTIMAL),
         (lambda: free_program([1.0, 1.0], [[1.0, 1.0]], [1.0]), 100, STATUS_OPTIMAL),
         (lambda: free_program([0.0], [[1.0], [1.0]], [1.0, 2.0]), 100, STATUS_INFEASIBLE),
