@@ -162,6 +162,9 @@ class LabelVector:
             if not np.all(labels == np.floor(labels)):
                 raise ValidationError("labels must be integers")
         labels = labels.astype(np.int64)
+        k = self.num_classes
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValidationError(f"num_classes must be an integer, got {k!r}")
         if self.num_classes < 2:
             raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):

@@ -59,11 +59,14 @@ class QuadraticSurrogate:
         quad = np.asarray(self.quad, dtype=np.float64)
         if quad.ndim != 2 or quad.shape[0] != quad.shape[1]:
             raise ShapeMismatch(f"quadratic matrix must be square, got {quad.shape}")
-        if np.abs(quad - quad.T).max(initial=0.0) > 1e-12:
-            raise DomainError("quadratic matrix is not symmetric to 1e-12")
         for name in ("lin_accuracy", "lin_diversity"):
             if np.shape(getattr(self, name)) != (quad.shape[0],):
                 raise ShapeMismatch(f"{name} must have shape ({quad.shape[0]},)")
+        for name in ("quad", "lin_accuracy", "lin_diversity", "constant", "ridge"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} must be finite")
+        if np.abs(quad - quad.T).max(initial=0.0) > 1e-12:
+            raise DomainError("quadratic matrix is not symmetric to 1e-12")
         if self.ridge < 0:
             raise DomainError("ridge must be nonnegative")
 

@@ -5,6 +5,7 @@ threshold the weights, and vote.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import pairwise
 from statistics import NormalDist
@@ -96,6 +97,10 @@ class PruneConfig:
     simplex_mode: bool = False
 
     def __post_init__(self):
+        auto = isinstance(self.threshold, str) and self.threshold == _AUTO
+        for v in (*self.alpha_grid, *self.lambda_grid, *(() if auto else (self.threshold,))):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise DomainError(f"grid values and threshold must be numbers, got {v!r}")
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
         if not self.alpha_grid or not self.lambda_grid:
@@ -105,7 +110,7 @@ class PruneConfig:
         if not all(0 <= lam <= 1 for lam in self.lambda_grid):
             raise DomainError(f"lambda grid values must lie in [0, 1] (fractions of "
                               f"lambda_max), got {self.lambda_grid}")
-        if self.threshold != _AUTO:
+        if not auto:
             h = float(self.threshold)
             if not 0 <= h < np.inf:
                 raise DomainError("threshold must be finite and nonnegative, or 'auto'")

@@ -4,7 +4,7 @@ Handles nonnegative-orthant, quadratic, and rotated quadratic cones plus
 free variables.  The algorithm is a Nesterov-Todd scaled Mehrotra
 predictor-corrector: at each iteration the scaled complementarity system is
 reduced to the full augmented KKT system, solved by numpy's partial-pivot
-LU (with a statically regularized, refined fallback, see ``_KktSolver``),
+LU (with a statically regularized, refined fallback, see ``_kkt_solve``),
 and a single step length is taken along the combined primal-dual
 direction.  Every iterate, mapped to the program's variables, is tested
 for optimality and for an infeasibility or unboundedness ray; a program
@@ -227,72 +227,44 @@ def _max_step(z: np.ndarray, dz: np.ndarray, structure: _Structure) -> float:
     return alpha
 
 
-class _KktSolver:
-    """The augmented KKT system K = [[-H, A'], [A, 0]], solved by LU.
+def _kkt_solve(K: np.ndarray, n: int, k_norm: float, rhs: np.ndarray):
+    """(x, y) parts of z solving K z = rhs, K = [[-H, A'], [A, 0]] with H n x n.
 
-    K is allocated once per program and ``set_hessian`` rewrites only its
-    -H block.  Each ``solve`` is one partial-pivot LU solve of K (LAPACK's
-    gesv through numpy).  When that meets an exactly zero pivot, or leaves
-    a relative residual ||r - K z|| / (||K|| ||z|| + ||r||) (inf-norms)
-    above ``_SOLVE_TOL``, the solve falls back to the statically
-    regularized K + diag(-delta, +delta), refined against K: the result
-    solves K, and the regularization only keeps the pivots away from zero.
+    ``k_norm`` is ||K||_inf; a non-finite norm or rhs (an overflowed iterate)
+    raises ``LinAlgError``.  One partial-pivot LU solve (numpy's gesv); an
+    exactly zero pivot, or a relative residual ||rhs - K z|| / (||K|| ||z||
+    + ||rhs||) (inf-norms) above ``_SOLVE_TOL``, falls back to
+    ``_regularized_solve``.
     """
+    if not (np.isfinite(k_norm) and np.isfinite(rhs).all()):
+        raise np.linalg.LinAlgError("the KKT system is not finite")
+    try:
+        z = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        z = _regularized_solve(K, n, rhs)
+    else:
+        scale = k_norm * _inf_norm(z) + _inf_norm(rhs)
+        if not _inf_norm(rhs - K @ z) <= _SOLVE_TOL * scale:
+            z = _regularized_solve(K, n, rhs)
+    return z[:n], z[n:]
 
-    def __init__(self, H: np.ndarray, A: np.ndarray):
-        m, n = A.shape
-        self.n = n
-        self.K = np.zeros((n + m, n + m))
-        self.K[:n, n:] = A.T
-        self.K[n:, :n] = A
-        abs_A = np.abs(A)
-        # row sums of |A'| and the largest row sum of |A|: with H's row sums
-        # they give ||K||_inf without a pass over |K|
-        self._at_rows = abs_A.sum(axis=0)
-        self._a_norm = float(abs_A.sum(axis=1).max(initial=0.0))
-        self.set_hessian(H)
 
-    def set_hessian(self, H: np.ndarray) -> None:
-        # a non-finite H or A (an iterate or a rotated column that overflowed)
-        # makes this row sum inf or nan
-        top = float((np.abs(H).sum(axis=1) + self._at_rows).max(initial=0.0))
-        if not np.isfinite(top):
-            raise np.linalg.LinAlgError("the KKT matrix is not finite")
-        np.negative(H, out=self.K[: self.n, : self.n])
-        self.k_norm = max(top, self._a_norm)
-
-    def solve(self, rhs_x: np.ndarray, rhs_y: np.ndarray):
-        rhs = np.concatenate((rhs_x, rhs_y))
-        if not np.isfinite(rhs).all():
-            raise np.linalg.LinAlgError("the KKT right-hand side is not finite")
-        try:
-            z = np.linalg.solve(self.K, rhs)
-        except np.linalg.LinAlgError:  # an exactly zero pivot
-            z = self._regularized_solve(rhs)
-        else:
-            scale = self.k_norm * _inf_norm(z) + _inf_norm(rhs)
-            if not _inf_norm(rhs - self.K @ z) <= _SOLVE_TOL * scale:
-                z = self._regularized_solve(rhs)
-        return z[: self.n], z[self.n :]
-
-    def _regularized_solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.n
-        size = self.K.shape[0]
-        K_reg = self.K.copy()
-        K_reg[np.arange(n), np.arange(n)] -= _REGULARIZATION
-        K_reg[np.arange(n, size), np.arange(n, size)] += _REGULARIZATION
-        z = np.linalg.solve(K_reg, rhs)
-        # refine against the unregularized matrix; extra passes matter once
-        # the barrier parameter drops below the first pass's solve error
-        best_norm = np.inf
-        for _ in range(3):
-            residual = rhs - self.K @ z
-            norm = _inf_norm(residual)
-            if not np.isfinite(norm) or norm >= 0.5 * best_norm:
-                break
-            best_norm = norm
-            z = z + np.linalg.solve(K_reg, residual)
-        return z
+def _regularized_solve(K: np.ndarray, n: int, rhs: np.ndarray) -> np.ndarray:
+    """LU of K + diag(-delta, +delta), refined so that the result solves K."""
+    delta = np.repeat((-_REGULARIZATION, _REGULARIZATION), (n, K.shape[0] - n))
+    K_reg = K + np.diag(delta)
+    z = np.linalg.solve(K_reg, rhs)
+    # refine against the unregularized matrix; extra passes matter once
+    # the barrier parameter drops below the first pass's solve error
+    best_norm = np.inf
+    for _ in range(3):
+        residual = rhs - K @ z
+        norm = _inf_norm(residual)
+        if not np.isfinite(norm) or norm >= 0.5 * best_norm:
+            break
+        best_norm = norm
+        z = z + np.linalg.solve(K_reg, residual)
+    return z
 
 
 class _NtScaling:
@@ -344,19 +316,19 @@ _POLISH_FEAS_TOL = 1e-9
 def _polish(structure, A, b, c, x, y, s):
     """Newton solve of the reduced KKT system for the guessed active set.
 
-    Works in the rotated variable space.  Returns (x, y, s) or None when the
-    construction fails; the caller decides acceptance by recomputed merit.
+    Works in the rotated variable space.  x is 0 on the pinned coordinates;
+    every other coordinate satisfies c - A'y - s = 0, with s = 0 on the
+    dual-zero ones and s = theta Jx (J = diag(1, -1, ..., -1)) on each ray
+    block, whose x also satisfies x'Jx = 0.  Returns (x, y, s) or None when
+    the construction fails; the caller decides acceptance by recomputed merit.
     """
     n = c.size
     m = A.shape[0]
-    pinned = []
-    dual_zero = list(structure.free)
+    orth = structure.orth
+    at_bound = x[orth] <= s[orth]
+    pinned = [orth[at_bound]]
+    dual_zero = [structure.free, orth[~at_bound]]
     ray_blocks = []
-    for i in structure.orth:
-        if x[i] <= s[i]:
-            pinned.append(int(i))
-        else:
-            dual_zero.append(int(i))
     for idx in structure.socs:
         xb = x[idx]
         sb = s[idx]
@@ -365,60 +337,45 @@ def _polish(structure, A, b, c, x, y, s):
         bx = (2.0 * xb[0] * xb[0] - nx2) / max(nx2, 1e-300)
         bs = (2.0 * sb[0] * sb[0] - ns2) / max(ns2, 1e-300)
         if bx >= _POLISH_INTERIOR:
-            dual_zero.extend(int(i) for i in idx)
+            dual_zero.append(idx)
         elif bs >= _POLISH_INTERIOR:
-            pinned.extend(int(i) for i in idx)
+            pinned.append(idx)
         else:
             ray_blocks.append(idx)
-    pinned_mask = np.zeros(n, dtype=bool)
-    pinned_mask[pinned] = True
-    unpin = np.nonzero(~pinned_mask)[0]
-    p = unpin.size
+    pinned = np.concatenate(pinned)
+    # the unpinned coordinates, dual-zero ones first, order both the unknown
+    # x and the dual rows; ``at`` is each ray coordinate's place in that order
+    n_zero = sum(idx.size for idx in dual_zero)
+    dual = np.concatenate(dual_zero + ray_blocks)
+    ray = dual[n_zero:]
+    at = n_zero + np.arange(ray.size)
+    p = dual.size
     r = len(ray_blocks)
-    col_of = np.full(n, -1, dtype=np.int64)
-    col_of[unpin] = np.arange(p)
+    sizes = np.array([idx.size for idx in ray_blocks], dtype=np.int64)
+    block = np.repeat(np.arange(r), sizes)
+    sign = np.full(ray.size, -1.0)  # J's diagonal on the ray coordinates
+    sign[np.cumsum(sizes) - sizes] = 1.0
 
-    theta0 = np.empty(r)
-    for bi, idx in enumerate(ray_blocks):
-        nx = float(np.linalg.norm(x[idx]))
-        theta0[bi] = float(np.linalg.norm(s[idx])) / max(nx, 1e-300)
-    v = np.concatenate((x[unpin], y, theta0))
-    n_eq = m + len(dual_zero) + sum(idx.size for idx in ray_blocks) + r
-    A_unpin = A[:, unpin]
+    theta0 = np.array([np.linalg.norm(s[idx]) / max(np.linalg.norm(x[idx]), 1e-300)
+                       for idx in ray_blocks])
+    v = np.concatenate((x[dual], y, theta0))
+    A_dual = A[:, dual]
 
     def residual_and_jacobian(v):
         xf = np.zeros(n)
-        xf[unpin] = v[:p]
+        xf[dual] = v[:p]
         yv = v[p:p + m]
         th = v[p + m:]
-        F = np.zeros(n_eq)
-        J = np.zeros((n_eq, p + m + r))
-        F[:m] = A_unpin @ v[:p] - b
-        J[:m, :p] = A_unpin
-        row = m
-        for i in dual_zero:
-            F[row] = c[i] - A[:, i] @ yv
-            J[row, p:p + m] = -A[:, i]
-            row += 1
-        for bi, idx in enumerate(ray_blocks):
-            kb = idx.size
-            jx = xf[idx].copy()
-            jx[1:] = -jx[1:]
-            F[row:row + kb] = c[idx] - A[:, idx].T @ yv - th[bi] * jx
-            J[row:row + kb, p:p + m] = -A[:, idx].T
-            sign = np.ones(kb)
-            sign[1:] = -1.0
-            for j, i in enumerate(idx):
-                J[row + j, col_of[i]] = -th[bi] * sign[j]
-            J[row:row + kb, p + m + bi] = -jx
-            row += kb
-        for bi, idx in enumerate(ray_blocks):
-            xb = xf[idx]
-            F[row] = 0.5 * (xb[0] * xb[0] - xb[1:] @ xb[1:])
-            J[row, col_of[idx[0]]] = xb[0]
-            for i in idx[1:]:
-                J[row, col_of[i]] = -xf[i]
-            row += 1
+        jx = sign * v[at]
+        s_dual = np.pad(th[block] * jx, (n_zero, 0))
+        F = np.concatenate((A_dual @ v[:p] - b, c[dual] - A_dual.T @ yv - s_dual,
+                            0.5 * np.bincount(block, jx * v[at], minlength=r)))
+        J = np.zeros((F.size, p + m + r))
+        J[:m, :p] = A_dual
+        J[m:m + p, p:p + m] = -A_dual.T
+        J[m + at, at] = -th[block] * sign
+        J[m + at, p + m + block] = -jx
+        J[m + p + block, at] = jx
         return F, J, xf, yv, th
 
     best = None
@@ -440,23 +397,19 @@ def _polish(structure, A, b, c, x, y, s):
         return None
     _, xf, yv, th = best
 
+    if (th < -_POLISH_FEAS_TOL).any():
+        return None
     s_pol = np.zeros(n)
-    for i in pinned:
-        s_pol[i] = c[i] - A[:, i] @ yv
-    for bi, idx in enumerate(ray_blocks):
-        if th[bi] < -_POLISH_FEAS_TOL:
-            return None
-        jx = xf[idx].copy()
-        jx[1:] = -jx[1:]
-        s_pol[idx] = max(th[bi], 0.0) * jx
+    s_pol[pinned] = c[pinned] - A[:, pinned].T @ yv
+    s_pol[ray] = np.maximum(th, 0.0)[block] * sign * xf[ray]
 
     scale = _POLISH_FEAS_TOL * (1.0 + _inf_norm(xf) + _inf_norm(s_pol))
-    xo = xf[structure.orth]
-    so = s_pol[structure.orth]
+    xo = xf[orth]
+    so = s_pol[orth]
     if xo.min(initial=0.0) < -scale or so.min(initial=0.0) < -scale:
         return None
-    xf[structure.orth] = np.maximum(xo, 0.0)
-    s_pol[structure.orth] = np.maximum(so, 0.0)
+    xf[orth] = np.maximum(xo, 0.0)
+    s_pol[orth] = np.maximum(so, 0.0)
     for idx in structure.socs:
         for vec in (xf[idx], s_pol[idx]):
             margin = vec[0] - np.linalg.norm(vec[1:])
@@ -530,7 +483,8 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
     step = 0.0
     best_merit = np.inf
     best_point = None
-    kkt = None
+    # the KKT matrix [[-H, A'], [A, 0]]: each iteration writes its -H block
+    K = np.block([[np.zeros((n, n)), A.T], [A, np.zeros((m, m))]])
 
     for k in range(settings.max_iters + 1):
         point = to_program(x, y, s)
@@ -555,14 +509,12 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
         mu = float(x @ s) / nu if nu else 0.0
         try:
             W = _NtScaling(structure, x, s)
-            if kkt is None:
-                kkt = _KktSolver(W.H, A)
-            else:
-                kkt.set_hessian(W.H)
+            np.negative(W.H, out=K[:n, :n])
+            k_norm = float(np.abs(K).sum(axis=1).max())
             # predictor: drive the scaled complementarity to zero
             r_p = b - A @ x
             r_d = c - A.T @ y - s
-            dx_aff, dy_aff = kkt.solve(r_d + s, r_p)
+            dx_aff, dy_aff = _kkt_solve(K, n, k_norm, np.concatenate((r_d + s, r_p)))
             ds_aff = -s - W.H @ dx_aff
             sigma = 0.0
             if nu:
@@ -587,7 +539,7 @@ def solve(program: ConeProgram, settings: SolverSettings | None = None) -> Conic
                 g[sc.idx] = _arrow_solve(sc.lam, d_blk)
             winv_g = W.mul(g, -1)
 
-            dx, dy = kkt.solve(r_d - winv_g, r_p)
+            dx, dy = _kkt_solve(K, n, k_norm, np.concatenate((r_d - winv_g, r_p)))
             ds = winv_g - W.H @ dx
         except (FloatingPointError, OverflowError, np.linalg.LinAlgError, ZeroDivisionError):
             status = STATUS_NUMERICAL

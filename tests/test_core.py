@@ -190,6 +190,12 @@ class TestLabelVector:
         with pytest.raises(ValidationError):
             LabelVector(labels=np.array([-1]), num_classes=3)
 
+    @pytest.mark.parametrize("num_classes", [2.5, 3.0, "3", True])
+    def test_num_classes_must_be_an_integer(self, num_classes):
+        # 2.5 used to be accepted, and one_hot() then raised a TypeError
+        with pytest.raises(ValidationError, match="num_classes must be an integer"):
+            LabelVector(labels=[0, 2], num_classes=num_classes)
+
 
 class TestSplitSpec:
     def test_disjointness_enforced(self):

@@ -15,7 +15,7 @@ from socprune.core import LabelVector, PredictionTensor
 from socprune.errors import DomainError, ShapeMismatch
 from socprune.loss import QuadraticSurrogate, build_surrogate, entropy_term, exact_loss
 
-from conftest import random_instance, random_probs
+from conftest import no_warning_filter, random_instance, random_probs
 
 
 def reference_loss(w, probs, labels, alpha):
@@ -220,6 +220,21 @@ class TestQuadraticSurrogate:
                       constant=0.0, ridge=0.0)
         fields[name] = np.zeros(shape)
         with pytest.raises(ShapeMismatch):
+            QuadraticSurrogate(**fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["quad", "lin_accuracy", "lin_diversity", "constant",
+                                      "ridge"])
+    def test_non_finite_field_rejected(self, name, value):
+        # an inf in quad used to warn in the symmetry check and fail in the
+        # Cholesky factor; a nan ridge used to fail only in the cone program
+        fields = dict(quad=np.eye(3), lin_accuracy=np.zeros(3), lin_diversity=np.zeros(3),
+                      constant=0.0, ridge=0.0)
+        if np.ndim(fields[name]):
+            fields[name].flat[1] = value
+        else:
+            fields[name] = value
+        with no_warning_filter(), pytest.raises(DomainError, match=f"{name} must be finite"):
             QuadraticSurrogate(**fields)
 
 

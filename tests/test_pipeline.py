@@ -108,6 +108,17 @@ def test_non_finite_setting_rejected(make, error):
         make()
 
 
+@pytest.mark.parametrize("setting", [
+    dict(threshold="abc"), dict(threshold="Auto"), dict(threshold=True),
+    dict(alpha_grid=("x",)), dict(lambda_grid=(0.5, None)),
+], ids=["threshold_text", "threshold_capitalized_auto", "threshold_bool", "alpha_text",
+        "lambda_none"])
+def test_config_value_that_is_not_a_number_rejected(setting):
+    # text other than 'auto' used to raise a bare ValueError from float()
+    with pytest.raises(DomainError, match="must be numbers"):
+        PruneConfig(**setting)
+
+
 @pytest.mark.parametrize("lam", [-0.1, 1.5])
 @pytest.mark.parametrize("make", [
     lambda lam: PruneConfig(lambda_grid=(0.5, lam)),

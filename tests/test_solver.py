@@ -29,9 +29,10 @@ from socprune.solver import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     SolverSettings,
-    _KktSolver,
     _SocScale,
     _inf_norm,
+    _kkt_solve,
+    _regularized_solve,
     kkt_residuals,
     solve,
 )
@@ -107,6 +108,41 @@ class TestClosedFormCases:
         sol = solve(program)
         assert sol.status == STATUS_OPTIMAL
         assert np.allclose(sol.x, [0.0, 1.0], atol=1e-7)
+
+    def test_polish_with_two_active_cones(self):
+        # separable blocks.  Two quadratic cones are active at the optimum:
+        # min c'x with x0 = r has x = r (1, -c1/||c1||) and s = (||c1||, c1).
+        # One cone is interior, fixed by equalities (s = 0), and two orthant
+        # coordinates with c > 0 and no equality are pinned (x = 0, s = c).
+        rays = [((0, 1, 2), 1.0, [0.0, 3.0, 4.0]), ((3, 4, 5, 6), 2.0, [1.0, 1.0, -2.0, 2.0])]
+        interior, inner_x, inner_c = [7, 8, 9], [1.0, 0.3, -0.2], [1.0, 2.0, 3.0]
+        pinned, pinned_c = [10, 11], [0.5, 2.0]
+        objective, x_star, s_star = np.zeros(12), np.zeros(12), np.zeros(12)
+        rows, rhs = [], []
+        for idx, head, c in rays:
+            c1 = np.array(c[1:])
+            objective[list(idx)] = c
+            x_star[list(idx)] = head * np.concatenate(([1.0], -c1 / np.linalg.norm(c1)))
+            s_star[list(idx)] = np.concatenate(([np.linalg.norm(c1)], c1))
+            rows.append(idx[0])
+            rhs.append(head)
+        objective[interior], x_star[interior] = inner_c, inner_x
+        objective[pinned] = s_star[pinned] = pinned_c
+        program = ConeProgram(num_vars=12, objective=objective, eq_A=np.eye(12)[rows + interior],
+                              eq_b=rhs + inner_x,
+                              cones=(*(Cone(QUADRATIC, idx) for idx, _, _ in rays),
+                                     Cone(QUADRATIC, tuple(interior)),
+                                     Cone(NONNEG_ORTHANT, tuple(pinned))),
+                              free_vars=())
+        sol = solve(program)
+        assert sol.status == STATUS_OPTIMAL
+        assert np.abs(sol.x - x_star).max() <= 1e-12
+        assert np.abs(sol.s - s_star).max() <= 1e-12
+        # only the polished point has exact zeros and s = theta Jx on a ray
+        assert (sol.x[pinned] == 0.0).all() and (sol.s[interior] == 0.0).all()
+        for idx, _, _ in rays:
+            x, s = sol.x[list(idx)], sol.s[list(idx)]
+            assert np.allclose(s[1:], -(s[0] / x[0]) * x[1:], rtol=1e-14, atol=0.0)
 
 
 def free_sign_l1_program(quad, lin, alpha, penalty):
@@ -514,6 +550,13 @@ def random_kkt_blocks(rng):
     return H, rng.normal(size=(m, n))
 
 
+def kkt_system(H, A):
+    """K = [[-H, A'], [A, 0]] and ||K||_inf, as ``solve`` builds them."""
+    m = A.shape[0]
+    K = np.block([[-H, A.T], [A, np.zeros((m, m))]])
+    return K, np.abs(K).sum(axis=1).max()
+
+
 class TestKktSolver:
     def test_refined_solve_matches_unregularized_matrix(self):
         # a single solve with the regularized factors is off by about 1e-5
@@ -524,33 +567,31 @@ class TestKktSolver:
         for _ in range(100):
             H, A = random_kkt_blocks(rng)
             n, m = H.shape[0], A.shape[0]
-            rhs_x, rhs_y = rng.normal(size=n), rng.normal(size=m)
-            K = np.block([[-H, A.T], [A, np.zeros((m, m))]])
-            expected = np.linalg.solve(K, np.concatenate((rhs_x, rhs_y)))
-            dx, dy = _KktSolver(H, A).solve(rhs_x, rhs_y)
-            err = np.abs(np.concatenate((dx, dy)) - expected).max()
-            worst = max(worst, err / np.abs(expected).max())
+            rhs = rng.normal(size=n + m)
+            K, k_norm = kkt_system(H, A)
+            expected = np.linalg.solve(K, rhs)
+            for z in (np.concatenate(_kkt_solve(K, n, k_norm, rhs)),
+                      _regularized_solve(K, n, rhs)):
+                worst = max(worst, np.abs(z - expected).max() / np.abs(expected).max())
         assert worst <= 1e-10
 
     def test_zero_pivot_raises_linalg_error(self):
         # K has a zero row, and -H - delta vanishes, so the regularized matrix
         # has a zero pivot too; solve() maps LinAlgError to status numerical
-        H = -_REGULARIZATION * np.eye(2)
-        kkt = _KktSolver(H, np.zeros((1, 2)))
+        K, k_norm = kkt_system(-_REGULARIZATION * np.eye(2), np.zeros((1, 2)))
         with pytest.raises(np.linalg.LinAlgError):
-            kkt.solve(np.ones(2), np.ones(1))
+            _kkt_solve(K, 2, k_norm, np.ones(3))
 
     def test_repeated_equality_row_solves_through_the_fallback(self, monkeypatch):
         # two equal rows make K exactly singular at every iterate: each
         # direction comes from the regularized, refined solve
-        regularized = _KktSolver._regularized_solve
         calls = []
 
-        def counted(self, rhs):
+        def counted(K, n, rhs):
             calls.append(rhs.size)
-            return regularized(self, rhs)
+            return _regularized_solve(K, n, rhs)
 
-        monkeypatch.setattr(_KktSolver, "_regularized_solve", counted)
+        monkeypatch.setattr("socprune.solver._regularized_solve", counted)
         program = ConeProgram(num_vars=2, objective=[1, 2], eq_A=[[1, 1], [1, 1]], eq_b=[1, 1],
                               cones=(Cone(NONNEG_ORTHANT, (0, 1)),), free_vars=())
         sol = solve(program)
@@ -569,12 +610,12 @@ class TestKktSolver:
 
     def test_non_finite_system_raises_linalg_error(self):
         # an iterate that overflowed; solve() maps this to status numerical
-        H = np.diag([1.0, np.inf])
+        K, k_norm = kkt_system(np.diag([1.0, np.inf]), np.ones((1, 2)))
         with pytest.raises(np.linalg.LinAlgError):
-            _KktSolver(H, np.ones((1, 2)))
-        kkt = _KktSolver(np.eye(2), np.ones((1, 2)))
+            _kkt_solve(K, 2, k_norm, np.ones(3))
+        K, k_norm = kkt_system(np.eye(2), np.ones((1, 2)))
         with pytest.raises(np.linalg.LinAlgError):
-            kkt.solve(np.array([1.0, np.nan]), np.zeros(1))
+            _kkt_solve(K, 2, k_norm, np.array([1.0, np.nan, 0.0]))
 
 
 class TestKktResiduals:
