@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import atomic_write_text, format_exact, parse_float, parse_int, read_text
+from .core import atomic_write_text, format_exact, is_integer, parse_float, parse_int, read_text
 from .errors import (
     DomainError,
     MalformedProgram,
@@ -65,7 +65,7 @@ class Cone:
     def __post_init__(self):
         if self.kind not in CONE_KINDS:
             raise MalformedProgram(f"unknown cone kind {self.kind!r}")
-        idx = tuple(int(i) for i in self.var_indices)
+        idx = _indices(self.var_indices, "cone variable indices")
         object.__setattr__(self, "var_indices", idx)
         if len(idx) == 0:
             raise MalformedProgram("cone has no variables")
@@ -97,9 +97,12 @@ class ConeProgram:
     free_vars: tuple
 
     def __post_init__(self):
-        n = int(self.num_vars)
+        n = self.num_vars
+        if not is_integer(n):
+            raise MalformedProgram(f"num_vars must be an integer, got {n!r}")
         if n <= 0:
             raise MalformedProgram("program needs at least one variable")
+        n = int(n)
         obj = np.ascontiguousarray(_dense(self.objective, "objective"))
         if obj.shape != (n,):
             raise MalformedProgram(f"objective has shape {obj.shape}, expected ({n},)")
@@ -113,7 +116,7 @@ class ConeProgram:
         if not (np.all(np.isfinite(obj)) and np.all(np.isfinite(b)) and np.all(np.isfinite(A))):
             raise MalformedProgram("program data contains non-finite entries")
         cones = tuple(self.cones)
-        free = tuple(int(i) for i in self.free_vars)
+        free = _indices(self.free_vars, "free variable indices")
         seen = np.zeros(n, dtype=np.int64)
         for cone in cones:
             if not isinstance(cone, Cone):
@@ -144,6 +147,14 @@ class ConeProgram:
     @property
     def num_eqs(self) -> int:
         return self.eq_A.shape[0]
+
+
+def _indices(values, what: str) -> tuple:
+    """``values`` as a tuple of ints; MalformedProgram unless each is an integer, not a bool."""
+    idx = tuple(values)
+    if not all(map(is_integer, idx)):
+        raise MalformedProgram(f"{what} must be integers, got {idx!r}")
+    return tuple(int(i) for i in idx)
 
 
 def _dense(value, what):
@@ -264,7 +275,7 @@ def build_pruning_socp(
 
 
 def serialize_cone_program(p: ConeProgram) -> str:
-    """Versioned newline-delimited text form; round-trips to 1e-12."""
+    """Versioned newline-delimited text form; round-trips exactly."""
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     lines.append(f"vars {p.num_vars}")
     lines.append(f"eqs {p.num_eqs}")

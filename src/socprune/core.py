@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,6 +35,36 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def is_number(v) -> bool:
+    """True for a real number that is not a bool: no text, None or True passes."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_integer(v) -> bool:
+    """True for a Python or numpy integer that is not a bool: 3.0 does not pass."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """``values`` as an array of bools, integers or floats; ValidationError for
+    text, other objects or a ragged list."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged list
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must be a rectangular array of numbers")
+    return a
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64; ValidationError unless each is an integer (2.0 is one, True is not)."""
+    a = _numbers(values, what)
+    if a.dtype.kind == "b" or not np.all((np.abs(a) < 2.0**63) & (a == np.floor(a))):
+        raise ValidationError(f"{what} must be integers")
+    return a.astype(np.int64)
 
 
 def mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
@@ -80,23 +111,22 @@ def validate_tensor(probs) -> None:
 class PredictionTensor:
     """Per-model, per-sample class-probability rows, shape (M, N, C).
 
-    Rows are validated on construction and renormalized to sum exactly
-    to 1 (input sums may deviate by at most ``ROW_SUM_TOL``), in a copy of
+    Rows are validated on construction (each row's sum may deviate from 1
+    by at most ``ROW_SUM_TOL``) and stored as given, in a read-only copy of
     the caller's array; the generator, the dataset reader and ``subset``
-    hand over the buffer they built instead (``_adopt``), renormalized in place.
+    hand over the buffer they built instead (``_adopt``).
     """
 
     probs: np.ndarray
 
     def __post_init__(self, copy=True):
-        probs = np.array(self.probs, dtype=np.float64, copy=copy)
+        probs = np.array(_numbers(self.probs, "probabilities"), dtype=np.float64, copy=copy)
         validate_tensor(probs)
-        probs /= probs.sum(axis=2, keepdims=True)
         object.__setattr__(self, "probs", _as_readonly(probs))
 
     @classmethod
     def _adopt(cls, probs: np.ndarray) -> "PredictionTensor":
-        """Tensor that takes over ``probs``, a writable float64 buffer nothing else uses."""
+        """Tensor that takes over ``probs``, a float64 buffer nothing else uses."""
         t = object.__new__(cls)
         object.__setattr__(t, "probs", probs)
         t.__post_init__(copy=False)
@@ -122,15 +152,14 @@ class PredictionTensor:
     def blocks(self, sample_indices):
         """The given samples' rows as ``(span, block)`` pairs of about 1 MiB each.
 
-        ``block`` is a fresh ``(M, b, C)`` array, gathered and renormalized
-        as ``subset`` does, that equals ``subset(sample_indices).probs[:, span]``
-        bit for bit, so a sum over the blocks never holds the subset whole.
+        ``block`` is a fresh ``(M, b, C)`` array, gathered as ``subset`` does,
+        that equals ``subset(sample_indices).probs[:, span]`` bit for bit, so
+        a sum over the blocks never holds the subset whole.
         """
         idx = np.asarray(sample_indices, dtype=np.int64)
         step = max(1, _BLOCK_BYTES // (self.probs.itemsize * self.num_models * self.num_classes))
         for start in range(0, idx.size, step):
             block = self.probs.take(idx[start:start + step], axis=1)
-            block /= block.sum(axis=2, keepdims=True)
             yield slice(start, start + block.shape[1]), block
 
     def classes(self, sample_indices) -> np.ndarray:
@@ -155,15 +184,11 @@ class LabelVector:
     num_classes: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
+        labels = _integers(self.labels, "labels")
         if labels.ndim != 1:
             raise ShapeMismatch(f"labels must be 1-d, got ndim={labels.ndim}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == np.floor(labels)):
-                raise ValidationError("labels must be integers")
-        labels = labels.astype(np.int64)
         k = self.num_classes
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        if not is_integer(k):
             raise ValidationError(f"num_classes must be an integer, got {k!r}")
         if self.num_classes < 2:
             raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -191,7 +216,7 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint train/validation/test index sets over [0, N)."""
+    """Disjoint train/validation/test index sets over [0, N), each stored sorted."""
 
     train_indices: np.ndarray
     valid_indices: np.ndarray
@@ -199,14 +224,15 @@ class SplitSpec:
 
     def __post_init__(self):
         for name in ("train_indices", "valid_indices", "test_indices"):
-            idx = np.asarray(getattr(self, name), dtype=np.int64)
+            idx = _integers(getattr(self, name), name)
             if idx.ndim != 1:
                 raise ShapeMismatch(f"{name} must be 1-d")
             if idx.size and idx.min() < 0:
                 raise ValidationError(f"{name} contains a negative index")
-            if idx.size != np.unique(idx).size:
+            index_set = np.unique(idx)
+            if idx.size != index_set.size:
                 raise ValidationError(f"{name} contains duplicate indices")
-            object.__setattr__(self, name, _as_readonly(idx))
+            object.__setattr__(self, name, _as_readonly(index_set))
         all_idx = np.concatenate([self.train_indices, self.valid_indices, self.test_indices])
         if all_idx.size != np.unique(all_idx).size:
             raise ValidationError("split index sets are not pairwise disjoint")

@@ -19,10 +19,8 @@ ten gives its 17 digits, exactly or within a stated error bound; 0 and 1
 are written there too, as one digit.  A value whose rounding that cannot
 settle (-0, subnormal and tiny values, a product too close to a tie or to
 a power of ten) is formatted on its own by ``'%.17g' %``, so every value's
-text is ``format_exact``'s.  Loading a dataset renormalizes the rows as
-the tensor constructor does, in place in the buffer the rows were parsed
-into, which can move entries by one ulp; values that already sum to
-exactly 1 (like the shipped fixture) round-trip bit-for-bit.
+text is ``format_exact``'s.  The tensor adopts the buffer the rows were
+parsed into and keeps them as read, so a dataset round-trips bit for bit.
 
 Dataset reads and writes use every CPU in the process's affinity mask
 (``taskset`` restricts them): a forked worker per CPU parses the predictions

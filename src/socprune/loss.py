@@ -63,8 +63,9 @@ class QuadraticSurrogate:
             if np.shape(getattr(self, name)) != (quad.shape[0],):
                 raise ShapeMismatch(f"{name} must have shape ({quad.shape[0]},)")
         for name in ("quad", "lin_accuracy", "lin_diversity", "constant", "ridge"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise DomainError(f"{name} must be finite")
+            value = np.asarray(getattr(self, name))
+            if value.dtype.kind not in "biuf" or not np.isfinite(value).all():
+                raise DomainError(f"{name} must be finite numbers")
         if np.abs(quad - quad.T).max(initial=0.0) > 1e-12:
             raise DomainError("quadratic matrix is not symmetric to 1e-12")
         if self.ridge < 0:
@@ -158,9 +159,8 @@ def build_surrogate(t: PredictionTensor, y: LabelVector, samples=None) -> Quadra
 
     ``samples`` selects the samples it is fitted on, all of them by
     default.  They are read from ``t`` in blocks of about 1 MiB
-    (``PredictionTensor.blocks``), each renormalized as ``t.subset(samples)``
-    would be, so no copy of the selection is held whole; the Gram and the
-    member entropy are one call per block.
+    (``PredictionTensor.blocks``), so no copy of the selection is held
+    whole; the Gram and the member entropy are one call per block.
 
     ``ridge`` is ``1e-8 * trace(quad) / M``, recorded for the Cholesky
     factorization performed by the cone-program builder.

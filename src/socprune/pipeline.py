@@ -5,7 +5,6 @@ threshold the weights, and vote.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import pairwise
 from statistics import NormalDist
@@ -17,6 +16,8 @@ from .core import (
     LabelVector,
     PredictionTensor,
     SplitSpec,
+    is_integer,
+    is_number,
     mapped_zeros,
     seeded_rng,
 )
@@ -59,7 +60,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         counts = (self.num_models, self.num_samples, self.num_classes, self.seed)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts):
+        if not all(map(is_integer, counts)):
             raise InvalidSpec(f"model, sample and class counts and the seed must be "
                               f"integers, got {counts}")
         if self.seed < 0:
@@ -70,7 +71,15 @@ class SyntheticSpec:
             raise InvalidSpec("need at least 5 samples to split")
         if self.num_classes < 2:
             raise InvalidSpec("need at least 2 classes")
-        low, high = self.base_accuracy_range
+        try:
+            low, high = self.base_accuracy_range
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"base_accuracy_range must be a (low, high) pair, got "
+                              f"{self.base_accuracy_range!r}") from None
+        for name, v in (("base_accuracy_range entry", low), ("base_accuracy_range entry", high),
+                        ("correlation", self.correlation), ("sharpness", self.sharpness)):
+            if not is_number(v):
+                raise InvalidSpec(f"{name} must be a number, got {v!r}")
         chance = 1.0 / self.num_classes
         # a range may start at chance, so long as some model beats it
         if not (chance <= low <= high < 1.0 and chance < high):
@@ -98,11 +107,18 @@ class PruneConfig:
 
     def __post_init__(self):
         auto = isinstance(self.threshold, str) and self.threshold == _AUTO
-        for v in (*self.alpha_grid, *self.lambda_grid, *(() if auto else (self.threshold,))):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        try:
+            grids = tuple(self.alpha_grid), tuple(self.lambda_grid)
+        except TypeError:
+            raise DomainError(f"alpha and lambda grids must be sequences of numbers, got "
+                              f"{self.alpha_grid!r} and {self.lambda_grid!r}") from None
+        for v in (*grids[0], *grids[1], *(() if auto else (self.threshold,))):
+            if not is_number(v):
                 raise DomainError(f"grid values and threshold must be numbers, got {v!r}")
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
-        object.__setattr__(self, "lambda_grid", tuple(float(l) for l in self.lambda_grid))
+        if not isinstance(self.simplex_mode, (bool, np.bool_)):
+            raise DomainError(f"simplex_mode must be a bool, got {self.simplex_mode!r}")
+        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in grids[0]))
+        object.__setattr__(self, "lambda_grid", tuple(float(l) for l in grids[1]))
         if not self.alpha_grid or not self.lambda_grid:
             raise DomainError("alpha and lambda grids must be non-empty")
         if not all(0 <= a <= 1 for a in self.alpha_grid):
@@ -221,7 +237,8 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
     then per model: idiosyncratic factor, wrong-class coin, own wrong-class
     offsets, Dirichlet rows; finally the split permutation.  The predicted
     class of each row is forced to the intended one by swapping, so model
-    i's empirical accuracy is an unbiased estimate of its target.
+    i's empirical accuracy is an unbiased estimate of its target; each row
+    is then divided by its sum once more.
     """
     if not isinstance(spec, SyntheticSpec):
         raise InvalidSpec("generate_synthetic_ensemble expects a SyntheticSpec")
@@ -260,6 +277,7 @@ def generate_synthetic_ensemble(spec: SyntheticSpec):
             lo = draw[fix, top[fix]].copy()
             draw[fix, top[fix]] = hi
             draw[fix, am[fix]] = lo
+        draw /= draw.sum(axis=1, keepdims=True)
 
     perm = rng.permutation(n)
     n_train = int(0.6 * n)

@@ -35,6 +35,7 @@ from .conic import (
     ConeProgram,
     ConicSolution,
 )
+from .core import is_integer, is_number
 from .errors import DomainError, MalformedProgram, ShapeMismatch
 
 # residual of an infeasibility or unboundedness ray, relative to ||A|| ||ray||
@@ -65,10 +66,9 @@ class SolverSettings:
     verbose: bool = False
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise DomainError(f"tol must be finite and positive, got {self.tol}")
-        if not (isinstance(self.max_iters, (int, np.integer))
-                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
+        if not (is_number(self.tol) and 0 < self.tol < np.inf):
+            raise DomainError(f"tol must be a finite positive number, got {self.tol!r}")
+        if not (is_integer(self.max_iters) and self.max_iters >= 1):
             raise DomainError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 

@@ -360,6 +360,24 @@ class TestStructuralValidation:
                 free_vars=(),
             )
 
+    def test_cone_rejects_a_non_integral_index(self):
+        # (0.7, 1.2) used to be truncated to (0, 1)
+        with pytest.raises(MalformedProgram, match="cone variable indices must be integers"):
+            Cone(NONNEG_ORTHANT, (0.7, 1.2))
+
+    def test_program_rejects_a_non_integral_free_index(self):
+        # (1.9,) used to be truncated to (1,)
+        with pytest.raises(MalformedProgram, match="free variable indices must be integers"):
+            ConeProgram(num_vars=2, objective=np.zeros(2), eq_A=np.zeros((0, 2)),
+                        eq_b=np.zeros(0), cones=(Cone(NONNEG_ORTHANT, (0,)),),
+                        free_vars=(1.9,))
+
+    def test_program_rejects_a_non_integral_num_vars(self):
+        # 1.5 used to be truncated to 1
+        with pytest.raises(MalformedProgram, match="num_vars must be an integer"):
+            ConeProgram(num_vars=1.5, objective=np.zeros(1), eq_A=np.zeros((0, 1)),
+                        eq_b=np.zeros(0), cones=(Cone(NONNEG_ORTHANT, (0,)),), free_vars=())
+
     def test_eq_A_is_a_read_only_copy(self):
         A = np.array([[1.0, 1.0]])
         program = ConeProgram(num_vars=2, objective=np.zeros(2), eq_A=A, eq_b=np.ones(1),

@@ -93,9 +93,11 @@ class TestValidateTensor:
 
 
 class TestPredictionTensor:
-    def test_rows_renormalized(self):
-        t = PredictionTensor(probs=np.array([[[0.5 + 4e-10, 0.5]]]))
-        assert abs(t.probs[0, 0].sum() - 1.0) < 1e-15
+    def test_rows_stored_as_given(self):
+        # a row off 1 by less than ROW_SUM_TOL is accepted and kept, not rescaled
+        probs = np.array([[[0.5 + 4e-10, 0.5]]])
+        t = PredictionTensor(probs=probs)
+        assert t.probs.tobytes() == probs.tobytes()
 
     def test_immutable(self):
         t = PredictionTensor(probs=np.array([[[0.5, 0.5]]]))
@@ -110,18 +112,18 @@ class TestPredictionTensor:
     def test_constructor_copies_the_callers_array(self, rng):
         g = rng.standard_gamma(1.0, size=(3, 5, 4)) + 1e-6
         probs = g / g.sum(axis=2, keepdims=True)
-        probs[0, 0] *= 1 + 1e-10  # renormalization moves this row
+        probs[0, 0] *= 1 + 1e-10  # this row sums to 1 + 1e-10 and is kept so
         before = probs.copy()
         t = PredictionTensor(probs=probs)
         assert probs.tobytes() == before.tobytes() and probs.flags.writeable
         assert not np.shares_memory(t.probs, probs)
-        assert t.probs.tobytes() == (before / before.sum(axis=2, keepdims=True)).tobytes()
+        assert t.probs.tobytes() == before.tobytes()
 
-    def test_adopt_renormalizes_the_buffer_in_place(self, rng):
+    def test_adopt_keeps_the_buffer_as_given(self, rng):
         g = rng.standard_gamma(1.0, size=(3, 5, 4)) + 1e-6
         probs = g / g.sum(axis=2, keepdims=True)
         probs[1, 2] *= 1 - 1e-10
-        expected = PredictionTensor(probs=probs).probs
+        expected = probs.copy()
         t = PredictionTensor._adopt(probs)
         assert t.probs is probs and not probs.flags.writeable
         assert t.probs.tobytes() == expected.tobytes()
@@ -147,7 +149,7 @@ class TestPredictionTensor:
         monkeypatch.setattr(core, "_BLOCK_BYTES", block_samples * 8 * 3 * 4)
         g = rng.standard_gamma(1.0, size=(3, 12, 4)) + 1e-6
         probs = g / g.sum(axis=2, keepdims=True)
-        probs[:, ::2] *= 1 + 1e-10  # renormalization moves these rows
+        probs[:, ::2] *= 1 + 1e-10  # rows that sum to 1 + 1e-10, kept so
         t = PredictionTensor(probs=probs)
         idx = [11, 0, 5, 3, 9, 1, 2, 8, 7, 4]
         sub = t.subset(idx).probs
@@ -205,6 +207,17 @@ class TestSplitSpec:
     def test_duplicate_within_split(self):
         with pytest.raises(ValidationError):
             SplitSpec(train_indices=[0, 0], valid_indices=[1], test_indices=[2])
+
+    def test_non_integral_index_rejected(self):
+        # [0.5, 1.7] used to be truncated to [0, 1]
+        with pytest.raises(ValidationError, match="train_indices must be integers"):
+            SplitSpec(train_indices=[0.5, 1.7], valid_indices=[2], test_indices=[3])
+
+    def test_index_sets_stored_sorted(self):
+        # as a dataset's manifest lists them, so a written split reads back equal
+        s = SplitSpec(train_indices=[4, 0.0, 2], valid_indices=[3, 1], test_indices=[])
+        assert s.train_indices.tolist() == [0, 2, 4] and s.train_indices.dtype == np.int64
+        assert s.valid_indices.tolist() == [1, 3] and s.test_indices.size == 0
 
     def test_validate_against_bounds(self):
         s = SplitSpec(train_indices=[0], valid_indices=[1], test_indices=[5])

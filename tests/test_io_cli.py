@@ -54,7 +54,7 @@ from test_solver import lp_with_stored_zero_row
 
 GOLDEN = Path(__file__).parent / "golden" / "tiny_dataset"
 
-# exact dyadic probabilities; renormalization cannot move these
+# exact dyadic probabilities, each row summing to exactly 1
 TINY_PROBS = np.array([
     [[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]],
     [[0.125, 0.875], [0.75, 0.25], [0.0, 1.0]],
@@ -102,8 +102,8 @@ def float32_softmax(rng, num_models, num_samples, num_classes):
     """Softmax rows computed in float32, widened, that sum to exactly 1.
 
     Entries below 2**-29 become 0 and the top entry takes what the others
-    leave: every entry is then a multiple of 2**-52, so the sums are exact
-    and PredictionTensor's renormalization leaves each row as it is.  Peaked
+    leave: every entry is then a multiple of 2**-52, so each row sums to
+    exactly 1.  Peaked
     rows come out as one 1 and zeros; a few entries are set to exact ties.
     """
     logits = rng.normal(scale=12.0, size=(num_models, num_samples, num_classes))
@@ -274,9 +274,7 @@ class TestDatasetRoundTrip:
                            test_indices=np.arange(20, 25))
         write_predictions(tmp_path / "d", t, y, splits, provenance="round trip")
         t2, y2, s2 = read_predictions(tmp_path / "d")
-        # constructor renormalization is idempotent only to the last bit,
-        # so allow one ulp per entry
-        assert np.max(np.abs(t2.probs - t.probs)) <= 2.0 ** -50
+        assert t2.probs.tobytes() == t.probs.tobytes()
         assert np.array_equal(y2.labels, y.labels)
         assert np.array_equal(s2.train_indices, splits.train_indices)
         assert np.array_equal(s2.test_indices, splits.test_indices)
@@ -525,8 +523,8 @@ class TestSpanEnds:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads VmHWM from /proc/self/status")
     def test_reader_holds_the_tensor_once(self, tmp_path):
-        # an ingest-sized dataset (87 MB of text, a 32 MB tensor): the reader
-        # renormalizes the buffer its workers filled in place and maps no text
+        # an ingest-sized dataset (87 MB of text, a 32 MB tensor): the tensor
+        # adopts the buffer the reader's workers filled, and no text is mapped
         t, y, splits = generate_synthetic_ensemble(
             SyntheticSpec(num_models=20, num_samples=2000, num_classes=100, seed=1))
         write_predictions(tmp_path / "d", t, y, splits)
@@ -1451,6 +1449,39 @@ class TestCliDeterminism:
         for name in ("predictions.csv", "labels.csv"):
             assert (tmp_path / "cli" / name).read_bytes() == \
                 (tmp_path / "spec" / name).read_bytes()
+
+    # the benchmark workloads' smoke shapes (grid-simplex-m60, grid-free-m40,
+    # ingest-c100); rows used to be divided by their sums again on reading,
+    # which moved about one entry in five by one ulp
+    @pytest.mark.parametrize("shape", [(8, 200, 10), (6, 400, 10), (4, 200, 100)],
+                             ids=["m60-smoke", "free-m40-smoke", "c100-smoke"])
+    def test_gen_dataset_reads_back_as_generated(self, tmp_path, capsys, shape):
+        models, samples, classes = shape
+        assert run_cli(["gen", "--models", str(models), "--samples", str(samples),
+                        "--classes", str(classes), "--seed", "1009",
+                        "--out", str(tmp_path / "d")], capsys)[0] == 0
+        t, y, splits = read_predictions(tmp_path / "d")
+        write_predictions(tmp_path / "rewritten", t, y, splits)
+        for name in ("predictions.csv", "labels.csv"):
+            assert (tmp_path / "rewritten" / name).read_bytes() == \
+                (tmp_path / "d" / name).read_bytes()
+        spec = SyntheticSpec(num_models=models, num_samples=samples, num_classes=classes,
+                             seed=1009)
+        t0, y0, splits0 = generate_synthetic_ensemble(spec)
+        assert t.probs.tobytes() == t0.probs.tobytes()
+        assert y.labels.tobytes() == y0.labels.tobytes()
+        for key in ("train_indices", "valid_indices", "test_indices"):
+            assert getattr(splits, key).tobytes() == getattr(splits0, key).tobytes()
+
+    @pytest.mark.parametrize("flags", [(), ("--simplex",)], ids=["free", "simplex"])
+    def test_gen_and_run_report_what_run_pipeline_reports(self, tmp_path, capsys, flags):
+        assert run_cli(["gen", "--models", "8", "--samples", "200", "--classes", "10",
+                        "--seed", "1009", "--out", str(tmp_path / "d")], capsys)[0] == 0
+        assert run_cli(["run", str(tmp_path / "d"), *flags,
+                        "--out", str(tmp_path / "report.json")], capsys)[0] == 0
+        spec = SyntheticSpec(num_models=8, num_samples=200, num_classes=10, seed=1009)
+        report = pipeline.run_pipeline(spec, pipeline.PruneConfig(simplex_mode=bool(flags)))
+        assert (tmp_path / "report.json").read_bytes() == render_report(report).encode()
 
     def test_gen_predictions_digest_at_benchmark_scale(self, tmp_path, capsys):
         # sha256 of the table that one '%.17g' format per value wrote for

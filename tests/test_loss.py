@@ -303,8 +303,8 @@ class TestBuildSurrogate:
         assert peak < 0.25 * t.probs.nbytes
 
     def test_diversity_term_matches_the_whole_tensor_formula(self, rng):
-        # all samples by default, read in renormalized blocks and summed a
-        # block at a time: the formula on whole-tensor temporaries to 1e-12
+        # all samples by default, read in blocks and summed a block at a
+        # time: the formula on whole-tensor temporaries to 1e-12
         for shape in [(20, 1200, 100), (3, 7, 2), (40, 240, 10), (5, 1, 3), (1, 50, 1000)]:
             t, y = random_instance(rng, *shape)
             expected = whole_tensor_surrogate(t, y)[2]

@@ -14,9 +14,11 @@ from socprune.errors import (
     EmptyEnsemble,
     FitFailed,
     InvalidSpec,
+    MalformedProgram,
     ShapeMismatch,
+    ValidationError,
 )
-from socprune.conic import build_pruning_socp
+from socprune.conic import NONNEG_ORTHANT, QUADRATIC, Cone, ConeProgram, build_pruning_socp
 from socprune.loss import QuadraticSurrogate, build_surrogate, exact_loss
 from socprune.pipeline import (
     CellDiagnostic,
@@ -117,6 +119,56 @@ def test_config_value_that_is_not_a_number_rejected(setting):
     # text other than 'auto' used to raise a bare ValueError from float()
     with pytest.raises(DomainError, match="must be numbers"):
         PruneConfig(**setting)
+
+
+@pytest.mark.parametrize("simplex_mode", ["no", 1, None])
+def test_simplex_mode_must_be_a_bool(simplex_mode):
+    # 'no' used to be stored as given and, being truthy, ran simplex mode
+    with pytest.raises(DomainError, match="simplex_mode must be a bool"):
+        PruneConfig(simplex_mode=simplex_mode)
+    assert PruneConfig(simplex_mode=np.True_).simplex_mode
+
+
+_ORTHANT = (Cone(NONNEG_ORTHANT, (0,)),)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: PruneConfig(alpha_grid=0.5), DomainError, "grids must be sequences of numbers"),
+    (lambda: PruneConfig(alpha_grid=None), DomainError, "grids must be sequences of numbers"),
+    (lambda: LabelVector(labels=["a"], num_classes=2), ValidationError,
+     "labels must be a rectangular array of numbers"),
+    (lambda: SyntheticSpec(4, 60, 3, correlation="x"), InvalidSpec,
+     "correlation must be a number"),
+    (lambda: SyntheticSpec(4, 60, 3, sharpness="x"), InvalidSpec, "sharpness must be a number"),
+    (lambda: SyntheticSpec(4, 60, 3, base_accuracy_range="ab"), InvalidSpec,
+     "base_accuracy_range entry must be a number"),
+    (lambda: SyntheticSpec(4, 60, 3, base_accuracy_range=(0.5,)), InvalidSpec,
+     r"base_accuracy_range must be a \(low, high\) pair"),
+    (lambda: SyntheticSpec(4, 60, 3, base_accuracy_range=(0.5, 0.6, 0.7)), InvalidSpec,
+     r"base_accuracy_range must be a \(low, high\) pair"),
+    (lambda: SolverSettings(tol="x"), DomainError, "tol must be a finite positive number"),
+    (lambda: SplitSpec(train_indices=["a"], valid_indices=[1], test_indices=[2]),
+     ValidationError, "train_indices must be a rectangular array of numbers"),
+    (lambda: PredictionTensor(probs=[[["a", 1.0]]]), ValidationError,
+     "probabilities must be a rectangular array of numbers"),
+    (lambda: PredictionTensor(probs=[[[0.5, 0.5], [1.0]]]), ValidationError,
+     "probabilities must be a rectangular array of numbers"),
+    (lambda: QuadraticSurrogate(quad=np.eye(2), lin_accuracy=np.zeros(2),
+                                lin_diversity=np.zeros(2), constant="x", ridge=0.0),
+     DomainError, "constant must be finite numbers"),
+    (lambda: Cone(QUADRATIC, ("a",)), MalformedProgram,
+     "cone variable indices must be integers"),
+    (lambda: ConeProgram(num_vars="x", objective=np.zeros(1), eq_A=np.zeros((0, 1)),
+                         eq_b=np.zeros(0), cones=_ORTHANT, free_vars=()),
+     MalformedProgram, "num_vars must be an integer"),
+], ids=["alpha_grid_scalar", "alpha_grid_none", "label_text", "correlation_text",
+        "sharpness_text", "accuracy_range_text", "accuracy_range_one", "accuracy_range_three",
+        "tol_text", "split_index_text", "tensor_text", "tensor_ragged", "surrogate_constant_text",
+        "cone_index_text", "num_vars_text"])
+def test_wrongly_typed_input_raises_a_socprune_error(make, error, match):
+    # each of these used to raise a bare TypeError or ValueError
+    with pytest.raises(error, match=match):
+        make()
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5])
